@@ -183,11 +183,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     fam, file_conv, declared = _load_family(args.file)
-    if args.convention is not None:
-        conv = convention_from_name(args.convention)
-    else:
-        conv = file_conv or DEFAULT_CONVENTION
-    rep = verify(fam, conv)
+    rep = verify(fam, _conv(args, file_conv))
     _emit(canonical_dumps(report_to_json(rep)), args.out)
     if declared is not None:
         return 0 if prediction_from_json(declared).matches(rep) else 2
@@ -273,7 +269,6 @@ def build_parser() -> _Parser:
         p.add_argument("--convention", choices=["right", "left"],
                        default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json"], default="json")
 
     p = sub.add_parser("construct", help="build a family and certify it")
     p.add_argument("kind", choices=["complement", "double-sdf", "paley",
@@ -294,9 +289,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="re-certify a family file")
     p.add_argument("file")
-    p.add_argument("--convention", choices=["right", "left"], default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json"], default="json")
+    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search-hds", help="exhaustive difference-set search")
@@ -310,13 +303,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search-y", help="maximum unit-set search")
     p.add_argument("--ring", required=True)
     p.add_argument("--time-budget", type=float, default=None)
-    common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search_y)
 
     p = sub.add_parser("catalog", help="list or emit built-in families")
     p.add_argument("action", choices=["list", "emit"])
     p.add_argument("name", nargs="?", default=None)
-    common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("recipe", help="build a canonical expansion recipe")

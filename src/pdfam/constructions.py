@@ -191,14 +191,14 @@ def _difference_decomposition(g_group: FiniteGroup, h_group: FiniteGroup,
                               ) -> dict[int, Counter]:
     """Per-block differences of product-group blocks, grouped by G part."""
     table: dict[int, Counter] = {g: Counter() for g in g_group.elements()}
+    ga = g_group.for_convention(convention)
+    ha = h_group.for_convention(convention)
     for block in lifts:
         pairs = list(block)
         for i, (g1, h1) in enumerate(pairs):
             for j, (g2, h2) in enumerate(pairs):
                 if i != j:
-                    gd = g_group.difference(g1, g2, convention)
-                    hd = h_group.difference(h1, h2, convention)
-                    table[gd][hd] += 1
+                    table[ga.op(g1, ga.neg(g2))][ha.op(h1, ha.neg(h2))] += 1
     return table
 
 

@@ -6,6 +6,9 @@ table groups); index and coordinates are two sides of a mixed-radix
 bijection with the leftmost coordinate most significant, so index order is
 lexicographic order on coordinates.  Groups are written additively but need
 not be abelian; DiffConvention fixes what "a - b" means when order matters.
+The left difference (-b) + a in G is the right difference a + (-b) in the
+opposite group G^op, where a o b = b + a, so every difference is computed as
+a right difference in the group that for_convention() returns.
 """
 
 from __future__ import annotations
@@ -77,9 +80,26 @@ class FiniteGroup:
     def difference(self, a: int, b: int,
                    convention: DiffConvention = DEFAULT_CONVENTION) -> int:
         """a - b under the given convention."""
+        g = self.for_convention(convention)
+        return g.op(a, g.neg(b))
+
+    def opposite(self) -> "FiniteGroup":
+        """G^op: same elements, identity, inverses and coordinates, with
+        a o b = b + a.  An abelian group is its own opposite."""
+        if self.is_abelian:
+            return self
+        cached = getattr(self, "_opposite", None)
+        if cached is None:
+            cached = self._opposite = _OppositeGroup(self)
+        return cached
+
+    def for_convention(self, convention: DiffConvention) -> "FiniteGroup":
+        """The group whose right differences a + (-b) are this group's
+        differences under the convention; for arithmetic only, never a
+        family's group."""
         if convention is DiffConvention.RIGHT_INVERSE:
-            return self.op(a, self.neg(b))
-        return self.op(self.neg(b), a)
+            return self
+        return self.opposite()
 
     def _check(self, a: int) -> int:
         if not 0 <= a < self.order:
@@ -116,6 +136,7 @@ class CyclicGroup(FiniteGroup):
             raise ValueError("order must be positive")
         self.order = n
         self.arity = 1
+        self._abelian = True
 
     def op(self, a, b):
         return (self._check(a) + self._check(b)) % self.order
@@ -137,17 +158,20 @@ class CyclicGroup(FiniteGroup):
         return f"Z{self.order}"
 
 
-class ProductGroup(FiniteGroup):
-    """Direct product of groups; coordinates are concatenated."""
+class MixedRadix:
+    """Direct-product encoding shared by product groups and product rings.
+
+    An element index is the mixed-radix number of its per-factor indices,
+    leftmost factor most significant; its coordinates are the factors'
+    coordinates concatenated.  The host class (FiniteGroup or Ring)
+    supplies the _check that guards split.
+    """
 
     def __init__(self, factors):
         factors = tuple(factors)
         if not factors:
             raise ValueError("product needs at least one factor")
         self.factors = factors
-        self.order = 1
-        for f in factors:
-            self.order *= f.order
         self.arity = sum(f.arity for f in factors)
         # stride[i] = product of orders of factors to the right of i
         strides = []
@@ -156,28 +180,19 @@ class ProductGroup(FiniteGroup):
             strides.append(acc)
             acc *= f.order
         self.strides = tuple(reversed(strides))
+        self.order = acc
 
     def split(self, a: int) -> tuple[int, ...]:
         """Index -> per-factor indices."""
         self._check(a)
         out = []
-        for f, s in zip(self.factors, self.strides):
+        for s in self.strides:
             q, a = divmod(a, s)
             out.append(q)
         return tuple(out)
 
     def join(self, parts) -> int:
         return sum(p * s for p, s in zip(parts, self.strides))
-
-    def op(self, a, b):
-        pa = self.split(a)
-        pb = self.split(b)
-        return self.join(f.op(x, y)
-                         for f, x, y in zip(self.factors, pa, pb))
-
-    def neg(self, a):
-        return self.join(f.neg(x)
-                         for f, x in zip(self.factors, self.split(a)))
 
     def coords(self, a):
         out = []
@@ -201,12 +216,26 @@ class ProductGroup(FiniteGroup):
         return {"type": "product",
                 "factors": [f.descriptor() for f in self.factors]}
 
+    def __repr__(self):
+        return " x ".join(repr(f) for f in self.factors)
+
+
+class ProductGroup(MixedRadix, FiniteGroup):
+    """Direct product of groups; coordinates are concatenated."""
+
+    def op(self, a, b):
+        pa = self.split(a)
+        pb = self.split(b)
+        return self.join(f.op(x, y)
+                         for f, x, y in zip(self.factors, pa, pb))
+
+    def neg(self, a):
+        return self.join(f.neg(x)
+                         for f, x in zip(self.factors, self.split(a)))
+
     @property
     def is_abelian(self):
         return all(f.is_abelian for f in self.factors)
-
-    def __repr__(self):
-        return " x ".join(repr(f) for f in self.factors)
 
 
 class Semidirect32(FiniteGroup):
@@ -269,7 +298,7 @@ class TableGroup(FiniteGroup):
         self.table = t
         self.identity = _find_identity(t)
         self._inv = _find_inverses(t, self.identity)
-        _check_associativity(t)
+        _check_associativity(t, self.identity)
 
     def op(self, a, b):
         return int(self.table[self._check(a), self._check(b)])
@@ -287,6 +316,33 @@ class TableGroup(FiniteGroup):
     def descriptor(self):
         return {"type": "table", "n": self.order,
                 "table": self.table.tolist()}
+
+
+class _OppositeGroup(FiniteGroup):
+    """G^op for a non-abelian G: a o b = b + a on the same elements."""
+
+    def __init__(self, base: FiniteGroup):
+        self.base = base
+        self.order = base.order
+        self.arity = base.arity
+        self.identity = base.identity
+        self._abelian = False
+        self._opposite = base
+
+    def op(self, a, b):
+        return self.base.op(b, a)
+
+    def neg(self, a):
+        return self.base.neg(a)
+
+    def coords(self, a):
+        return self.base.coords(a)
+
+    def index_of(self, coords):
+        return self.base.index_of(coords)
+
+    def descriptor(self):
+        return {"type": "opposite", "of": self.base.descriptor()}
 
 
 def _find_identity(t: np.ndarray) -> int:
@@ -309,27 +365,20 @@ def _find_inverses(t: np.ndarray, e: int) -> list[int]:
     return inv
 
 
-def _check_associativity(t: np.ndarray) -> None:
-    n = t.shape[0]
-    if n <= 64:
-        for a in range(n):
-            # (a+x)+y versus a+(x+y), all x, y at once
-            if not np.array_equal(t[t[a], :], t[a][t]):
-                raise NonAssociativeError(
-                    f"associativity fails through element {a}")
-        return
-    _light_test(t)
+def _check_associativity(t: np.ndarray, identity: int) -> None:
+    """Light's associativity test: check only through a generating set.
 
-
-def _light_test(t: np.ndarray) -> None:
-    """Light's associativity test: check only through a generating set."""
+    The closure starts from the identity, the one element whose
+    associativity needs no check; any other seed could stand in for an
+    untested generator.
+    """
     n = t.shape[0]
     gens: list[int] = []
-    closure = {0}
+    closure = {identity}
     remaining = set(range(n)) - closure
     while remaining:
         gens.append(min(remaining))
-        closure = set(gens) | {0}
+        closure = set(gens) | {identity}
         grew = True
         while grew:
             grew = False

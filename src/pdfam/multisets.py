@@ -118,17 +118,16 @@ def multiset_sum(a: Multiset, b: Multiset) -> Multiset:
 def delta_block(block: Multiset,
                 convention: DiffConvention = DEFAULT_CONVENTION) -> Multiset:
     """Differences over all ordered pairs of distinct positions of a block."""
-    g = block.group
+    g = block.group.for_convention(convention)
     xs = block.positions()
     negs = [g.neg(x) for x in xs]
     op = g.op
     out: Counter = Counter()
-    right = convention is DiffConvention.RIGHT_INVERSE
     for i, a in enumerate(xs):
         for j, nb in enumerate(negs):
             if i != j:
-                out[op(a, nb) if right else op(nb, xs[i])] += 1
-    return Multiset(g, counts=out)
+                out[op(a, nb)] += 1
+    return Multiset(block.group, counts=out)
 
 
 @dataclass(frozen=True, eq=False)

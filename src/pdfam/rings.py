@@ -4,8 +4,8 @@ Ring elements are integers 0..order-1 under the same mixed-radix encoding
 the group module uses: a Zmod element is its residue, a field element is
 the base-p value of its coefficient vector (so coords are listed most
 significant first), and a product element mixes the factor indices with the
-leftmost factor most significant.  The additive group of any ring is
-available as a FiniteGroup with the identical element encoding.
+leftmost factor most significant (groups.MixedRadix).  The additive group of
+any ring is available as a FiniteGroup with the identical element encoding.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groups import CyclicGroup, FiniteGroup, ProductGroup
+from .groups import CyclicGroup, FiniteGroup, MixedRadix, ProductGroup
 
 
 class NotPrimeError(ValueError):
@@ -283,36 +283,12 @@ class GaloisField(Ring):
         return f"GF({self.order})"
 
 
-class ProductRing(Ring):
+class ProductRing(MixedRadix, Ring):
     """Direct product of rings; unitwise arithmetic, concatenated coords."""
 
     def __init__(self, factors):
-        factors = tuple(factors)
-        if not factors:
-            raise ValueError("product needs at least one factor")
-        self.factors = factors
-        self.order = 1
-        for f in factors:
-            self.order *= f.order
-        self.arity = sum(f.arity for f in factors)
-        strides = []
-        acc = 1
-        for f in reversed(factors):
-            strides.append(acc)
-            acc *= f.order
-        self.strides = tuple(reversed(strides))
-        self.one = self.join(f.one for f in factors)
-
-    def split(self, a: int) -> tuple[int, ...]:
-        self._check(a)
-        out = []
-        for s in self.strides:
-            q, a = divmod(a, s)
-            out.append(q)
-        return tuple(out)
-
-    def join(self, parts) -> int:
-        return sum(p * s for p, s in zip(parts, self.strides))
+        super().__init__(factors)
+        self.one = self.join(f.one for f in self.factors)
 
     def _zip(self, a, b, fn_name):
         pa, pb = self.split(a), self.split(b)
@@ -332,30 +308,6 @@ class ProductRing(Ring):
     def is_unit(self, a):
         return all(f.is_unit(x)
                    for f, x in zip(self.factors, self.split(a)))
-
-    def coords(self, a):
-        out = []
-        for f, x in zip(self.factors, self.split(a)):
-            out.extend(f.coords(x))
-        return tuple(out)
-
-    def index_of(self, coords):
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.arity:
-            raise ValueError(f"expected {self.arity} coordinates")
-        parts = []
-        pos = 0
-        for f in self.factors:
-            parts.append(f.index_of(coords[pos:pos + f.arity]))
-            pos += f.arity
-        return self.join(parts)
-
-    def descriptor(self):
-        return {"type": "product",
-                "factors": [f.descriptor() for f in self.factors]}
-
-    def __repr__(self):
-        return " x ".join(repr(f) for f in self.factors)
 
 
 def make_gf(p: int, k: int = 1) -> GaloisField:

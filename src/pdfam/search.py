@@ -34,21 +34,16 @@ def hds_parameters(u: int) -> tuple[int, int, int]:
     return 4 * u * u, 2 * u * u - u, u * u - u
 
 
-def _canonical_translate(group: FiniteGroup, d: tuple[int, ...],
-                         convention: DiffConvention) -> bool:
-    """True when d is the least of its identity-containing translates.
+def _canonical_translate(group: FiniteGroup, d: tuple[int, ...]) -> bool:
+    """True when the sorted set d is the least of its identity-containing
+    right translates d + (-x), x in d.
 
-    Right translates D+g preserve right-inverse differences, left
-    translates g+D preserve left-inverse ones; we shift each member to the
-    identity and keep only the lexicographically smallest variant.
+    Right translates preserve right differences; given the group that
+    for_convention() returns, this normalizes under either convention.
     """
     for x in d:
         nx = group.neg(x)
-        if convention is DiffConvention.RIGHT_INVERSE:
-            t = sorted(group.op(e, nx) for e in d)
-        else:
-            t = sorted(group.op(nx, e) for e in d)
-        if tuple(t) < d:
+        if tuple(sorted(group.op(e, nx) for e in d)) < d:
             return False
     return True
 
@@ -59,9 +54,10 @@ def search_hds(group: FiniteGroup, u: int,
                ) -> HdsSearchResult:
     """All translation-normalized (4u^2, 2u^2-u, u^2-u) difference sets.
 
-    Depth-first over ascending element indices starting from the identity,
-    pruning as soon as any non-identity difference count exceeds u^2-u.
-    Every hit is re-certified by the verifier before being returned.
+    Depth-first from the identity over the other elements in ascending
+    index order, pruning as soon as any non-identity difference count
+    exceeds u^2-u.  Hits are returned sorted; every hit is re-certified by
+    the verifier before being returned.
     """
     v, k, lam = hds_parameters(u)
     if group.order != v:
@@ -70,27 +66,26 @@ def search_hds(group: FiniteGroup, u: int,
     started = time.monotonic()
     deadline = (started + bounds.time_budget_s
                 if bounds.time_budget_s is not None else None)
+    arith = group.for_convention(convention)
+    op = arith.op
+    walk = [group.identity] + [x for x in range(v) if x != group.identity]
     counts = [0] * v
     chosen = [group.identity]
     results: list[tuple[int, ...]] = []
     nodes = 0
     truncated = False
-    negs = [group.neg(x) for x in range(v)]
+    negs = [arith.neg(x) for x in range(v)]
 
     def diffs_with(e: int) -> list[int]:
         out = []
         for d in chosen:
-            if convention is DiffConvention.RIGHT_INVERSE:
-                out.append(group.op(e, negs[d]))
-                out.append(group.op(d, negs[e]))
-            else:
-                out.append(group.op(negs[d], e))
-                out.append(group.op(negs[e], d))
+            out.append(op(e, negs[d]))
+            out.append(op(d, negs[e]))
         return out
 
     def emit() -> bool:
-        d = tuple(chosen)
-        if not _canonical_translate(group, d, convention):
+        d = tuple(sorted(chosen))
+        if not _canonical_translate(arith, d):
             return True
         rep = verify(make_family(group, [list(d)]), convention)
         if (rep.kind == DS and rep.h == 1 and rep.v == v
@@ -108,18 +103,19 @@ def search_hds(group: FiniteGroup, u: int,
         if deadline is not None and time.monotonic() > deadline:
             truncated = True
             return False
-        for e in range(start, v - (k - len(chosen)) + 1):
+        for i in range(start, v - (k - len(chosen)) + 1):
+            e = walk[i]
             nodes += 1
             new = diffs_with(e)
             bad_at = len(new)
-            for i, g in enumerate(new):
+            for j, g in enumerate(new):
                 counts[g] += 1
                 if counts[g] > lam:
-                    bad_at = i + 1
+                    bad_at = j + 1
                     break
             if bad_at == len(new):
                 chosen.append(e)
-                ok = extend(e + 1)
+                ok = extend(i + 1)
                 chosen.pop()
             else:
                 ok = True

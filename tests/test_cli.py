@@ -226,5 +226,11 @@ def test_ring_specs_parse(ring, capsys):
     assert doc["max_size"] >= 1
 
 
+def test_search_y_rejects_convention(capsys):
+    assert main(["search-y", "--ring", "Z25", "--convention", "left"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_ring_spec_rejects_non_prime_power(capsys):
     assert main(["search-y", "--ring", "F6"]) == 1

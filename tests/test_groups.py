@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
-                          NoIdentityError, ProductGroup, Semidirect32,
-                          TableGroup, convention_from_name, is_subgroup,
-                          make_group, subgroup_closure)
+                          NoIdentityError, NonAssociativeError, ProductGroup,
+                          Semidirect32, TableGroup, convention_from_name,
+                          is_subgroup, make_group, subgroup_closure)
 
 SMALL_GROUPS = [
     CyclicGroup(1),
@@ -69,6 +69,50 @@ def test_abelian_difference_convention_agrees():
         for b in g.elements():
             assert (g.difference(a, b, DiffConvention.RIGHT_INVERSE)
                     == g.difference(a, b, DiffConvention.LEFT_INVERSE))
+
+
+def test_opposite_group():
+    abelian = ProductGroup([CyclicGroup(3), CyclicGroup(4)])
+    assert abelian.opposite() is abelian
+    g = Semidirect32()
+    opp = g.opposite()
+    assert opp is g.opposite() and opp.opposite() is g
+    assert opp != g and opp.identity == g.identity
+    for a in g.elements():
+        assert opp.neg(a) == g.neg(a) and opp.coords(a) == g.coords(a)
+        for b in g.elements():
+            assert opp.op(a, b) == g.op(b, a)
+            assert (g.difference(a, b, DiffConvention.LEFT_INVERSE)
+                    == g.op(g.neg(b), a))
+
+
+def _cyclic_with_swapped_intercalate(n, rows, cols):
+    """Z_n's table with a 2x2 Latin subsquare swapped: a non-associative
+    loop with identity 0."""
+    t = [[(a + b) % n for b in range(n)] for a in range(n)]
+    (r1, r2), (c1, c2) = rows, cols
+    t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
+    t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
+    return t
+
+
+def _swap_labels_0_1(t):
+    p = [1, 0] + list(range(2, len(t)))
+    out = [[0] * len(t) for _ in t]
+    for a, row in enumerate(t):
+        for b, c in enumerate(row):
+            out[p[a]][p[b]] = p[c]
+    return out
+
+
+@pytest.mark.parametrize("table", [
+    _cyclic_with_swapped_intercalate(6, (1, 4), (1, 4)),
+    # identity off label 0, order above 64
+    _swap_labels_0_1(_cyclic_with_swapped_intercalate(66, (2, 35), (5, 38))),
+], ids=["order6", "order66-relabeled"])
+def test_table_group_rejects_non_associative(table):
+    with pytest.raises(NonAssociativeError):
+        TableGroup(table)
 
 
 def test_table_group_accepts_relabeled_cyclic():

@@ -46,14 +46,15 @@ group_strategy = st.sampled_from([
 
 
 @settings(max_examples=200, deadline=None)
-@given(group_strategy, st.data())
-def test_delta_size_identity_property(g, data):
+@given(group_strategy, st.sampled_from(list(DiffConvention)), st.data())
+def test_delta_size_identity_property(g, convention, data):
     elems = data.draw(st.lists(st.integers(0, g.order - 1),
                                min_size=1, max_size=8))
     x = Multiset(g, elements=elems)
-    d = delta_block(x)
+    d = delta_block(x, convention)
+    assert d.group == g
     assert d.size == x.size * (x.size - 1)
-    assert d.counts == brute_delta(g, x.positions())
+    assert d.counts == brute_delta(g, x.positions(), convention)
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup
+from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup, TableGroup
 from pdfam.multisets import DS, make_family, verify
 from pdfam.rings import GaloisField, Zmod, check_y_condition
 from pdfam.search import (HdsSearchResult, OrderMismatchError, SearchBounds,
@@ -92,6 +92,56 @@ def test_search_left_convention_same_counts_for_abelian():
     right = search_hds(g, 2)
     left = search_hds(g, 2, convention=DiffConvention.LEFT_INVERSE)
     assert right.results == left.results
+
+
+# Q8 x Z2, (q, z) at index 2q + z; q = 4s + u is the unit u in (1, i, j, k)
+# with sign (-1)^s
+Q8_X_Z2 = [
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+    [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14],
+    [2, 3, 8, 9, 6, 7, 12, 13, 10, 11, 0, 1, 14, 15, 4, 5],
+    [3, 2, 9, 8, 7, 6, 13, 12, 11, 10, 1, 0, 15, 14, 5, 4],
+    [4, 5, 14, 15, 8, 9, 2, 3, 12, 13, 6, 7, 0, 1, 10, 11],
+    [5, 4, 15, 14, 9, 8, 3, 2, 13, 12, 7, 6, 1, 0, 11, 10],
+    [6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, 2, 3, 0, 1],
+    [7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12, 3, 2, 1, 0],
+    [8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7],
+    [9, 8, 11, 10, 13, 12, 15, 14, 1, 0, 3, 2, 5, 4, 7, 6],
+    [10, 11, 0, 1, 14, 15, 4, 5, 2, 3, 8, 9, 6, 7, 12, 13],
+    [11, 10, 1, 0, 15, 14, 5, 4, 3, 2, 9, 8, 7, 6, 13, 12],
+    [12, 13, 6, 7, 0, 1, 10, 11, 4, 5, 14, 15, 8, 9, 2, 3],
+    [13, 12, 7, 6, 1, 0, 11, 10, 5, 4, 15, 14, 9, 8, 3, 2],
+    [14, 15, 12, 13, 2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9],
+    [15, 14, 13, 12, 3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8],
+]
+
+
+def _z4xz4_identity_at_5():
+    """Z4 x Z4 as a table with element a renamed perm[a]."""
+    base = ProductGroup([CyclicGroup(4), CyclicGroup(4)])
+    perm = [5, 0, 1, 2, 3, 4] + list(range(6, 16))
+    table = [[0] * 16 for _ in range(16)]
+    for a in range(16):
+        for b in range(16):
+            table[perm[a]][perm[b]] = perm[base.op(a, b)]
+    return TableGroup(table)
+
+
+@pytest.mark.parametrize("convention", list(DiffConvention),
+                         ids=lambda c: c.value)
+@pytest.mark.parametrize("make_group,hits", [
+    (lambda: TableGroup(Q8_X_Z2), 44),
+    (_z4xz4_identity_at_5, 12),
+], ids=["Q8xZ2", "Z4xZ4-identity-at-5"])
+def test_search_hds_table_groups(make_group, hits, convention):
+    g = make_group()
+    res = search_hds(g, 2, convention=convention)
+    assert res.complete and len(res.results) == hits
+    for d in res.results:
+        assert g.identity in d and list(d) == sorted(d)
+        rep = verify(make_family(g, [list(d)]), convention)
+        assert rep.kind == DS
+        assert (rep.v, tuple(rep.K), rep.lambda_or_mu) == (16, (6,), 2)
 
 
 # -- maximum unit sets -----------------------------------------------------
