@@ -18,8 +18,9 @@ from .constructions import (COMPLETION_SINGLE, COMPLETIONS,
                             expand_from_hds, expand_hadamard_pdf,
                             expand_nonabelian32, hadamard_pdf_from_hds,
                             make_recipe, paley_double_sdf, ring_for_modulus)
-from .groups import (DEFAULT_CONVENTION, CyclicGroup, ProductGroup,
-                     Semidirect32, convention_from_name, make_group)
+from .groups import (DEFAULT_CONVENTION, CyclicGroup, ElementOutOfRangeError,
+                     ProductGroup, Semidirect32, convention_from_name,
+                     make_group)
 from .multisets import make_family, verify
 from .rings import (EvenOrderError, GaloisField, NotPrimeError, ProductRing,
                     Ring, Zmod, factorize, make_ring)
@@ -98,13 +99,14 @@ def _read_json(path: str) -> dict:
 
 
 def _load_family(path: str):
-    """Family file, either bare or the construct-command wrapper."""
+    """Family file, either bare or the construct-command wrapper; the
+    wrapper's declaration is decoded before anything is verified."""
     data = _read_json(path)
-    if "family" in data:
-        conv = data.get("convention")
+    if isinstance(data, dict) and "family" in data:
+        conv, declared = data.get("convention"), data.get("declared")
         return (family_from_json(data["family"]),
                 None if conv is None else convention_from_name(conv),
-                data.get("declared"))
+                None if declared is None else prediction_from_json(declared))
     return family_from_json(data), None, None
 
 
@@ -174,9 +176,7 @@ def cmd_construct(args) -> int:
     if kind == "corollary-sporadic":
         if args.m is None:
             raise UsageError("corollary-sporadic needs --m")
-        explicit = (convention_from_name(args.convention)
-                    if args.convention is not None else None)
-        pair = expand_nonabelian32(args.m, explicit)
+        pair = expand_nonabelian32(args.m, _conv(args))
         return _finish(pair[COMPLETIONS.index(completion)], args.out)
     raise UsageError(f"unknown construct kind {kind!r}")
 
@@ -186,7 +186,7 @@ def cmd_verify(args) -> int:
     rep = verify(fam, _conv(args, file_conv))
     _emit(canonical_dumps(report_to_json(rep)), args.out)
     if declared is not None:
-        return 0 if prediction_from_json(declared).matches(rep) else 2
+        return 0 if declared.matches(rep) else 2
     return 0 if rep.ok else 2
 
 
@@ -331,7 +331,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConstructionError, OrderMismatchError, NotPrimeError,
-            EvenOrderError, ValueError, KeyError, OSError) as exc:
+            EvenOrderError, ElementOutOfRangeError, ValueError, KeyError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

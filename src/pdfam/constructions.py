@@ -16,7 +16,8 @@ import numpy as np
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
-                        DesignFamily, Multiset, make_family, verify)
+                        DesignFamily, Multiset, _difference_counts,
+                        make_family, verify)
 from .rings import (EvenOrderError, GaloisField, ProductRing, Ring,
                     additive_group, build_y_powers, check_y_condition,
                     factorize, is_prime, maximal_prime_power_divisors,
@@ -95,6 +96,10 @@ class Prediction:
     K: tuple[int, ...]
     lambda_or_mu: int
     h: int = 1
+
+    def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in _REFINEMENTS):
+            raise ValueError(f"unknown declared kind {self.kind!r}")
 
     def matches(self, report) -> bool:
         return (report.kind in _REFINEMENTS[self.kind]
@@ -186,20 +191,14 @@ def paley_double_sdf(q: int,
     return ConstructionResult(fam, verify(fam, convention), pred, convention)
 
 
-def _difference_decomposition(g_group: FiniteGroup, h_group: FiniteGroup,
-                              lifts, convention: DiffConvention
-                              ) -> dict[int, Counter]:
-    """Per-block differences of product-group blocks, grouped by G part."""
-    table: dict[int, Counter] = {g: Counter() for g in g_group.elements()}
-    ga = g_group.for_convention(convention)
-    ha = h_group.for_convention(convention)
-    for block in lifts:
-        pairs = list(block)
-        for i, (g1, h1) in enumerate(pairs):
-            for j, (g2, h2) in enumerate(pairs):
-                if i != j:
-                    table[ga.op(g1, ga.neg(g2))][ha.op(h1, ha.neg(h2))] += 1
-    return table
+def _fiber_matrix(g_group: FiniteGroup, h_group: FiniteGroup, lifts,
+                  convention: DiffConvention) -> np.ndarray:
+    """Row g, column h: how often a difference inside one lifted block is
+    (g, h), tallied over G x H, where (g, h) has index g*|H| + h."""
+    ambient = ProductGroup([g_group, h_group])
+    rows = [[ambient.join(p) for p in pairs] for pairs in lifts]
+    return _difference_counts(ambient, rows, convention).reshape(
+        g_group.order, h_group.order)
 
 
 def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
@@ -227,21 +226,18 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
             f"mu*e = {mu * e} but lambda*(|H|-1) = {lam * (h_group.order - 1)}")
 
     hn = h_group.order
-    optab = np.empty((hn, hn), dtype=np.int64)
-    for a in range(hn):
-        optab[a] = [h_group.op(a, b) for b in range(hn)]
-    tables = []
-    for t in endos:
-        t = tuple(int(x) for x in t)
-        if len(t) != hn:
-            raise ValueError("endomorphism table has wrong length")
-        arr = np.asarray(t, dtype=np.int64)
-        if arr.min() < 0 or arr.max() >= hn:
-            raise ValueError("endomorphism table value out of range")
+    idx = np.arange(hn)
+    optab = h_group.op(idx[:, None], idx[None, :])
+    tables = [[int(x) for x in t] for t in endos]
+    if any(len(t) != hn for t in tables):
+        raise ValueError("endomorphism table has wrong length")
+    tables = np.array(tables, dtype=np.int64).reshape(len(tables), hn)
+    if ((tables < 0) | (tables >= hn)).any():
+        raise ValueError("endomorphism table value out of range")
+    for t in tables:
         # e(a + b) = e(a) + e(b), checked on the full operation table
-        if not np.array_equal(arr[optab], optab[np.ix_(arr, arr)]):
+        if not np.array_equal(t[optab], optab[np.ix_(t, t)]):
             raise ValueError("table is not an endomorphism")
-        tables.append(t)
 
     if len(lifts) != len(sdf.blocks):
         raise ProjectionMismatchError("one lift block per strong block")
@@ -258,30 +254,27 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
                 f"family block")
         clean_lifts.append(pairs)
 
-    fibers = _difference_decomposition(g_group, h_group, clean_lifts,
-                                       convention)
+    # sends[h, h'] counts the tables sending h to h'; the images of fiber
+    # L_g under all tables must be lam copies of H minus zero
+    sends = np.bincount((idx * hn + tables).ravel(),
+                        minlength=hn * hn).reshape(hn, hn)
+    covered = _fiber_matrix(g_group, h_group, clean_lifts, convention) @ sends
     h_ident = h_group.identity
-    for g in g_group.elements():
-        combined: Counter = Counter()
-        for t in tables:
-            for h, m in fibers[g].items():
-                combined[t[h]] += m
-        expected_total = lam * (h_group.order - 1)
-        bad = combined.get(h_ident, 0) != 0 or sum(combined.values()) != expected_total or any(
-            combined.get(h, 0) != lam
-            for h in h_group.elements() if h != h_ident)
-        if bad:
-            raise ConditionFailsError(
-                f"endomorphism covering fails at g = {g_group.coords(g)}")
+    want = np.full(hn, lam)
+    want[h_ident] = 0
+    bad = (covered != want).any(axis=1)
+    if bad.any():
+        raise ConditionFailsError("endomorphism covering fails at g = "
+                                  f"{g_group.coords(int(bad.argmax()))}")
 
     ambient = ProductGroup([g_group, h_group])
     blocks = []
     for pairs in clean_lifts:
-        for t in tables:
-            img = {ambient.join((g, t[h])) for g, h in pairs}
-            if len(img) != len(pairs):
-                raise ConditionFailsError("endomorphism collapses a block")
-            blocks.append(sorted(img))
+        gs, hs = np.array(pairs).T
+        images = np.sort(ambient.join((gs, tables[:, hs])), axis=1)
+        if (np.diff(images, axis=1) == 0).any():
+            raise ConditionFailsError("endomorphism collapses a block")
+        blocks.extend(images.tolist())
     forbidden = frozenset(ambient.join((g, h_ident))
                           for g in g_group.elements())
     fam = make_family(ambient, blocks, forbidden=forbidden)
@@ -427,26 +420,21 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
 
     # difference fibers of the lifted blocks: every fiber must hold 4*lam
     # entries, be closed under negation, and contain only units
-    fibers = _difference_decomposition(g_group, h_group, lifts,
-                                       recipe.convention)
+    fibers = _fiber_matrix(g_group, h_group, lifts, recipe.convention)
     lg_checks = {"size": True, "negation_closed": True, "units": True}
-    for g, fiber in fibers.items():
-        if sum(fiber.values()) != 4 * lam:
-            lg_checks["size"] = False
+    negated = fibers[:, h_group.neg(np.arange(ring.order))]
+    non_units = [h for h in np.flatnonzero(fibers.any(axis=0)).tolist()
+                 if not ring.is_unit(h)]
+    for problem, bad in (
+            (f"does not hold {4 * lam} entries",
+             fibers.sum(axis=1) != 4 * lam),
+            ("is not closed under negation", (fibers != negated).any(axis=1)),
+            (f"holds a non-unit of {non_units}",
+             fibers[:, non_units].any(axis=1))):
+        if bad.any():
             raise RecipeInvariantError(
-                f"difference fiber at g={g_group.coords(g)} has "
-                f"{sum(fiber.values())} entries, expected {4 * lam}")
-        for h, m in fiber.items():
-            if fiber.get(ring.neg(h), 0) != m:
-                lg_checks["negation_closed"] = False
-                raise RecipeInvariantError(
-                    f"difference fiber at g={g_group.coords(g)} is not "
-                    f"closed under negation")
-            if not ring.is_unit(h):
-                lg_checks["units"] = False
-                raise RecipeInvariantError(
-                    f"difference fiber at g={g_group.coords(g)} holds the "
-                    f"non-unit {h}")
+                f"difference fiber at g={g_group.coords(int(bad.argmax()))} "
+                f"{problem}")
 
     sdf = double_sdf(recipe.pdf, recipe.convention)
     if not sdf.certified:
@@ -459,14 +447,12 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     ambient = relative.family.group
     # across all starters, each source block sweeps its own full fiber:
     # the union of its images is exactly block x (H minus 0), once each
-    per_source = [Counter() for _ in lifts]
-    for bi, fam_block in enumerate(relative.family.blocks):
-        per_source[bi // n].update(fam_block.counts)
-    for block, swept in zip(recipe.pdf.blocks, per_source):
-        want = Counter(ambient.join((d, h))
-                       for d in block.counts
-                       for h in h_group.elements() if h != h_group.identity)
-        if swept != want:
+    nonzero = np.flatnonzero(np.arange(ring.order) != h_group.identity)
+    for i, block in enumerate(recipe.pdf.blocks):
+        swept = sorted(e for b in relative.family.blocks[i * n:(i + 1) * n]
+                       for e in b)
+        want = ambient.join((np.array(sorted(block.counts))[:, None], nonzero))
+        if swept != want.ravel().tolist():
             raise RecipeInvariantError(
                 "starter images do not sweep the block fiber exactly once")
 
@@ -552,16 +538,12 @@ def expand_from_hds(u: int, m: int, group: FiniteGroup | None = None,
 
 
 def expand_nonabelian32(m: int,
-                        convention: DiffConvention | None = None
+                        convention: DiffConvention = DEFAULT_CONVENTION
                         ) -> tuple[ExpansionResult, ExpansionResult]:
     """Both completions of the expansion built on the order-32 family."""
-    from .catalog import order32_certified_conventions, order32_family
+    from .catalog import order32_family
 
     _check_divisors(m, 44)
-    if convention is None:
-        convs = order32_certified_conventions()
-        convention = (DEFAULT_CONVENTION if DEFAULT_CONVENTION in convs
-                      else convs[0])
     pdf = order32_family()
     ring = ring_for_modulus(m)
     out = []

@@ -14,6 +14,7 @@ a right difference in the group that for_convention() returns.
 from __future__ import annotations
 
 import json
+import operator
 from enum import Enum
 
 import numpy as np
@@ -53,7 +54,9 @@ def convention_from_name(name: str) -> DiffConvention:
 
 
 class FiniteGroup:
-    """Base class.  Subclasses implement op/neg on integer element indices."""
+    """Base class.  Subclasses implement op/neg on integer element indices:
+    Python ints, or numpy int64 index arrays that broadcast against each
+    other.  A scalar argument gives a Python int."""
 
     order: int
     arity: int
@@ -101,7 +104,15 @@ class FiniteGroup:
             return self
         return self.opposite()
 
-    def _check(self, a: int) -> int:
+    def _check(self, a):
+        """a unchanged when every entry lies in 0..order-1, as an int when
+        it is a scalar; otherwise the first offending entry is named."""
+        if isinstance(a, np.ndarray):
+            bad = (a < 0) | (a >= self.order)
+            if not bad.any():
+                return a
+            a = a[bad][0]
+        a = operator.index(a)
         if not 0 <= a < self.order:
             raise ElementOutOfRangeError(
                 f"element {a} outside 0..{self.order - 1}")
@@ -111,10 +122,9 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         cached = getattr(self, "_abelian", None)
         if cached is None:
-            n = self.order
-            cached = all(self.op(a, b) == self.op(b, a)
-                         for a in range(n) for b in range(a + 1, n))
-            self._abelian = cached
+            idx = np.arange(self.order)
+            table = self.op(idx[:, None], idx[None, :])
+            cached = self._abelian = bool((table == table.T).all())
         return cached
 
     def __eq__(self, other):
@@ -251,24 +261,17 @@ class Semidirect32(FiniteGroup):
         self._abelian = False
 
     def op(self, a, b):
-        self._check(a)
-        self._check(b)
-        x1, y1 = divmod(a, 8)
-        x2, y2 = divmod(b, 8)
-        x = (x1 + x2) & 3
-        y = ((5 * y1 if x2 & 1 else y1) + y2) & 7
-        return (x << 3) | y
+        x1, y1 = divmod(self._check(a), 8)
+        x2, y2 = divmod(self._check(b), 8)
+        return (((x1 + x2) & 3) << 3) | ((y1 * (1 + 4 * (x2 & 1)) + y2) & 7)
 
     def neg(self, a):
-        self._check(a)
-        x, y = divmod(a, 8)
+        x, y = divmod(self._check(a), 8)
         xn = (-x) & 3
-        yn = (-(5 * y if xn & 1 else y)) & 7
-        return (xn << 3) | yn
+        return (xn << 3) | ((-y * (1 + 4 * (xn & 1))) & 7)
 
     def coords(self, a):
-        self._check(a)
-        return divmod(a, 8)
+        return divmod(self._check(a), 8)
 
     def index_of(self, coords):
         x, y = (int(c) for c in coords)
@@ -301,10 +304,10 @@ class TableGroup(FiniteGroup):
         _check_associativity(t, self.identity)
 
     def op(self, a, b):
-        return int(self.table[self._check(a), self._check(b)])
+        return _int_or_array(self.table[self._check(a), self._check(b)])
 
     def neg(self, a):
-        return self._inv[self._check(a)]
+        return _int_or_array(self._inv[self._check(a)])
 
     def coords(self, a):
         return (self._check(a),)
@@ -345,24 +348,34 @@ class _OppositeGroup(FiniteGroup):
         return {"type": "opposite", "of": self.base.descriptor()}
 
 
+def _int_or_array(x):
+    return x if isinstance(x, np.ndarray) else int(x)
+
+
+def _close(member: np.ndarray, combine) -> np.ndarray:
+    """Grow the mask in place until combine of two members is a member."""
+    size = 0
+    while member.sum() > size:
+        size = member.sum()
+        s = np.flatnonzero(member)
+        member[combine(s[:, None], s[None, :])] = True
+    return member
+
+
 def _find_identity(t: np.ndarray) -> int:
-    n = t.shape[0]
-    idx = np.arange(n)
-    for e in range(n):
-        if np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx):
-            return e
-    raise NoIdentityError("table has no two-sided identity")
+    idx = np.arange(t.shape[0])
+    found = np.flatnonzero((t == idx).all(axis=1) & (t.T == idx).all(axis=1))
+    if not len(found):
+        raise NoIdentityError("table has no two-sided identity")
+    return int(found[0])
 
 
-def _find_inverses(t: np.ndarray, e: int) -> list[int]:
-    n = t.shape[0]
-    inv = []
-    for a in range(n):
-        hits = [b for b in range(n) if t[a, b] == e and t[b, a] == e]
-        if not hits:
-            raise NoInverseError(f"element {a} has no two-sided inverse")
-        inv.append(hits[0])
-    return inv
+def _find_inverses(t: np.ndarray, e: int) -> np.ndarray:
+    hits = (t == e) & (t.T == e)
+    missing = np.flatnonzero(~hits.any(axis=1))
+    if len(missing):
+        raise NoInverseError(f"element {missing[0]} has no two-sided inverse")
+    return hits.argmax(axis=1)
 
 
 def _check_associativity(t: np.ndarray, identity: int) -> None:
@@ -372,23 +385,13 @@ def _check_associativity(t: np.ndarray, identity: int) -> None:
     associativity needs no check; any other seed could stand in for an
     untested generator.
     """
-    n = t.shape[0]
     gens: list[int] = []
-    closure = {identity}
-    remaining = set(range(n)) - closure
-    while remaining:
-        gens.append(min(remaining))
-        closure = set(gens) | {identity}
-        grew = True
-        while grew:
-            grew = False
-            for a in list(closure):
-                for b in list(closure):
-                    c = int(t[a, b])
-                    if c not in closure:
-                        closure.add(c)
-                        grew = True
-        remaining = set(range(n)) - closure
+    closure = np.zeros(t.shape[0], dtype=bool)
+    closure[identity] = True
+    while not closure.all():
+        gens.append(int(closure.argmin()))  # least element outside
+        closure[gens[-1]] = True
+        _close(closure, lambda a, b: t[a, b])
     for g in gens:
         left = t[t[:, g], :]    # (x,y) -> (x+g)+y
         right = t[:, t[g, :]]   # (x,y) -> x+(g+y)
@@ -399,6 +402,8 @@ def _check_associativity(t: np.ndarray, identity: int) -> None:
 
 def make_group(descriptor: dict) -> FiniteGroup:
     """Build a group from its JSON descriptor."""
+    if not isinstance(descriptor, dict):
+        raise ValueError(f"group descriptor {descriptor!r} is not an object")
     kind = descriptor.get("type")
     if kind == "cyclic":
         return CyclicGroup(int(descriptor["n"]))
@@ -415,30 +420,20 @@ def make_group(descriptor: dict) -> FiniteGroup:
 
 
 def subgroup_closure(group: FiniteGroup, generators) -> frozenset[int]:
-    """Smallest subgroup containing the generators."""
-    closed = {group.identity}
-    frontier = [group._check(int(g)) for g in generators]
-    closed.update(frontier)
-    grew = True
-    while grew:
-        grew = False
-        current = list(closed)
-        for a in current:
-            na = group.neg(a)
-            if na not in closed:
-                closed.add(na)
-                grew = True
-            for b in current:
-                c = group.op(a, b)
-                if c not in closed:
-                    closed.add(c)
-                    grew = True
-    return frozenset(closed)
+    """Smallest subgroup containing the generators: the smallest set that
+    holds them and the identity and is closed under a + (-b)."""
+    seeds = np.array([group.identity] + [int(g) for g in generators])
+    member = np.zeros(group.order, dtype=bool)
+    member[group._check(seeds)] = True
+    return frozenset(np.flatnonzero(_close(member, group.difference)).tolist())
 
 
 def is_subgroup(group: FiniteGroup, subset) -> bool:
     """True when the subset is closed under the group operations."""
-    s = frozenset(int(x) for x in subset)
+    s = np.array([int(x) for x in subset], dtype=np.int64)
     if group.identity not in s:
         return False
-    return all(group.op(a, group.neg(b)) in s for a in s for b in s)
+    group._check(s)
+    member = np.zeros(group.order, dtype=bool)
+    member[s] = True
+    return bool(member[group.difference(s[:, None], s[None, :])].all())

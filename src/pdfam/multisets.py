@@ -83,12 +83,6 @@ class Multiset:
         return Multiset(self.group,
                         counts={e: r * m for e, m in self.counts.items()})
 
-    def to_dense(self) -> np.ndarray:
-        arr = np.zeros(self.group.order, dtype=np.int64)
-        for e, m in self.counts.items():
-            arr[e] = m
-        return arr
-
     def __eq__(self, other):
         return (isinstance(other, Multiset)
                 and self.group == other.group
@@ -115,19 +109,34 @@ def multiset_sum(a: Multiset, b: Multiset) -> Multiset:
     return Multiset(a.group, counts=c)
 
 
+def _difference_counts(group: FiniteGroup, rows,
+                       convention: DiffConvention) -> np.ndarray:
+    """Entry e: how many ordered pairs of distinct positions of the same row
+    have difference e.  Rows of equal length are stacked into one array, so
+    each length costs one broadcast difference and one bincount."""
+    by_length: dict[int, list] = {}
+    for row in rows:
+        by_length.setdefault(len(row), []).append(row)
+    out = np.zeros(group.order, dtype=np.int64)
+    for k, stack in by_length.items():
+        x = np.array(stack, dtype=np.int64)
+        d = group.difference(x[:, :, None], x[:, None, :], convention)
+        out += np.bincount(d[:, ~np.eye(k, dtype=bool)].ravel(),
+                           minlength=group.order)
+    return out
+
+
+def _from_dense(group: FiniteGroup, dense: np.ndarray) -> Multiset:
+    support = np.flatnonzero(dense)
+    return Multiset(group, counts=dict(zip(support.tolist(),
+                                           dense[support].tolist())))
+
+
 def delta_block(block: Multiset,
                 convention: DiffConvention = DEFAULT_CONVENTION) -> Multiset:
     """Differences over all ordered pairs of distinct positions of a block."""
-    g = block.group.for_convention(convention)
-    xs = block.positions()
-    negs = [g.neg(x) for x in xs]
-    op = g.op
-    out: Counter = Counter()
-    for i, a in enumerate(xs):
-        for j, nb in enumerate(negs):
-            if i != j:
-                out[op(a, nb)] += 1
-    return Multiset(block.group, counts=out)
+    return _from_dense(block.group, _difference_counts(
+        block.group, [block.positions()], convention))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +186,8 @@ def make_family(group: FiniteGroup, blocks, forbidden=None) -> DesignFamily:
 
 def delta_family(family: DesignFamily,
                  convention: DiffConvention = DEFAULT_CONVENTION) -> Multiset:
-    total: Counter = Counter()
-    for b in family.blocks:
-        total.update(delta_block(b, convention).counts)
-    return Multiset(family.group, counts=total)
+    return _from_dense(family.group, _difference_counts(
+        family.group, [b.positions() for b in family.blocks], convention))
 
 
 @dataclass(frozen=True)
@@ -230,14 +237,11 @@ def verify(family: DesignFamily,
     g = family.group
     v = g.order
     ident = g.identity
-    delta = delta_family(family, convention).to_dense()
+    rows = [b.positions() for b in family.blocks]
+    delta = _difference_counts(g, rows, convention)
+    cover = np.bincount(np.concatenate(rows), minlength=v)
     sizes = family.block_sizes
     single = len(family.blocks) == 1
-
-    cover = np.zeros(v, dtype=np.int64)
-    for b in family.blocks:
-        for e, m in b.counts.items():
-            cover[e] += m
     blocks_are_sets = all(b.is_set for b in family.blocks)
 
     def report_invalid(mismatch_elem: int, expected: int) -> VerificationReport:
@@ -253,36 +257,27 @@ def verify(family: DesignFamily,
                           "difference-count")
         return VerificationReport(INVALID, v, 1, sizes, None, wit)
 
+    # H: the forbidden subgroup, else the zero-difference elements when a
+    # proper nontrivial subgroup (all of G: no differences, degenerate), else
+    # {identity}; empty when the identity difference occurs.
+    in_h = np.zeros(v, dtype=bool)
     if family.forbidden is not None:
-        hset = family.forbidden
+        in_h[list(family.forbidden)] = True
     elif delta[ident] == 0:
-        zeros = set(int(z) for z in np.flatnonzero(delta == 0))
-        zeros.add(ident)
-        if zeros == {ident} or not is_subgroup(g, zeros):
-            hset = frozenset({ident})
-        elif len(zeros) == v:
-            hset = frozenset({ident})  # empty difference list; degenerate
-        else:
-            hset = frozenset(zeros)
-    else:
-        hset = None
+        zeros = np.flatnonzero(delta == 0)
+        in_h[zeros if 1 < len(zeros) < v and is_subgroup(g, zeros)
+             else ident] = True
 
-    if hset is not None:
-        outside = [e for e in range(v) if e not in hset]
-        lam = int(delta[outside[0]]) if outside else 0
-        for e in range(v):
-            expected = 0 if (e in hset or e == ident) else lam
-            if delta[e] != expected:
-                return report_invalid(e, expected)
-        h = len(hset)
-        if h == 1:
-            target = np.ones(v, dtype=np.int64)
-            target_name = "group"
-        else:
-            target = np.ones(v, dtype=np.int64)
-            for e in hset:
-                target[e] = 0
-            target_name = "group-minus-forbidden"
+    if in_h.any():
+        outside = np.flatnonzero(~in_h)
+        lam = int(delta[outside[0]]) if len(outside) else 0
+        expected = np.where(in_h, 0, lam)
+        bad = np.flatnonzero(delta != expected)
+        if len(bad):
+            return report_invalid(int(bad[0]), int(expected[bad[0]]))
+        h = int(in_h.sum())
+        target = np.where(in_h, 0, 1) if h > 1 else np.ones(v, dtype=np.int64)
+        target_name = "group" if h == 1 else "group-minus-forbidden"
         partitioned = blocks_are_sets and np.array_equal(cover, target)
         if single:
             kind = DS
@@ -296,8 +291,8 @@ def verify(family: DesignFamily,
 
     # identity difference present: strong family, uniform everywhere
     mu = int(delta[ident])
-    for e in range(v):
-        if delta[e] != mu:
-            return report_invalid(e, mu)
+    bad = np.flatnonzero(delta != mu)
+    if len(bad):
+        return report_invalid(int(bad[0]), mu)
     kind = DIFFERENCE_MULTISET if single else SDF
     return VerificationReport(kind, v, 1, sizes, mu)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup)
 from .multisets import DS, make_family, verify
@@ -34,16 +36,16 @@ def hds_parameters(u: int) -> tuple[int, int, int]:
     return 4 * u * u, 2 * u * u - u, u * u - u
 
 
-def _canonical_translate(group: FiniteGroup, d: tuple[int, ...]) -> bool:
+def _canonical_translate(diff: list[list[int]], d: tuple[int, ...]) -> bool:
     """True when the sorted set d is the least of its identity-containing
-    right translates d + (-x), x in d.
+    right translates d + (-x), x in d, read from diff[e][x] = e + (-x).
 
-    Right translates preserve right differences; given the group that
-    for_convention() returns, this normalizes under either convention.
+    Right translates preserve right differences; given the table of the
+    group that for_convention() returns, this normalizes under either
+    convention.
     """
     for x in d:
-        nx = group.neg(x)
-        if tuple(sorted(group.op(e, nx) for e in d)) < d:
+        if tuple(sorted(diff[e][x] for e in d)) < d:
             return False
     return True
 
@@ -66,26 +68,25 @@ def search_hds(group: FiniteGroup, u: int,
     started = time.monotonic()
     deadline = (started + bounds.time_budget_s
                 if bounds.time_budget_s is not None else None)
-    arith = group.for_convention(convention)
-    op = arith.op
+    idx = np.arange(v)
+    diff = group.difference(idx[:, None], idx[None, :], convention).tolist()
     walk = [group.identity] + [x for x in range(v) if x != group.identity]
     counts = [0] * v
     chosen = [group.identity]
     results: list[tuple[int, ...]] = []
     nodes = 0
     truncated = False
-    negs = [arith.neg(x) for x in range(v)]
 
     def diffs_with(e: int) -> list[int]:
         out = []
         for d in chosen:
-            out.append(op(e, negs[d]))
-            out.append(op(d, negs[e]))
+            out.append(diff[e][d])
+            out.append(diff[d][e])
         return out
 
     def emit() -> bool:
         d = tuple(sorted(chosen))
-        if not _canonical_translate(arith, d):
+        if not _canonical_translate(diff, d):
             return True
         rep = verify(make_family(group, [list(d)]), convention)
         if (rep.kind == DS and rep.h == 1 and rep.v == v

@@ -6,6 +6,7 @@ trailing newline) so identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .constructions import ConstructionResult, ExpansionRecipe, Prediction
@@ -19,6 +20,24 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _decoder(fn):
+    """Decode a JSON object; a missing key is named in a ValueError."""
+    @functools.wraps(fn)
+    def decode(data):
+        if not isinstance(data, dict):
+            raise ValueError(f"a {type(data).__name__} is not a JSON object")
+        try:
+            return fn(data)
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc.args[0]!r}") from None
+    return decode
+
+
+def _ints(x) -> bool:
+    """A JSON array of integers; booleans and floats do not count."""
+    return isinstance(x, list) and all(type(e) is int for e in x)
+
+
 def family_to_json(family: DesignFamily) -> dict:
     return {
         "group": family.group.descriptor(),
@@ -28,11 +47,15 @@ def family_to_json(family: DesignFamily) -> dict:
     }
 
 
+@_decoder
 def family_from_json(data: dict) -> DesignFamily:
     group = make_group(data["group"])
-    forbidden = data.get("forbidden")
-    return make_family(group, data["blocks"],
-                       forbidden=None if forbidden is None else forbidden)
+    blocks, forbidden = data["blocks"], data.get("forbidden")
+    if not (isinstance(blocks, list) and all(_ints(b) for b in blocks)):
+        raise ValueError("blocks must be arrays of integers")
+    if not (forbidden is None or _ints(forbidden)):
+        raise ValueError("forbidden must be null or an array of integers")
+    return make_family(group, blocks, forbidden=forbidden)
 
 
 def witness_to_json(w: Witness | None) -> dict | None:
@@ -69,6 +92,7 @@ def prediction_to_json(pred: Prediction) -> dict:
     }
 
 
+@_decoder
 def prediction_from_json(data: dict) -> Prediction:
     return Prediction(data["kind"], int(data["v"]),
                       tuple(int(k) for k in data["K"]),
@@ -97,6 +121,7 @@ def recipe_to_json(recipe: ExpansionRecipe) -> dict:
     }
 
 
+@_decoder
 def recipe_from_json(data: dict) -> ExpansionRecipe:
     return ExpansionRecipe(
         pdf=family_from_json(data["pdf"]),

@@ -234,3 +234,37 @@ def test_search_y_rejects_convention(capsys):
 
 def test_ring_spec_rejects_non_prime_power(capsys):
     assert main(["search-y", "--ring", "F6"]) == 1
+
+
+_Z7 = {"type": "cyclic", "n": 7}
+
+
+@pytest.mark.parametrize("doc,says", [
+    ({"group": _Z7, "blocks": 5}, "blocks"),
+    ([[0, 1], [2]], "JSON object"),
+    ({"group": _Z7, "blocks": [[0, 0.5], [1, 2]]}, "integers"),
+    ({"group": {"type": "cyclic"}, "blocks": [[0], [1, 2, 3]]}, "'n'"),
+    ({"family": {"group": {"type": "cyclic", "n": 4},
+                 "blocks": [[0], [1, 2, 3]]},
+      "declared": {"kind": "Bogus", "v": 4, "K": [1, 3], "lambda_or_mu": 2}},
+     "'Bogus'"),
+    ({"group": _Z7, "blocks": [[0, 99], [1, 2]]}, "99"),
+], ids=["blocks-not-list", "top-level-array", "float-element",
+        "descriptor-without-n", "unknown-declared-kind", "out-of-range"])
+def test_verify_malformed_family_exits_1_with_one_line(tmp_path, capsys,
+                                                       doc, says):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert says in err
+
+
+def test_construct_out_of_range_block_exits_1(capsys):
+    assert main(["construct", "complement", "--group", "Z7",
+                 "--block", "0,9"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +156,11 @@ def test_subgroup_closure_and_check():
     assert is_subgroup(g, h)
     assert not is_subgroup(g, {0, 4, 7})
     assert not is_subgroup(g, {4, 8})  # no identity
+    s = Semidirect32()
+    assert subgroup_closure(s, [s.index_of((1, 0))]) == {0, 8, 16, 24}
+    assert subgroup_closure(s, [s.index_of((0, 1))]) == set(range(8))
+    assert subgroup_closure(s, [8, 1]) == set(s.elements())
+    assert is_subgroup(s, range(8)) and not is_subgroup(s, range(9))
 
 
 def test_product_order_and_strides():
@@ -173,3 +179,63 @@ def test_cyclic_matches_modular_arithmetic(n, data):
     assert g.op(a, b) == (a + b) % n
     assert g.neg(a) == (-a) % n
     assert g.difference(a, b) == (a - b) % n
+
+
+def _relabeled(g, perm):
+    """Cayley table of g with element a renamed perm[a]."""
+    t = [[0] * g.order for _ in range(g.order)]
+    for a in g.elements():
+        for b in g.elements():
+            t[perm[a]][perm[b]] = perm[g.op(a, b)]
+    return t
+
+
+_ARRAY_BASES = [
+    CyclicGroup(9),
+    ProductGroup([CyclicGroup(3), CyclicGroup(4)]),
+    ProductGroup([CyclicGroup(3), Semidirect32()]),
+    Semidirect32(),
+    # identity at label 5
+    TableGroup(_relabeled(Semidirect32(), [(a + 5) % 32 for a in range(32)])),
+]
+ARRAY_GROUPS = _ARRAY_BASES + [g.opposite() for g in _ARRAY_BASES
+                               if not g.is_abelian]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ARRAY_GROUPS), st.data())
+def test_array_arithmetic_matches_scalar(g, data):
+    elem = st.integers(0, g.order - 1)
+    xs = data.draw(st.lists(elem, min_size=1, max_size=6))
+    ys = data.draw(st.lists(elem, min_size=1, max_size=6))
+    a, b = np.array(xs)[:, None], np.array(ys)[None, :]
+    assert g.op(a, b).tolist() == [[g.op(x, y) for y in ys] for x in xs]
+    assert g.neg(a).tolist() == [[g.neg(x)] for x in xs]
+    for conv in DiffConvention:
+        assert g.difference(a, b, conv).tolist() == [
+            [g.difference(x, y, conv) for y in ys] for x in xs]
+    x, y = xs[0], ys[0]
+    assert all(type(r) is int for r in (g.op(x, y), g.neg(x),
+                                        g.difference(x, y)))
+    bad = data.draw(st.sampled_from([-1, g.order, g.order + 7]))
+    with pytest.raises(ElementOutOfRangeError, match=f"element {bad} "):
+        g.op(np.array(xs + [bad, -3]), np.array(ys[:1]))
+    with pytest.raises(ElementOutOfRangeError, match=f"element {bad} "):
+        g.neg(np.array([[x], [bad]]))
+
+
+def test_semidirect32_matches_written_out_law():
+    """(x1,y1) + (x2,y2) = (x1+x2 mod 4, 5^x2 * y1 + y2 mod 8), element
+    8x + y, computed here without the group's code."""
+    g = Semidirect32()
+    idx = np.arange(32)
+    table = g.op(idx[:, None], idx[None, :])
+    negs = g.neg(idx)
+    for a in range(32):
+        x1, y1 = divmod(a, 8)
+        xn = (-x1) % 4
+        assert negs[a] == g.neg(a) == 8 * xn + (-(5 ** xn) * y1) % 8
+        for b in range(32):
+            x2, y2 = divmod(b, 8)
+            want = 8 * ((x1 + x2) % 4) + (5 ** x2 * y1 + y2) % 8
+            assert table[a, b] == g.op(a, b) == want
