@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Expand a searched Hadamard PDF by every admissible odd modulus in a
-range, certifying both completions of each result."""
+range, certifying both completions of each result; each modulus's line
+ends with its elapsed seconds."""
 
 import argparse
 from math import gcd
@@ -22,6 +23,7 @@ def main():
     for m in range(3, args.max_m + 1, 2):
         if gcd(m, args.coprime_to) != 1:
             continue
+        t_m = perf_counter()
         try:
             pair = expand_from_hds(args.u, m)
         except DivisorTooSmallError as exc:
@@ -34,7 +36,8 @@ def main():
             cells.append(f"{completion}: "
                          + ("certified" if res.certified
                             else f"INVALID at {rep.witness}"))
-        print(f"m={m:3d}  v={pair[0].report.v:4d}  " + "  |  ".join(cells))
+        print(f"m={m:3d}  v={pair[0].report.v:4d}  " + "  |  ".join(cells)
+              + f"  ({perf_counter() - t_m:.2f}s)")
     print(f"{total} moduli expanded in {perf_counter() - t0:.2f}s")
 
 

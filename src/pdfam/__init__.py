@@ -23,8 +23,8 @@ from .constructions import (COMPLETION_PER_BLOCK, COMPLETION_SINGLE,
                             sdf_lift, validate_recipe)
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup, Semidirect32, TableGroup,
-                     convention_from_name, is_subgroup, make_group,
-                     subgroup_closure)
+                     convention_from_name, endomorphism_mask, is_subgroup,
+                     make_group, subgroup_closure)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, INVALID, PDF,
                         RELATIVE_PDF, SDF, DesignFamily, Multiset,
                         VerificationReport, Witness, delta_block,

@@ -25,9 +25,10 @@ from .multisets import make_family, verify
 from .rings import (EvenOrderError, GaloisField, NotPrimeError, ProductRing,
                     Ring, Zmod, factorize, make_ring)
 from .search import OrderMismatchError, SearchBounds, max_unit_y_search, search_hds
-from .serialize import (canonical_dumps, family_from_json, family_to_json,
-                        prediction_from_json, recipe_from_json,
-                        recipe_to_json, report_to_json, result_to_json)
+from .serialize import (_ints, canonical_dumps, family_from_json,
+                        family_to_json, prediction_from_json,
+                        recipe_from_json, recipe_to_json, report_to_json,
+                        result_to_json)
 
 
 class UsageError(Exception):
@@ -87,7 +88,10 @@ def parse_ring_spec(text: str) -> Ring:
 def _parse_block(text: str) -> list[int]:
     t = text.strip()
     if t.startswith("["):
-        return [int(x) for x in json.loads(t)]
+        block = json.loads(t)
+        if not _ints(block):
+            raise UsageError(f"block {text!r} is not an array of integers")
+        return block
     return [int(x) for x in t.split(",") if x.strip() != ""]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
-                     FiniteGroup, ProductGroup)
+                     FiniteGroup, ProductGroup, endomorphism_mask)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
                         DesignFamily, Multiset, _difference_counts,
                         make_family, verify)
@@ -208,10 +208,16 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
 
     lifts[i] is a set of (g, h) pairs projecting onto the i-th block of the
     strong family; endos is a list of endomorphism value tables of the
-    second group.  When mu * len(endos) = lam * (|H|-1) and the combined
-    endomorphism images of every difference fiber L_g cover H minus zero
-    uniformly lam times, the images of the lifts under all (g,h)->(g,e(h))
-    form a (|G||H|, G x {0}, ^e K, lam) difference family in G x H.
+    second group, integer arrays of length |H|.  When mu * len(endos) =
+    lam * (|H|-1) and the combined endomorphism images of every difference
+    fiber L_g cover H minus zero uniformly lam times, the images of the
+    lifts under all (g,h)->(g,e(h)) form a (|G||H|, G x {0}, ^e K, lam)
+    difference family in G x H.
+
+    Each table is checked for additivity before it is used, through a
+    generating set of H (groups.endomorphism_mask): e(a + g) = e(a) + e(g)
+    for every a in H and every generator g, |H| checks per generator and
+    table.
     """
     g_group = sdf.group
     sdf_report = verify(sdf, convention)
@@ -227,17 +233,19 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
 
     hn = h_group.order
     idx = np.arange(hn)
-    optab = h_group.op(idx[:, None], idx[None, :])
-    tables = [[int(x) for x in t] for t in endos]
-    if any(len(t) != hn for t in tables):
+    try:
+        tables = np.asarray(endos)
+    except ValueError:  # ragged
+        raise ValueError("endomorphism table has wrong length") from None
+    if tables.ndim != 2 or tables.shape[1] != hn:
         raise ValueError("endomorphism table has wrong length")
-    tables = np.array(tables, dtype=np.int64).reshape(len(tables), hn)
+    if tables.dtype.kind not in "iu":
+        raise ValueError("endomorphism table entries must be integers")
+    tables = tables.astype(np.int64)
     if ((tables < 0) | (tables >= hn)).any():
         raise ValueError("endomorphism table value out of range")
-    for t in tables:
-        # e(a + b) = e(a) + e(b), checked on the full operation table
-        if not np.array_equal(t[optab], optab[np.ix_(t, t)]):
-            raise ValueError("table is not an endomorphism")
+    if not endomorphism_mask(h_group, tables).all():
+        raise ValueError("table is not an endomorphism")
 
     if len(lifts) != len(sdf.blocks):
         raise ProjectionMismatchError("one lift block per strong block")

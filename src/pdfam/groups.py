@@ -301,7 +301,7 @@ class TableGroup(FiniteGroup):
         self.table = t
         self.identity = _find_identity(t)
         self._inv = _find_inverses(t, self.identity)
-        _check_associativity(t, self.identity)
+        _check_associativity(self)
 
     def op(self, a, b):
         return _int_or_array(self.table[self._check(a), self._check(b)])
@@ -378,21 +378,46 @@ def _find_inverses(t: np.ndarray, e: int) -> np.ndarray:
     return hits.argmax(axis=1)
 
 
-def _check_associativity(t: np.ndarray, identity: int) -> None:
-    """Light's associativity test: check only through a generating set.
+def _generating_set(group: FiniteGroup) -> list[int]:
+    """Greedy generators: repeatedly add the least element outside the
+    closure under op of the identity and the generators so far.
 
-    The closure starts from the identity, the one element whose
-    associativity needs no check; any other seed could stand in for an
-    untested generator.
+    The closure starts from the identity, the one element that needs no
+    check in Light's associativity test; any other seed could stand in for
+    an untested generator.  The closure is taken under op alone, so the
+    walk also serves an operation table not yet known to be associative.
     """
     gens: list[int] = []
-    closure = np.zeros(t.shape[0], dtype=bool)
-    closure[identity] = True
+    closure = np.zeros(group.order, dtype=bool)
+    closure[group.identity] = True
     while not closure.all():
-        gens.append(int(closure.argmin()))  # least element outside
+        gens.append(int(closure.argmin()))
         closure[gens[-1]] = True
-        _close(closure, lambda a, b: t[a, b])
-    for g in gens:
+        _close(closure, group.op)
+    return gens
+
+
+def endomorphism_mask(group: FiniteGroup, tables) -> np.ndarray:
+    """For each row of tables, the value table of a map e: G -> G as
+    in-range element indices, whether e(a + b) = e(a) + e(b) for all a, b.
+
+    Checked through a generating set, all rows at once: the b with
+    e(a + b) = e(a) + e(b) for every a are closed under op, so they form a
+    subgroup, and when it holds every generator it is all of G.  That is
+    |G| checks per generator and row rather than |G|^2 per row.
+    """
+    tables = np.asarray(tables, dtype=np.int64)
+    gens = np.array(_generating_set(group), dtype=np.int64)
+    idx = np.arange(group.order)
+    left = tables[:, group.op(idx[:, None], gens)]
+    right = group.op(tables[:, :, None], tables[:, None, gens])
+    return (left == right).all(axis=(1, 2))
+
+
+def _check_associativity(group: "TableGroup") -> None:
+    """Light's associativity test: check only through a generating set."""
+    t = group.table
+    for g in _generating_set(group):
         left = t[t[:, g], :]    # (x,y) -> (x+g)+y
         right = t[:, t[g, :]]   # (x,y) -> x+(g+y)
         if not np.array_equal(left, right):
@@ -408,7 +433,7 @@ def make_group(descriptor: dict) -> FiniteGroup:
     if kind == "cyclic":
         return CyclicGroup(int(descriptor["n"]))
     if kind == "product":
-        return ProductGroup(make_group(d) for d in descriptor["factors"])
+        return ProductGroup(make_group(d) for d in _factors(descriptor))
     if kind == "semidirect32":
         return Semidirect32()
     if kind == "table":
@@ -417,6 +442,15 @@ def make_group(descriptor: dict) -> FiniteGroup:
             raise ValueError("declared order does not match table size")
         return g
     raise ValueError(f"unknown group descriptor type {kind!r}")
+
+
+def _factors(descriptor: dict) -> list:
+    """The factor descriptors of a product descriptor, which must be an
+    array."""
+    factors = descriptor["factors"]
+    if not isinstance(factors, list):
+        raise ValueError(f"factors {factors!r} is not an array")
+    return factors
 
 
 def subgroup_closure(group: FiniteGroup, generators) -> frozenset[int]:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groups import CyclicGroup, FiniteGroup, MixedRadix, ProductGroup
+from .groups import (CyclicGroup, FiniteGroup, MixedRadix, ProductGroup,
+                     _factors)
 
 
 class NotPrimeError(ValueError):
@@ -189,7 +190,9 @@ class GaloisField(Ring):
     Elements are polynomials of degree < k over Zp; the index of an element
     is the base-p value of its coefficients, so GF(p,1) looks exactly like
     Zp.  The modulus is stored as ascending coefficients of the non-leading
-    part (x^k + sum modulus[i] x^i).
+    part (x^k + sum modulus[i] x^i).  Multiplication reads exp/log tables of
+    the canonical primitive element, the smallest generator of the
+    multiplicative group, which is stored as `primitive`.
     """
 
     def __init__(self, p: int, k: int = 1):
@@ -205,6 +208,12 @@ class GaloisField(Ring):
         self.modulus = self._find_modulus()
         # reduction table for x^k .. x^(2k-2)
         self._xpow = self._reduction_table()
+        # exp runs over two periods, so a sum of two logs needs no reduction
+        self.primitive, powers = self._primitive_powers()
+        self._exp = powers + powers
+        self._log = [0] * self.order
+        for i, x in enumerate(powers):
+            self._log[x] = i
 
     def _find_modulus(self) -> tuple[int, ...]:
         p, k = self.p, self.k
@@ -245,7 +254,21 @@ class GaloisField(Ring):
     def neg(self, a):
         return self._val([(-x) % self.p for x in self._vec(a)])
 
-    def mul(self, a, b):
+    def _primitive_powers(self) -> tuple[int, list[int]]:
+        """The smallest a of multiplicative order q - 1, the canonical
+        primitive element, and its powers 1, a, ..., a^(q-2)."""
+        for a in range(1, self.order):
+            powers = [1]
+            x = a
+            while x != 1:
+                powers.append(x)
+                x = self._poly_mul(x, a)
+            if len(powers) == self.order - 1:
+                return a, powers
+        raise RuntimeError("no primitive element found")  # unreachable
+
+    def _poly_mul(self, a: int, b: int) -> int:
+        """Schoolbook polynomial product reduced by the modulus."""
         p, k = self.p, self.k
         va, vb = self._vec(a), self._vec(b)
         prod = [0] * (2 * k - 1)
@@ -261,6 +284,12 @@ class GaloisField(Ring):
                 for i in range(k):
                     prod[i] = (prod[i] + c * red[i]) % p
         return self._val(prod[:k])
+
+    def mul(self, a, b):
+        a, b = self._check(a), self._check(b)
+        if a and b:
+            return self._exp[self._log[a] + self._log[b]]
+        return 0
 
     def is_unit(self, a):
         return self._check(a) != 0
@@ -316,13 +345,15 @@ def make_gf(p: int, k: int = 1) -> GaloisField:
 
 def make_ring(descriptor: dict) -> Ring:
     """Build a ring from its JSON descriptor."""
+    if not isinstance(descriptor, dict):
+        raise ValueError(f"ring descriptor {descriptor!r} is not an object")
     kind = descriptor.get("type")
     if kind == "zmod":
         return Zmod(int(descriptor["n"]))
     if kind == "gf":
         return GaloisField(int(descriptor["p"]), int(descriptor.get("k", 1)))
     if kind == "product":
-        return ProductRing(make_ring(d) for d in descriptor["factors"])
+        return ProductRing(make_ring(d) for d in _factors(descriptor))
     raise ValueError(f"unknown ring descriptor type {kind!r}")
 
 
@@ -355,13 +386,7 @@ def primitive_element(field: GaloisField) -> int:
     """Smallest element generating the multiplicative group."""
     if not isinstance(field, GaloisField):
         raise TypeError("primitive elements are defined for fields")
-    q = field.order
-    prime_divs = sorted(factorize(q - 1))
-    for a in range(1, q):
-        if all(ring_pow(field, a, (q - 1) // ell) != field.one
-               for ell in prime_divs):
-            return a
-    raise RuntimeError("no primitive element found")  # unreachable
+    return field.primitive
 
 
 def starter_reps(ring: Ring) -> list[int]:

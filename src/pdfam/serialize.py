@@ -94,8 +94,9 @@ def prediction_to_json(pred: Prediction) -> dict:
 
 @_decoder
 def prediction_from_json(data: dict) -> Prediction:
-    return Prediction(data["kind"], int(data["v"]),
-                      tuple(int(k) for k in data["K"]),
+    if not _ints(data["K"]):
+        raise ValueError("K must be an array of integers")
+    return Prediction(data["kind"], int(data["v"]), tuple(data["K"]),
                       int(data["lambda_or_mu"]), int(data.get("h", 1)))
 
 

@@ -268,3 +268,46 @@ def test_construct_out_of_range_block_exits_1(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _exits_1_with_one_line(capsys, argv, says):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert says in err
+
+
+def test_verify_group_factors_not_array_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"group": {"type": "product", "factors": 5},
+                                "blocks": [[0]]}))
+    _exits_1_with_one_line(capsys, ["verify", str(path)], "factors")
+
+
+def test_verify_declared_k_not_array_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "family": {"group": {"type": "cyclic", "n": 4},
+                   "blocks": [[0], [1, 2, 3]]},
+        "declared": {"kind": "PDF", "v": 4, "K": 5, "lambda_or_mu": 2}}))
+    _exits_1_with_one_line(capsys, ["verify", str(path)], "K")
+
+
+def test_expand_recipe_ring_factors_not_array_exits_1(tmp_path, capsys):
+    code, fam = run_json(capsys, "catalog", "emit", "trivial-hds")
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(json.dumps(fam))
+    code, rec = run_json(capsys, "recipe", "--family", str(fam_path),
+                         "--m", "7")
+    assert code == 0
+    rec["ring"] = {"type": "product", "factors": 5}
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(rec))
+    _exits_1_with_one_line(capsys, ["construct", "expand", "--recipe",
+                                    str(path)], "factors")
+
+
+def test_construct_float_block_element_exits_1(capsys):
+    _exits_1_with_one_line(capsys, ["construct", "complement", "--group",
+                                    "Z4", "--block", "[0.5]"], "integers")

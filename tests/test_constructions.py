@@ -155,6 +155,18 @@ def test_sdf_lift_rejects_non_endomorphism():
         cons.sdf_lift(sdf, additive_group(ring), lifts, bad, lam=4)
 
 
+@pytest.mark.parametrize("bad,says", [
+    (lambda ts: [(0.5,) + ts[0][1:]] + ts[1:], "integers"),  # int() gave 0
+    (lambda ts: [tuple(map(float, t)) for t in ts], "integers"),
+    (lambda ts: [tuple(x % 2 == 1 for x in t) for t in ts], "integers"),
+    (lambda ts: [ts[0][:-1]] + ts[1:], "wrong length"),
+], ids=["float-entry", "float-tables", "bool-tables", "ragged"])
+def test_sdf_lift_rejects_malformed_tables(bad, says):
+    sdf, ring, lifts, endos = _lift_fixture()
+    with pytest.raises(ValueError, match=says):
+        cons.sdf_lift(sdf, additive_group(ring), lifts, bad(endos), lam=4)
+
+
 # -- recipes and full expansions -------------------------------------------
 
 def test_make_recipe_canonical_f7():

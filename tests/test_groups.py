@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
                           NoIdentityError, NonAssociativeError, ProductGroup,
                           Semidirect32, TableGroup, convention_from_name,
-                          is_subgroup, make_group, subgroup_closure)
+                          endomorphism_mask, is_subgroup, make_group,
+                          subgroup_closure)
+from pdfam.rings import GaloisField, additive_group
 
 SMALL_GROUPS = [
     CyclicGroup(1),
@@ -239,3 +241,76 @@ def test_semidirect32_matches_written_out_law():
             x2, y2 = divmod(b, 8)
             want = 8 * ((x1 + x2) % 4) + (5 ** x2 * y1 + y2) % 8
             assert table[a, b] == g.op(a, b) == want
+
+
+def _fully_additive(g, t):
+    """e(a + b) = e(a) + e(b) on every one of the |G|^2 pairs, read off the
+    full operation table."""
+    idx = np.arange(g.order)
+    table = g.op(idx[:, None], idx[None, :])
+    t = np.array(t)
+    return bool((t[table] == table[t[:, None], t[None, :]]).all())
+
+
+def _known_endomorphisms(g, field):
+    """Identity, zero, inner automorphisms x -> c + x - c, multiples
+    x -> x + ... + x when abelian, and multiplications by field elements
+    when g is the field's additive group."""
+    idx = np.arange(g.order)
+    maps = [idx, np.full(g.order, g.identity)]
+    maps += [g.op(g.op(c, idx), g.neg(c)) for c in g.elements()]
+    if g.is_abelian:
+        t = maps[1]
+        for _ in range(min(g.order, 8)):
+            t = g.op(t, idx)
+            maps.append(t)
+    if field is not None:
+        maps += [[field.mul(s, h) for h in field.elements()]
+                 for s in field.elements()]
+    return [[int(x) for x in t] for t in maps]
+
+
+# (group, field whose additive group it is, or None)
+_ENDO_GROUPS = [(additive_group(GaloisField(p, 2)), GaloisField(p, 2))
+                for p in (2, 3, 5)] + [
+    (ProductGroup([CyclicGroup(3), CyclicGroup(4)]), None),
+    (Semidirect32(), None),
+    # identity at label 5
+    (TableGroup(_relabeled(Semidirect32(),
+                           [(7 * a + 5) % 32 for a in range(32)])), None),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(1, 24).map(lambda n: (CyclicGroup(n), None)),
+                 st.sampled_from(_ENDO_GROUPS)),
+       st.data())
+def test_endomorphism_mask_matches_full_check(group_field, data):
+    g, field = group_field
+    n = g.order
+    known = _known_endomorphisms(g, field)
+    assert all(_fully_additive(g, t) for t in known)
+
+    def changed(t_i_d):
+        t, i, d = t_i_d
+        return t[:i] + [(t[i] + d) % n] + t[i + 1:]
+
+    def coset_shifted(t_x_y_c):
+        """c + e(a) on the left coset y + <x>, e(a) elsewhere: additive
+        along <x> whenever y is outside it, so a check that skipped a
+        generator would accept it."""
+        t, x, y, c = t_x_y_c
+        coset = {g.op(y, k) for k in subgroup_closure(g, [x])}
+        return [g.op(c, e) if a in coset else e for a, e in enumerate(t)]
+
+    elem = st.integers(0, n - 1)
+    maps = st.one_of(
+        st.lists(elem, min_size=n, max_size=n),
+        st.sampled_from(known + [[0] * n]),
+        st.tuples(st.sampled_from(known), elem,
+                  st.integers(1, max(n - 1, 1))).map(changed),
+        st.tuples(st.sampled_from(known), elem, elem, elem).map(
+            coset_shifted))
+    tables = data.draw(st.lists(maps, min_size=1, max_size=4))
+    assert endomorphism_mask(g, tables).tolist() == [
+        _fully_additive(g, t) for t in tables]

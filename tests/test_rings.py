@@ -82,6 +82,38 @@ def test_primitive_element_generates_gf27():
     assert len(seen) == 26
 
 
+def _schoolbook(f, a, b):
+    """a * b in f as polynomials over Zp (index = base-p coefficients,
+    lowest degree least significant), reduced by the monic modulus."""
+    p, k = f.p, f.k
+    va = [a // p ** i % p for i in range(k)]
+    vb = [b // p ** i % p for i in range(k)]
+    prod = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            prod[i + j] += va[i] * vb[j]
+    monic = list(f.modulus) + [1]
+    for e in range(2 * k - 2, k - 1, -1):
+        c = prod[e] % p
+        for i in range(k + 1):
+            prod[e - k + i] -= c * monic[i]
+    return sum(prod[i] % p * p ** i for i in range(k))
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 49, 121, 125])
+def test_gf_mul_matches_schoolbook_product(q):
+    (p, k), = factorize(q).items()
+    f = GaloisField(p, k)
+    assert [[f.mul(a, b) for b in f.elements()] for a in f.elements()] == [
+        [_schoolbook(f, a, b) for b in f.elements()] for a in f.elements()]
+
+
+def test_primitive_element_is_sympy_primitive_root():
+    sympy = pytest.importorskip("sympy")
+    for p in sympy.primerange(2, 1000):
+        assert primitive_element(GaloisField(p)) == sympy.primitive_root(p)
+
+
 def test_product_ring_componentwise():
     r = ProductRing([GaloisField(7, 1), GaloisField(11, 1)])
     a = r.join((3, 5))
