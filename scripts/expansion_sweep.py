@@ -1,18 +1,29 @@
 #!/usr/bin/env python3
-"""Expand a searched Hadamard PDF by every admissible odd modulus in a
-range, certifying both completions of each result; each modulus's line
-ends with its elapsed seconds."""
+"""Expand a Hadamard PDF by every admissible odd modulus in a range,
+certifying both completions of each result; each modulus's line ends with
+its elapsed seconds.
+
+The base is the complement pair of a searched (4u^2, 2u^2-u, u^2-u)
+difference set (--base hds, the default), or the order-32 family
+(--base order32), which is swept over the moduli whose maximal prime power
+divisors all exceed 44.
+
+    PYTHONPATH=src python3 scripts/expansion_sweep.py --u 1 --max-m 100
+    PYTHONPATH=src python3 scripts/expansion_sweep.py --base order32 --max-m 99
+"""
 
 import argparse
 from math import gcd
 from time import perf_counter
 
 from pdfam.constructions import (COMPLETIONS, DivisorTooSmallError,
-                                 expand_from_hds)
+                                 expand_from_hds, expand_nonabelian32)
+from pdfam.rings import maximal_prime_power_divisors
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--base", choices=["hds", "order32"], default="hds")
     ap.add_argument("--u", type=int, default=1)
     ap.add_argument("--max-m", type=int, default=100)
     ap.add_argument("--coprime-to", type=int, default=15)
@@ -24,11 +35,16 @@ def main():
         if gcd(m, args.coprime_to) != 1:
             continue
         t_m = perf_counter()
-        try:
-            pair = expand_from_hds(args.u, m)
-        except DivisorTooSmallError as exc:
-            print(f"m={m:3d}  skipped: {exc}")
-            continue
+        if args.base == "order32":
+            if min(maximal_prime_power_divisors(m)) <= 44:
+                continue
+            pair = expand_nonabelian32(m)
+        else:
+            try:
+                pair = expand_from_hds(args.u, m)
+            except DivisorTooSmallError as exc:
+                print(f"m={m:3d}  skipped: {exc}")
+                continue
         total += 1
         cells = []
         for completion, res in zip(COMPLETIONS, pair):

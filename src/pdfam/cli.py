@@ -19,13 +19,13 @@ from .constructions import (COMPLETION_SINGLE, COMPLETIONS,
                             expand_nonabelian32, hadamard_pdf_from_hds,
                             make_recipe, paley_double_sdf, ring_for_modulus)
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, ElementOutOfRangeError,
-                     ProductGroup, Semidirect32, convention_from_name,
+                     ProductGroup, Semidirect32, _ints, convention_from_name,
                      make_group)
 from .multisets import make_family, verify
 from .rings import (EvenOrderError, GaloisField, NotPrimeError, ProductRing,
                     Ring, Zmod, factorize, make_ring)
 from .search import OrderMismatchError, SearchBounds, max_unit_y_search, search_hds
-from .serialize import (_ints, canonical_dumps, family_from_json,
+from .serialize import (canonical_dumps, family_from_json,
                         family_to_json, prediction_from_json,
                         recipe_from_json, recipe_to_json, report_to_json,
                         result_to_json)

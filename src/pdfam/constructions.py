@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
-                     FiniteGroup, ProductGroup, endomorphism_mask)
+                     FiniteGroup, ProductGroup, _is_int, endomorphism_mask)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
-                        DesignFamily, Multiset, _difference_counts,
+                        DesignFamily, Multiset, _difference_counts, _indices,
                         make_family, verify)
 from .rings import (EvenOrderError, GaloisField, ProductRing, Ring,
                     additive_group, build_y_powers, check_y_condition,
@@ -130,7 +130,7 @@ def complement_pdf(group: FiniteGroup, block,
     A (v,k,lam) difference set yields a (v,[k,v-k],v-2k+2*lam) partitioned
     family; it is Hadamard exactly when v = 2(v-2k+2*lam).
     """
-    d = sorted({group._check(int(e)) for e in block})
+    d = sorted(set(_indices(group, list(block))))
     v = group.order
     if not d or len(d) >= v:
         raise NotADifferenceSetError("need a nonempty proper subset")
@@ -239,7 +239,11 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
         raise ValueError("endomorphism table has wrong length") from None
     if tables.ndim != 2 or tables.shape[1] != hn:
         raise ValueError("endomorphism table has wrong length")
-    if tables.dtype.kind not in "iu":
+    # asarray reads a bool among integers as 0 or 1, so the entries that
+    # read 0 or 1 have their types checked
+    if tables.dtype.kind not in "iu" or not all(
+            _is_int(endos[r][c])
+            for r, c in np.argwhere(tables <= 1).tolist()):
         raise ValueError("endomorphism table entries must be integers")
     tables = tables.astype(np.int64)
     if ((tables < 0) | (tables >= hn)).any():
@@ -251,12 +255,12 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
         raise ProjectionMismatchError("one lift block per strong block")
     clean_lifts = []
     for i, (block, x) in enumerate(zip(lifts, sdf.blocks)):
-        pairs = [(g_group._check(int(g)), h_group._check(int(h)))
-                 for g, h in block]
+        gs, hs = zip(*block) if block else ((), ())
+        gs, hs = _indices(g_group, list(gs)), _indices(h_group, list(hs))
+        pairs = list(zip(gs, hs))
         if len(set(pairs)) != len(pairs):
             raise ProjectionMismatchError(f"lift block {i} has repeats")
-        proj = Counter(g for g, _ in pairs)
-        if proj != x.counts:
+        if Counter(gs) != x.counts:
             raise ProjectionMismatchError(
                 f"projection of lift block {i} does not match the strong "
                 f"family block")
@@ -283,8 +287,8 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
         if (np.diff(images, axis=1) == 0).any():
             raise ConditionFailsError("endomorphism collapses a block")
         blocks.extend(images.tolist())
-    forbidden = frozenset(ambient.join((g, h_ident))
-                          for g in g_group.elements())
+    forbidden = frozenset(
+        ambient.join((np.arange(g_group.order), h_ident)).tolist())
     fam = make_family(ambient, blocks, forbidden=forbidden)
     sizes = tuple(sorted(len(p) for p in clean_lifts for _ in tables))
     pred = Prediction(DF, ambient.order, sizes, lam, h=g_group.order)
@@ -431,8 +435,8 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     fibers = _fiber_matrix(g_group, h_group, lifts, recipe.convention)
     lg_checks = {"size": True, "negation_closed": True, "units": True}
     negated = fibers[:, h_group.neg(np.arange(ring.order))]
-    non_units = [h for h in np.flatnonzero(fibers.any(axis=0)).tolist()
-                 if not ring.is_unit(h)]
+    support = np.flatnonzero(fibers.any(axis=0))
+    non_units = support[~ring.is_unit(support)].tolist()
     for problem, bad in (
             (f"does not hold {4 * lam} entries",
              fibers.sum(axis=1) != 4 * lam),
@@ -466,15 +470,12 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
 
     final_blocks = [sorted(b.counts) for b in relative.family.blocks]
     if recipe.completion == COMPLETION_SINGLE:
-        final_blocks.append(
-            [ambient.join((g, h_group.identity)) for g in g_group.elements()])
-        completion_sizes = [g_group.order]
+        zero_fiber = [np.arange(g_group.order)]
     else:
-        for block in recipe.pdf.blocks:
-            final_blocks.append(
-                [ambient.join((d, h_group.identity))
-                 for d in sorted(block.counts)])
-        completion_sizes = [b.size for b in recipe.pdf.blocks]
+        zero_fiber = [np.array(sorted(b.counts)) for b in recipe.pdf.blocks]
+    final_blocks += [ambient.join((g, h_group.identity)).tolist()
+                     for g in zero_fiber]
+    completion_sizes = [len(g) for g in zero_fiber]
 
     final = make_family(ambient, final_blocks)
     sizes = [2 * k for k in params["K"] for _ in range(n)] + completion_sizes

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import operator
+import reprlib
 from enum import Enum
 
 import numpy as np
@@ -194,7 +195,10 @@ class MixedRadix:
 
     def split(self, a: int) -> tuple[int, ...]:
         """Index -> per-factor indices."""
-        self._check(a)
+        return self._split(self._check(a))
+
+    def _split(self, a) -> tuple:
+        """split without the range check, for indices already checked."""
         out = []
         for s in self.strides:
             q, a = divmod(a, s)
@@ -431,26 +435,64 @@ def make_group(descriptor: dict) -> FiniteGroup:
         raise ValueError(f"group descriptor {descriptor!r} is not an object")
     kind = descriptor.get("type")
     if kind == "cyclic":
-        return CyclicGroup(int(descriptor["n"]))
+        return CyclicGroup(_int_field(descriptor, "n"))
     if kind == "product":
         return ProductGroup(make_group(d) for d in _factors(descriptor))
     if kind == "semidirect32":
         return Semidirect32()
     if kind == "table":
-        g = TableGroup(descriptor["table"])
-        if "n" in descriptor and int(descriptor["n"]) != g.order:
+        g = TableGroup(_field(descriptor, "table", _int_rows,
+                              "an array of integer arrays"))
+        if "n" in descriptor and _int_field(descriptor, "n") != g.order:
             raise ValueError("declared order does not match table size")
         return g
     raise ValueError(f"unknown group descriptor type {kind!r}")
 
 
+# -- integer guards for decoded JSON and element lists ------------------------
+
+def _is_int(x) -> bool:
+    """A Python or numpy integer; booleans and floats are not integers."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
+def _ints(x) -> bool:
+    """A list of integers.  The usual all-int list costs one pass over the
+    entry types in C."""
+    return isinstance(x, list) and (set(map(type, x)) <= {int}
+                                    or all(map(_is_int, x)))
+
+
+def _int_rows(x) -> bool:
+    """A list of lists of integers."""
+    return isinstance(x, list) and all(map(_ints, x))
+
+
+_REQUIRED = object()
+
+
+def _field(descriptor: dict, key: str, valid, what: str,
+           default=_REQUIRED):
+    """descriptor[key], or the default when one is given and the key is
+    absent, if valid(value); otherwise a ValueError names the key and the
+    value.  A missing required key is a KeyError."""
+    value = (descriptor[key] if default is _REQUIRED
+             else descriptor.get(key, default))
+    if not valid(value):
+        raise ValueError(f"{key} {reprlib.repr(value)} is not {what}")
+    return value
+
+
+def _int_field(descriptor: dict, key: str, default=_REQUIRED) -> int:
+    """An integer field of a descriptor, as a Python int."""
+    return int(_field(descriptor, key, _is_int, "an integer", default))
+
+
 def _factors(descriptor: dict) -> list:
     """The factor descriptors of a product descriptor, which must be an
     array."""
-    factors = descriptor["factors"]
-    if not isinstance(factors, list):
-        raise ValueError(f"factors {factors!r} is not an array")
-    return factors
+    return _field(descriptor, "factors", lambda x: isinstance(x, list),
+                  "an array")
 
 
 def subgroup_closure(group: FiniteGroup, generators) -> frozenset[int]:

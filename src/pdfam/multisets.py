@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
-from .groups import (DEFAULT_CONVENTION, DiffConvention, FiniteGroup,
+from .groups import (DEFAULT_CONVENTION, DiffConvention, FiniteGroup, _is_int,
                      is_subgroup)
 
 
@@ -35,6 +36,25 @@ DIFFERENCE_MULTISET = "DifferenceMultiset"
 INVALID = "Invalid"
 
 
+def _indices(group: FiniteGroup, elements: list) -> list[int]:
+    """The elements as Python ints, checked in one pass over the list.
+
+    Booleans and floats are refused (numpy integers pass), and the first
+    element outside 0..order-1, in list order, is named by group._check.
+    The usual all-int list costs a few passes in C and no Python per
+    element.
+    """
+    if not set(map(type, elements)) <= {int}:
+        for e in elements:
+            if not _is_int(e):
+                raise ValueError(f"element {e!r} is not an integer")
+        elements = list(map(int, elements))
+    if elements and (min(elements) < 0 or max(elements) >= group.order):
+        group._check(next(e for e in elements
+                          if not 0 <= e < group.order))
+    return elements
+
+
 class Multiset:
     """Multiset of group elements, keyed by canonical element index."""
 
@@ -44,16 +64,22 @@ class Multiset:
         self.group = group
         c: Counter = Counter()
         if counts is not None:
-            for e, m in dict(counts).items():
-                e = group._check(int(e))
+            counts = dict(counts)
+            for e, m in zip(_indices(group, list(counts)), counts.values()):
                 m = int(m)
                 if m < 0:
                     raise ValueError("negative multiplicity")
                 if m:
                     c[e] = m
-        for e in elements:
-            c[group._check(int(e))] += 1
+        c.update(_indices(group, list(elements)))
         self.counts = c
+
+    @classmethod
+    def _of_checked(cls, group: FiniteGroup, counts: Counter) -> "Multiset":
+        """A multiset over positive counts of already-checked indices."""
+        ms = cls.__new__(cls)
+        ms.group, ms.counts = group, counts
+        return ms
 
     @property
     def size(self) -> int:
@@ -67,14 +93,11 @@ class Multiset:
 
     @property
     def is_set(self) -> bool:
-        return all(m == 1 for m in self.counts.values())
+        return len(self.counts) == self.size
 
     def positions(self) -> list[int]:
         """Every element repeated per multiplicity, in canonical order."""
-        out = []
-        for e in sorted(self.counts):
-            out.extend([e] * self.counts[e])
-        return out
+        return sorted(self.counts.elements())
 
     def scaled(self, r: int) -> "Multiset":
         """The multiset with every multiplicity scaled by r."""
@@ -151,7 +174,8 @@ class DesignFamily:
         if not self.blocks:
             raise ValueError("family needs at least one block")
         for b in self.blocks:
-            if b.group != self.group:
+            # identity first: == compares descriptors, rebuilt per call
+            if b.group is not self.group and b.group != self.group:
                 raise GroupMismatchError("block over a different group")
             if b.size == 0:
                 raise ValueError("empty block")
@@ -171,17 +195,23 @@ class DesignFamily:
 
 
 def make_family(group: FiniteGroup, blocks, forbidden=None) -> DesignFamily:
-    """Build a DesignFamily from iterables of indices, mappings, or Multisets."""
-    ms = []
-    for b in blocks:
-        if isinstance(b, Multiset):
-            ms.append(b)
-        elif isinstance(b, dict):
-            ms.append(Multiset(group, counts=b))
-        else:
-            ms.append(Multiset(group, elements=b))
-    forb = None if forbidden is None else frozenset(int(x) for x in forbidden)
-    return DesignFamily(group, tuple(ms), forb)
+    """Build a DesignFamily from iterables of indices, mappings, or Multisets.
+
+    The elements of all the index blocks are checked in one pass, so the
+    first bad element in block order is the one named.
+    """
+    blocks = [b if isinstance(b, (Multiset, dict)) else list(b)
+              for b in blocks]
+    elements = iter(_indices(group, list(chain.from_iterable(
+        b for b in blocks if isinstance(b, list)))))
+    ms = tuple(
+        b if isinstance(b, Multiset)
+        else Multiset(group, counts=b) if isinstance(b, dict)
+        else Multiset._of_checked(group, Counter(islice(elements, len(b))))
+        for b in blocks)
+    forb = (None if forbidden is None
+            else frozenset(_indices(group, list(forbidden))))
+    return DesignFamily(group, ms, forb)
 
 
 def delta_family(family: DesignFamily,

@@ -10,11 +10,12 @@ any ring is available as a FiniteGroup with the identical element encoding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .groups import (CyclicGroup, FiniteGroup, MixedRadix, ProductGroup,
-                     _factors)
+                     _factors, _int_field)
 
 
 class NotPrimeError(ValueError):
@@ -60,7 +61,11 @@ def maximal_prime_power_divisors(n: int) -> list[int]:
 
 
 class Ring:
-    """Base class; subclasses provide arithmetic on integer element indices."""
+    """Base class; subclasses provide arithmetic on integer element indices.
+
+    add/neg/mul take Python ints.  is_unit also takes an int64 index array
+    and then answers entrywise with a bool array; a scalar gives a bool.
+    """
 
     order: int
     arity: int
@@ -95,12 +100,24 @@ class Ring:
         return self.add(a, self.neg(b))
 
     def units(self) -> list[int]:
-        return [a for a in self.elements() if self.is_unit(a)]
+        return np.flatnonzero(self.is_unit(np.arange(self.order))).tolist()
 
     def _check(self, a: int) -> int:
         if not 0 <= a < self.order:
             raise IndexError(f"ring element {a} outside 0..{self.order - 1}")
         return a
+
+    def _check_indices(self, a):
+        """_check for an int or an int64 index array: an array comes back
+        unchanged when every entry is in range, else its first offending
+        entry is named.  _check itself stays scalar, since every mul pays
+        for it."""
+        if isinstance(a, np.ndarray):
+            bad = (a < 0) | (a >= self.order)
+            if not bad.any():
+                return a
+            a = int(a[bad][0])
+        return self._check(a)
 
     def __eq__(self, other):
         return (isinstance(other, Ring)
@@ -112,6 +129,10 @@ class Ring:
 
     def __repr__(self):
         return f"{type(self).__name__}(order={self.order})"
+
+
+def _bool_or_array(x):
+    return x if isinstance(x, np.ndarray) else bool(x)
 
 
 class Zmod(Ring):
@@ -134,7 +155,7 @@ class Zmod(Ring):
         return (self._check(a) * self._check(b)) % self.order
 
     def is_unit(self, a):
-        return math.gcd(self._check(a), self.order) == 1
+        return _bool_or_array(np.gcd(self._check_indices(a), self.order) == 1)
 
     def coords(self, a):
         return (self._check(a),)
@@ -292,7 +313,7 @@ class GaloisField(Ring):
         return 0
 
     def is_unit(self, a):
-        return self._check(a) != 0
+        return self._check_indices(a) != 0
 
     def coords(self, a):
         return tuple(reversed(self._vec(a)))
@@ -335,8 +356,10 @@ class ProductRing(MixedRadix, Ring):
                          for f, x in zip(self.factors, self.split(a)))
 
     def is_unit(self, a):
-        return all(f.is_unit(x)
-                   for f, x in zip(self.factors, self.split(a)))
+        unit = True
+        for f, x in zip(self.factors, self._split(self._check_indices(a))):
+            unit = unit & f.is_unit(x)
+        return unit
 
 
 def make_gf(p: int, k: int = 1) -> GaloisField:
@@ -349,9 +372,10 @@ def make_ring(descriptor: dict) -> Ring:
         raise ValueError(f"ring descriptor {descriptor!r} is not an object")
     kind = descriptor.get("type")
     if kind == "zmod":
-        return Zmod(int(descriptor["n"]))
+        return Zmod(_int_field(descriptor, "n"))
     if kind == "gf":
-        return GaloisField(int(descriptor["p"]), int(descriptor.get("k", 1)))
+        return GaloisField(_int_field(descriptor, "p"),
+                           _int_field(descriptor, "k", 1))
     if kind == "product":
         return ProductRing(make_ring(d) for d in _factors(descriptor))
     raise ValueError(f"unknown ring descriptor type {kind!r}")
@@ -397,11 +421,8 @@ def starter_reps(ring: Ring) -> list[int]:
     """
     if ring.order % 2 == 0:
         raise EvenOrderError("patterned starters need a ring of odd order")
-    reps = []
-    for h in range(1, ring.order):
-        if h <= ring.neg(h):
-            reps.append(h)
-    return reps
+    h = np.arange(1, ring.order)
+    return h[h <= additive_group(ring).neg(h)].tolist()
 
 
 def _field_factors(ring: Ring) -> list[GaloisField]:
@@ -447,23 +468,31 @@ def check_y_condition(ring: Ring, y) -> YCheck:
 
     Requires: every element of Y is a unit, Y has no repeats, Y and -Y are
     disjoint, and every difference of distinct elements of Y union -Y is a
-    unit.  Returns the first offending pair on failure.
+    unit.  Returns the first offending pair on failure: the first non-unit
+    of Y, the least element of Y that meets -Y, or the first pair (a, b),
+    a < b, of the sorted Y union -Y in row-major order whose difference
+    a - b is not a unit.  All differences come from one broadcast in the
+    additive group.
     """
     y = [ring._check(int(e)) for e in y]
     if len(set(y)) != len(y):
         return YCheck(False, None, "repeated element in Y")
-    for e in y:
-        if not ring.is_unit(e):
-            return YCheck(False, (e, e), f"element {e} is not a unit")
-    negs = {ring.neg(e) for e in y}
-    overlap = sorted(set(y) & negs)
+    ya = np.array(y, dtype=np.int64)
+    unit = ring.is_unit(ya)
+    if not unit.all():
+        e = y[int(unit.argmin())]
+        return YCheck(False, (e, e), f"element {e} is not a unit")
+    group = additive_group(ring)
+    negs = group.neg(ya).tolist()
+    overlap = sorted(set(y) & set(negs))
     if overlap:
         o = overlap[0]
-        return YCheck(False, (o, ring.neg(o)), "Y meets -Y")
-    full = sorted(set(y) | negs)
-    for i, a in enumerate(full):
-        for b in full[i + 1:]:
-            if not ring.is_unit(ring.sub(a, b)):
-                return YCheck(False, (a, b),
-                              f"difference {ring.sub(a, b)} is not a unit")
+        return YCheck(False, (o, group.neg(o)), "Y meets -Y")
+    full = np.array(sorted(y + negs), dtype=np.int64)  # a disjoint union
+    diff = group.difference(full[:, None], full[None, :])
+    bad = np.triu(~ring.is_unit(diff), k=1)
+    if bad.any():
+        i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+        return YCheck(False, (int(full[i]), int(full[j])),
+                      f"difference {int(diff[i, j])} is not a unit")
     return YCheck(True)

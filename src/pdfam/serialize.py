@@ -10,7 +10,7 @@ import functools
 import json
 
 from .constructions import ConstructionResult, ExpansionRecipe, Prediction
-from .groups import convention_from_name, make_group
+from .groups import _field, _int_field, _ints, convention_from_name, make_group
 from .multisets import (DesignFamily, VerificationReport, Witness,
                         make_family)
 from .rings import make_ring
@@ -33,9 +33,8 @@ def _decoder(fn):
     return decode
 
 
-def _ints(x) -> bool:
-    """A JSON array of integers; booleans and floats do not count."""
-    return isinstance(x, list) and all(type(e) is int for e in x)
+def _int_array(data: dict, key: str) -> list[int]:
+    return _field(data, key, _ints, "an array of integers")
 
 
 def family_to_json(family: DesignFamily) -> dict:
@@ -51,7 +50,7 @@ def family_to_json(family: DesignFamily) -> dict:
 def family_from_json(data: dict) -> DesignFamily:
     group = make_group(data["group"])
     blocks, forbidden = data["blocks"], data.get("forbidden")
-    if not (isinstance(blocks, list) and all(_ints(b) for b in blocks)):
+    if not (isinstance(blocks, list) and all(map(_ints, blocks))):
         raise ValueError("blocks must be arrays of integers")
     if not (forbidden is None or _ints(forbidden)):
         raise ValueError("forbidden must be null or an array of integers")
@@ -94,10 +93,10 @@ def prediction_to_json(pred: Prediction) -> dict:
 
 @_decoder
 def prediction_from_json(data: dict) -> Prediction:
-    if not _ints(data["K"]):
-        raise ValueError("K must be an array of integers")
-    return Prediction(data["kind"], int(data["v"]), tuple(data["K"]),
-                      int(data["lambda_or_mu"]), int(data.get("h", 1)))
+    return Prediction(data["kind"], _int_field(data, "v"),
+                      tuple(_int_array(data, "K")),
+                      _int_field(data, "lambda_or_mu"),
+                      _int_field(data, "h", 1))
 
 
 def result_to_json(result: ConstructionResult) -> dict:
@@ -127,9 +126,9 @@ def recipe_from_json(data: dict) -> ExpansionRecipe:
     return ExpansionRecipe(
         pdf=family_from_json(data["pdf"]),
         ring=make_ring(data["ring"]),
-        y=tuple(int(x) for x in data["y"]),
-        f_map=tuple(int(x) for x in data["f_map"]),
-        starters=tuple(int(x) for x in data["starters"]),
+        y=tuple(_int_array(data, "y")),
+        f_map=tuple(_int_array(data, "f_map")),
+        starters=tuple(_int_array(data, "starters")),
         completion=data["completion"],
         convention=convention_from_name(data["convention"]),
     )

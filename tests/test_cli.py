@@ -311,3 +311,64 @@ def test_expand_recipe_ring_factors_not_array_exits_1(tmp_path, capsys):
 def test_construct_float_block_element_exits_1(capsys):
     _exits_1_with_one_line(capsys, ["construct", "complement", "--group",
                                     "Z4", "--block", "[0.5]"], "integers")
+
+
+@pytest.mark.parametrize("n", [4.7, True, None], ids=["float", "bool", "null"])
+def test_verify_cyclic_order_not_integer_exits_1(tmp_path, capsys, n):
+    # int() truncated 4.7 to Z4, which certified with exit 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"group": {"type": "cyclic", "n": n},
+                                "blocks": [[0], [1, 2, 3]]}))
+    _exits_1_with_one_line(capsys, ["verify", str(path)], "n ")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("v", None), ("v", 4.0), ("lambda_or_mu", True), ("h", 1.5),
+    ("K", [1.0, 3]), ("K", [True, 3]),
+])
+def test_verify_declared_field_not_integer_exits_1(tmp_path, capsys, key,
+                                                   value):
+    declared = {"kind": "PDF", "v": 4, "K": [1, 3], "lambda_or_mu": 2}
+    declared[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "family": {"group": {"type": "cyclic", "n": 4},
+                   "blocks": [[0], [1, 2, 3]]},
+        "declared": declared}))
+    _exits_1_with_one_line(capsys, ["verify", str(path)], key)
+
+
+@pytest.mark.parametrize("spec", [
+    '{"type": "zmod", "n": 9.5}', '{"type": "gf", "p": 7, "k": null}',
+    '{"type": "gf", "p": true}',
+])
+def test_ring_descriptor_field_not_integer_exits_1(capsys, spec):
+    _exits_1_with_one_line(capsys, ["construct", "expand", "--u", "1",
+                                    "--ring", spec], "is not an integer")
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("y", lambda v: [float(v[0])] + v[1:]),
+    ("f_map", lambda v: [True] + v[1:]),
+    ("starters", lambda v: None),
+])
+def test_expand_recipe_field_not_integers_exits_1(tmp_path, capsys, key, bad):
+    code, fam = run_json(capsys, "catalog", "emit", "trivial-hds")
+    fam_path = tmp_path / "fam.json"
+    fam_path.write_text(json.dumps(fam))
+    code, rec = run_json(capsys, "recipe", "--family", str(fam_path),
+                         "--m", "7")
+    assert code == 0
+    rec[key] = bad(rec[key])
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(rec))
+    _exits_1_with_one_line(capsys, ["construct", "expand", "--recipe",
+                                    str(path)], key)
+
+
+def test_verify_table_group_entries_not_integers_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "group": {"type": "table", "table": [[0, 1], [1, 0.0]]},
+        "blocks": [[0], [1]]}))
+    _exits_1_with_one_line(capsys, ["verify", str(path)], "table")

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from pdfam.multisets import (DF, DS, INVALID, PDF, RELATIVE_PDF, SDF,
                              Multiset, delta_block, delta_family,
                              make_family, verify)
 from pdfam.rings import GaloisField, ProductRing, Zmod, additive_group
+from pdfam.serialize import canonical_dumps, result_to_json
 
 
 def test_complement_pdf_trivial():
@@ -159,8 +161,12 @@ def test_sdf_lift_rejects_non_endomorphism():
     (lambda ts: [(0.5,) + ts[0][1:]] + ts[1:], "integers"),  # int() gave 0
     (lambda ts: [tuple(map(float, t)) for t in ts], "integers"),
     (lambda ts: [tuple(x % 2 == 1 for x in t) for t in ts], "integers"),
+    # asarray reads a bool table among integer tables as a 0/1 map
+    (lambda ts: [tuple(x % 2 == 1 for x in ts[0])] + ts[1:], "integers"),
+    (lambda ts: [(0, True) + ts[0][2:]] + ts[1:], "integers"),  # 1 -> True
     (lambda ts: [ts[0][:-1]] + ts[1:], "wrong length"),
-], ids=["float-entry", "float-tables", "bool-tables", "ragged"])
+], ids=["float-entry", "float-tables", "bool-tables", "bool-among-int-tables",
+        "bool-entry", "ragged"])
 def test_sdf_lift_rejects_malformed_tables(bad, says):
     sdf, ring, lifts, endos = _lift_fixture()
     with pytest.raises(ValueError, match=says):
@@ -288,3 +294,36 @@ def test_prediction_refinement():
     rec = cons.make_recipe(trivial_hds_family(), GaloisField(7, 1))
     res = cons.expand_hadamard_pdf(rec)
     assert p.matches(res.relative.report)  # DF prediction accepts RelativePDF
+
+
+# sha256 of canonical_dumps(result_to_json(r)) for the single and per-block
+# completions, taken from the scalar ring checks and family construction:
+# the array forms must reproduce them byte for byte
+_GOLDEN = {
+    "expand_nonabelian32(47)": (
+        lambda: cons.expand_nonabelian32(47),
+        "6e47202567e08b16b0310a338f0d6d282867d646859e8236b0e77ab1ee6369eb",
+        "51e989f4647e8365d5f38dc25ecce4ccea852836c91e4cf66f5349ead46f7ab6"),
+    "expand_from_hds(2, 25)": (
+        lambda: cons.expand_from_hds(2, 25),
+        "de900f8dc82bf7b6c557ff2918f58245c3c34321b74af172f27398f0144fcb2f",
+        "ea18d1c1ca23f9761902cc775c9eee728e8f07552a7db406961b2e5474d4d547"),
+    "expand_from_hds(1, 97)": (
+        lambda: cons.expand_from_hds(1, 97),
+        "4665dd96f4f02ec3d8a8eabc5e5d1b8c6e760cc8f7cb75170e494afe3b1626e3",
+        "93cfca66545cd073996f01dcfdeaade7c096bed69ed8a5c15d3033a9d74089c8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_expansion_output_bytes_are_pinned(name):
+    build, *want = _GOLDEN[name]
+    got = [hashlib.sha256(canonical_dumps(result_to_json(r)).encode())
+           .hexdigest() for r in build()]
+    assert got == want
+
+
+def test_complement_pdf_refuses_float_and_bool_elements():
+    for block in ([0.5], [True]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            cons.complement_pdf(CyclicGroup(4), block)

@@ -1,10 +1,12 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup, Semidirect32
+from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
+                          ProductGroup, Semidirect32)
 from pdfam.multisets import (DF, DIFFERENCE_MULTISET, DS, INVALID, PDF,
                              RELATIVE_PDF, SDF, Multiset, NotAPdfError,
                              delta_block, delta_family, is_hadamard_pdf,
@@ -167,6 +169,53 @@ def test_family_validation():
         make_family(g, [])
     with pytest.raises(ValueError):
         make_family(g, [[0, 1]], forbidden={1, 2})  # not a subgroup
+
+
+@pytest.mark.parametrize("blocks", [
+    [[0.5, 1.9, 3]],          # int() made this {0, 1, 3}
+    [[True, 3]],              # and this {1, 3}
+    [[0, 1], [2, np.float64(3.0)]],
+    [[np.bool_(True), 2]],
+    [{0: 1, 2.5: 1}],
+])
+def test_make_family_refuses_float_and_bool_elements(blocks):
+    with pytest.raises(ValueError, match="is not an integer"):
+        make_family(CyclicGroup(7), blocks)
+
+
+def test_multiset_refuses_float_and_bool_elements():
+    for bad in ([1.0], [False], [1, 2.5]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Multiset(CyclicGroup(7), elements=bad)
+    with pytest.raises(ValueError, match="is not an integer"):
+        Multiset(CyclicGroup(7), counts={True: 2})
+    with pytest.raises(ValueError, match="is not an integer"):
+        make_family(CyclicGroup(7), [[0]], forbidden=[0.0])
+
+
+def test_make_family_accepts_numpy_integers_as_python_ints():
+    g = CyclicGroup(7)
+    fam = make_family(g, [np.array([3, 1, 1]), [np.int32(2), 6]],
+                      forbidden=np.array([0]))
+    assert [b.positions() for b in fam.blocks] == [[1, 1, 3], [2, 6]]
+    assert all(type(e) is int for b in fam.blocks for e in b.positions())
+    assert all(type(e) is int for e in fam.forbidden)
+    assert Multiset(g, elements=np.arange(3)).positions() == [0, 1, 2]
+
+
+def test_make_family_names_first_out_of_range_element_in_block_order():
+    g = CyclicGroup(7)
+    for blocks, first in (([[0, 1], [2, 99, -1]], 99),
+                          ([[0, 1], [-3, 99]], -3),
+                          ([[9], {0: 1}, [8]], 9)):
+        with pytest.raises(ElementOutOfRangeError,
+                           match=rf"^element {first} outside 0\.\.6$"):
+            make_family(g, blocks)
+
+
+def test_family_blocks_over_an_equal_group_object():
+    fam = make_family(CyclicGroup(7), [Multiset(CyclicGroup(7), [0, 1, 3])])
+    assert verify(fam).kind == DS
 
 
 def test_verify_order32_catalog_blocks_inline():

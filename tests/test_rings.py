@@ -1,5 +1,7 @@
 import math
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,3 +234,72 @@ def test_gf_ring_axioms_random(pk, data):
     assert f.mul(a, b) == f.mul(b, a)
     assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
     assert f.add(a, f.neg(a)) == f.zero
+
+
+# -- array predicates against a scalar reference ------------------------------
+
+_PREDICATE_RINGS = (
+    [Zmod(n) for n in (9, 15, 25, 45)]
+    + [GaloisField(p, k) for p, k in ((2, 2), (3, 1), (3, 2), (3, 3), (5, 2),
+                                      (7, 1), (7, 2))]
+    + [ProductRing([GaloisField(3, 1), GaloisField(5, 1)]),
+       ProductRing([GaloisField(3, 2), GaloisField(5, 1)]),
+       ProductRing([GaloisField(5, 1), GaloisField(5, 1)]),
+       ProductRing([GaloisField(3, 1), GaloisField(7, 1), GaloisField(2, 2)])])
+
+
+def _ref_units(ring):
+    """Scalar reference: the elements with a multiplicative inverse."""
+    return [a for a in range(ring.order)
+            if any(ring.mul(a, b) == ring.one for b in range(ring.order))]
+
+
+def _ref_check_y(ring, y, units):
+    """The pairwise scalar unit-difference test, as (ok, witness, reason)."""
+    if len(set(y)) != len(y):
+        return False, None, "repeated element in Y"
+    for e in y:
+        if e not in units:
+            return False, (e, e), f"element {e} is not a unit"
+    negs = {ring.neg(e) for e in y}
+    overlap = sorted(set(y) & negs)
+    if overlap:
+        return False, (overlap[0], ring.neg(overlap[0])), "Y meets -Y"
+    full = sorted(set(y) | negs)
+    for i, a in enumerate(full):
+        for b in full[i + 1:]:
+            if ring.sub(a, b) not in units:
+                return (False, (a, b),
+                        f"difference {ring.sub(a, b)} is not a unit")
+    return True, None, None
+
+
+@pytest.mark.parametrize("ring", _PREDICATE_RINGS, ids=repr)
+def test_units_and_starters_match_scalar_reference(ring):
+    ref = _ref_units(ring)
+    assert ring.units() == ref
+    mask = ring.is_unit(np.arange(ring.order))
+    assert mask.dtype == bool and np.flatnonzero(mask).tolist() == ref
+    assert all(type(ring.is_unit(a)) is bool for a in range(ring.order))
+    if ring.order % 2:
+        want = [h for h in range(1, ring.order) if h <= ring.neg(h)]
+        reps = starter_reps(ring)
+        assert reps == want and all(type(h) is int for h in reps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_PREDICATE_RINGS), st.data())
+def test_check_y_condition_matches_scalar_reference(ring, data):
+    units = _ref_units(ring)
+    element = st.one_of(st.integers(0, ring.order - 1), st.sampled_from(units))
+    y = data.draw(st.lists(element, max_size=6))
+    got = check_y_condition(ring, y)
+    assert (got.ok, got.witness, got.reason) == _ref_check_y(ring, y,
+                                                             set(units))
+
+
+def test_is_unit_array_names_first_out_of_range_entry():
+    for ring in (Zmod(9), GaloisField(3, 2),
+                 ProductRing([GaloisField(3, 1), GaloisField(5, 1)])):
+        with pytest.raises(IndexError, match=f"{ring.order + 2} outside"):
+            ring.is_unit(np.array([1, ring.order + 2, -1]))
