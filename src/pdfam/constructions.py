@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
-                     FiniteGroup, ProductGroup, _is_int, endomorphism_mask)
+                     FiniteGroup, ProductGroup, _indices, _is_int,
+                     endomorphism_mask)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
-                        DesignFamily, Multiset, _difference_counts, _indices,
+                        DesignFamily, Multiset, _difference_counts,
                         make_family, verify)
 from .rings import (EvenOrderError, GaloisField, ProductRing, Ring,
-                    additive_group, build_y_powers, check_y_condition,
-                    factorize, is_prime, maximal_prime_power_divisors,
-                    starter_reps)
+                    build_y_powers, check_y_condition, factorize, is_prime,
+                    maximal_prime_power_divisors, starter_reps)
 
 
 class ConstructionError(ValueError):
@@ -336,7 +336,7 @@ def make_recipe(pdf: DesignFamily, ring: Ring,
         except TypeError as exc:
             raise NoValidYError(
                 f"no canonical unit set for this ring ({exc}); pass one") from exc
-    y = [ring._check(int(v)) for v in y]
+    y = _indices(ring.additive, list(y))
     if len(y) != kmax:
         raise NoValidYError(f"need a unit set of size {kmax}, got {len(y)}")
     chk = check_y_condition(ring, y)
@@ -419,7 +419,7 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     lam, n = params["lam"], params["n"]
     g_group = recipe.pdf.group
     ring = recipe.ring
-    h_group = additive_group(ring)
+    h_group = ring.additive
 
     lifts = []
     for block in recipe.pdf.blocks:

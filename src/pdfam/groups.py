@@ -4,11 +4,14 @@ A group of order n has elements 0..n-1.  Each element also carries a
 coordinate tuple (one integer per direct factor, a singleton for cyclic and
 table groups); index and coordinates are two sides of a mixed-radix
 bijection with the leftmost coordinate most significant, so index order is
-lexicographic order on coordinates.  Groups are written additively but need
-not be abelian; DiffConvention fixes what "a - b" means when order matters.
-The left difference (-b) + a in G is the right difference a + (-b) in the
-opposite group G^op, where a o b = b + a, so every difference is computed as
-a right difference in the group that for_convention() returns.
+lexicographic order on coordinates.  ProductGroup holds the one mixed-radix
+encoding; a ring of pdfam.rings is built on its additive group, from which
+it takes its addition and its element encoding.  Groups are written
+additively but need not be abelian; DiffConvention fixes what "a - b" means
+when order matters.  The left difference (-b) + a in G is the right
+difference a + (-b) in the opposite group G^op, where a o b = b + a, so
+every difference is computed as a right difference in the group that
+for_convention() returns.
 """
 
 from __future__ import annotations
@@ -70,10 +73,12 @@ class FiniteGroup:
         raise NotImplementedError
 
     def coords(self, a: int) -> tuple[int, ...]:
-        raise NotImplementedError
+        """The coordinates of a; this default is for groups of arity 1."""
+        return (self._check(a),)
 
     def index_of(self, coords) -> int:
-        raise NotImplementedError
+        (a,) = coords
+        return self._check(int(a))
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -155,13 +160,6 @@ class CyclicGroup(FiniteGroup):
     def neg(self, a):
         return (-self._check(a)) % self.order
 
-    def coords(self, a):
-        return (self._check(a),)
-
-    def index_of(self, coords):
-        (a,) = coords
-        return self._check(int(a))
-
     def descriptor(self):
         return {"type": "cyclic", "n": self.order}
 
@@ -169,13 +167,13 @@ class CyclicGroup(FiniteGroup):
         return f"Z{self.order}"
 
 
-class MixedRadix:
-    """Direct-product encoding shared by product groups and product rings.
+class ProductGroup(FiniteGroup):
+    """Direct product of groups.
 
     An element index is the mixed-radix number of its per-factor indices,
     leftmost factor most significant; its coordinates are the factors'
-    coordinates concatenated.  The host class (FiniteGroup or Ring)
-    supplies the _check that guards split.
+    coordinates concatenated.  Product rings share this encoding through
+    their additive groups.
     """
 
     def __init__(self, factors):
@@ -193,12 +191,9 @@ class MixedRadix:
         self.strides = tuple(reversed(strides))
         self.order = acc
 
-    def split(self, a: int) -> tuple[int, ...]:
+    def split(self, a) -> tuple:
         """Index -> per-factor indices."""
-        return self._split(self._check(a))
-
-    def _split(self, a) -> tuple:
-        """split without the range check, for indices already checked."""
+        a = self._check(a)
         out = []
         for s in self.strides:
             q, a = divmod(a, s)
@@ -207,6 +202,16 @@ class MixedRadix:
 
     def join(self, parts) -> int:
         return sum(p * s for p, s in zip(parts, self.strides))
+
+    def op(self, a, b):
+        pa = self.split(a)
+        pb = self.split(b)
+        return self.join(f.op(x, y)
+                         for f, x, y in zip(self.factors, pa, pb))
+
+    def neg(self, a):
+        return self.join(f.neg(x)
+                         for f, x in zip(self.factors, self.split(a)))
 
     def coords(self, a):
         out = []
@@ -230,26 +235,12 @@ class MixedRadix:
         return {"type": "product",
                 "factors": [f.descriptor() for f in self.factors]}
 
-    def __repr__(self):
-        return " x ".join(repr(f) for f in self.factors)
-
-
-class ProductGroup(MixedRadix, FiniteGroup):
-    """Direct product of groups; coordinates are concatenated."""
-
-    def op(self, a, b):
-        pa = self.split(a)
-        pb = self.split(b)
-        return self.join(f.op(x, y)
-                         for f, x, y in zip(self.factors, pa, pb))
-
-    def neg(self, a):
-        return self.join(f.neg(x)
-                         for f, x in zip(self.factors, self.split(a)))
-
     @property
     def is_abelian(self):
         return all(f.is_abelian for f in self.factors)
+
+    def __repr__(self):
+        return " x ".join(repr(f) for f in self.factors)
 
 
 class Semidirect32(FiniteGroup):
@@ -308,17 +299,10 @@ class TableGroup(FiniteGroup):
         _check_associativity(self)
 
     def op(self, a, b):
-        return _int_or_array(self.table[self._check(a), self._check(b)])
+        return _scalar_or_array(self.table[self._check(a), self._check(b)])
 
     def neg(self, a):
-        return _int_or_array(self._inv[self._check(a)])
-
-    def coords(self, a):
-        return (self._check(a),)
-
-    def index_of(self, coords):
-        (a,) = coords
-        return self._check(int(a))
+        return _scalar_or_array(self._inv[self._check(a)])
 
     def descriptor(self):
         return {"type": "table", "n": self.order,
@@ -352,8 +336,9 @@ class _OppositeGroup(FiniteGroup):
         return {"type": "opposite", "of": self.base.descriptor()}
 
 
-def _int_or_array(x):
-    return x if isinstance(x, np.ndarray) else int(x)
+def _scalar_or_array(x):
+    """A numpy scalar as the Python int or bool it holds; an array as is."""
+    return x if isinstance(x, np.ndarray) else x.item()
 
 
 def _close(member: np.ndarray, combine) -> np.ndarray:
@@ -466,6 +451,25 @@ def _ints(x) -> bool:
 def _int_rows(x) -> bool:
     """A list of lists of integers."""
     return isinstance(x, list) and all(map(_ints, x))
+
+
+def _indices(group: FiniteGroup, elements: list) -> list[int]:
+    """The elements as Python ints, checked in one pass over the list.
+
+    Booleans and floats are refused (numpy integers pass), and the first
+    element outside 0..order-1, in list order, is named by group._check.
+    The usual all-int list costs a few passes in C and no Python per
+    element.
+    """
+    if not set(map(type, elements)) <= {int}:
+        for e in elements:
+            if not _is_int(e):
+                raise ValueError(f"element {e!r} is not an integer")
+        elements = list(map(int, elements))
+    if elements and (min(elements) < 0 or max(elements) >= group.order):
+        group._check(next(e for e in elements
+                          if not 0 <= e < group.order))
+    return elements
 
 
 _REQUIRED = object()

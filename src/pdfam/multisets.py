@@ -14,8 +14,8 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .groups import (DEFAULT_CONVENTION, DiffConvention, FiniteGroup, _is_int,
-                     is_subgroup)
+from .groups import (DEFAULT_CONVENTION, DiffConvention, FiniteGroup, _indices,
+                     _is_int, is_subgroup)
 
 
 class GroupMismatchError(ValueError):
@@ -36,25 +36,6 @@ DIFFERENCE_MULTISET = "DifferenceMultiset"
 INVALID = "Invalid"
 
 
-def _indices(group: FiniteGroup, elements: list) -> list[int]:
-    """The elements as Python ints, checked in one pass over the list.
-
-    Booleans and floats are refused (numpy integers pass), and the first
-    element outside 0..order-1, in list order, is named by group._check.
-    The usual all-int list costs a few passes in C and no Python per
-    element.
-    """
-    if not set(map(type, elements)) <= {int}:
-        for e in elements:
-            if not _is_int(e):
-                raise ValueError(f"element {e!r} is not an integer")
-        elements = list(map(int, elements))
-    if elements and (min(elements) < 0 or max(elements) >= group.order):
-        group._check(next(e for e in elements
-                          if not 0 <= e < group.order))
-    return elements
-
-
 class Multiset:
     """Multiset of group elements, keyed by canonical element index."""
 
@@ -66,6 +47,8 @@ class Multiset:
         if counts is not None:
             counts = dict(counts)
             for e, m in zip(_indices(group, list(counts)), counts.values()):
+                if not _is_int(m):
+                    raise ValueError(f"multiplicity {m!r} is not an integer")
                 m = int(m)
                 if m < 0:
                     raise ValueError("negative multiplicity")

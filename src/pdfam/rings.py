@@ -1,11 +1,12 @@
 """Finite commutative rings: integers mod n, Galois fields, direct products.
 
-Ring elements are integers 0..order-1 under the same mixed-radix encoding
-the group module uses: a Zmod element is its residue, a field element is
-the base-p value of its coefficient vector (so coords are listed most
-significant first), and a product element mixes the factor indices with the
-leftmost factor most significant (groups.MixedRadix).  The additive group of
-any ring is available as a FiniteGroup with the identical element encoding.
+Every ring is built on its additive group, a FiniteGroup, and ring
+elements are that group's elements 0..order-1 under its encoding: a Zmod
+element is its residue in Zn, a field element is its coefficient vector in
+Zp^k (coords listed leading coefficient first, so the index is their base-p
+value), and a product element is the tuple of its factor elements in the
+product of the factors' additive groups.  Ring addition is that group's
+operation.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (CyclicGroup, FiniteGroup, MixedRadix, ProductGroup,
-                     _factors, _int_field)
+from .groups import (CyclicGroup, FiniteGroup, ProductGroup, _factors,
+                     _indices, _int_field, _scalar_or_array)
 
 
 class NotPrimeError(ValueError):
@@ -61,33 +62,43 @@ def maximal_prime_power_divisors(n: int) -> list[int]:
 
 
 class Ring:
-    """Base class; subclasses provide arithmetic on integer element indices.
+    """Base class for finite commutative rings on integer element indices.
 
-    add/neg/mul take Python ints.  is_unit also takes an int64 index array
-    and then answers entrywise with a bool array; a scalar gives a bool.
+    A ring builds its additive group R+ once, in __init__, and takes all of
+    its additive arithmetic from it: add/neg/sub, coords/index_of and the
+    range check are that group's op/neg/difference, coords/index_of and
+    _check, so they take Python ints or int64 index arrays that broadcast
+    against each other, and a scalar gives an int.  is_unit takes either
+    and answers with a bool or a bool array.  mul stays scalar.
     """
 
-    order: int
-    arity: int
     zero: int = 0
     one: int
 
-    def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
+    def __init__(self, additive: FiniteGroup):
+        self.additive = additive
+        self.order = additive.order
+        self.arity = additive.arity
 
-    def neg(self, a: int) -> int:
-        raise NotImplementedError
+    def add(self, a, b):
+        return self.additive.op(a, b)
+
+    def neg(self, a):
+        return self.additive.neg(a)
+
+    def sub(self, a, b):
+        return self.additive.difference(a, b)
+
+    def coords(self, a) -> tuple[int, ...]:
+        return self.additive.coords(a)
+
+    def index_of(self, coords) -> int:
+        return self.additive.index_of(coords)
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    def is_unit(self, a: int) -> bool:
-        raise NotImplementedError
-
-    def coords(self, a: int) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def index_of(self, coords) -> int:
+    def is_unit(self, a):
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -96,28 +107,8 @@ class Ring:
     def elements(self) -> range:
         return range(self.order)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def units(self) -> list[int]:
         return np.flatnonzero(self.is_unit(np.arange(self.order))).tolist()
-
-    def _check(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise IndexError(f"ring element {a} outside 0..{self.order - 1}")
-        return a
-
-    def _check_indices(self, a):
-        """_check for an int or an int64 index array: an array comes back
-        unchanged when every entry is in range, else its first offending
-        entry is named.  _check itself stays scalar, since every mul pays
-        for it."""
-        if isinstance(a, np.ndarray):
-            bad = (a < 0) | (a >= self.order)
-            if not bad.any():
-                return a
-            a = int(a[bad][0])
-        return self._check(a)
 
     def __eq__(self, other):
         return (isinstance(other, Ring)
@@ -131,8 +122,12 @@ class Ring:
         return f"{type(self).__name__}(order={self.order})"
 
 
-def _bool_or_array(x):
-    return x if isinstance(x, np.ndarray) else bool(x)
+def _refuse(ring: Ring, a, b):
+    """The cold path of mul's inline range test: raise the additive group's
+    ElementOutOfRangeError for the first of a, b outside 0..order-1.  mul
+    tests inline because it runs once per entry of every endomorphism
+    table, where a call to _check would cost more than the product."""
+    ring.additive._check(b if 0 <= a < ring.order else a)
 
 
 class Zmod(Ring):
@@ -141,28 +136,18 @@ class Zmod(Ring):
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("modulus must be at least 2")
-        self.order = n
-        self.arity = 1
-        self.one = 1 % n
-
-    def add(self, a, b):
-        return (self._check(a) + self._check(b)) % self.order
-
-    def neg(self, a):
-        return (-self._check(a)) % self.order
+        super().__init__(CyclicGroup(n))
+        self.one = 1
 
     def mul(self, a, b):
-        return (self._check(a) * self._check(b)) % self.order
+        n = self.order
+        if not (0 <= a < n and 0 <= b < n):
+            _refuse(self, a, b)
+        return a * b % n
 
     def is_unit(self, a):
-        return _bool_or_array(np.gcd(self._check_indices(a), self.order) == 1)
-
-    def coords(self, a):
-        return (self._check(a),)
-
-    def index_of(self, coords):
-        (a,) = coords
-        return self._check(int(a))
+        unit = np.gcd(self.additive._check(a), self.order) == 1
+        return _scalar_or_array(unit)
 
     def descriptor(self):
         return {"type": "zmod", "n": self.order}
@@ -208,9 +193,10 @@ def _digits(val: int, p: int, width: int) -> list[int]:
 class GaloisField(Ring):
     """GF(p^k) with the lexicographically first monic irreducible modulus.
 
-    Elements are polynomials of degree < k over Zp; the index of an element
-    is the base-p value of its coefficients, so GF(p,1) looks exactly like
-    Zp.  The modulus is stored as ascending coefficients of the non-leading
+    Elements are polynomials of degree < k over Zp, and the additive group
+    is Zp^k: an element's coords are its coefficients, leading one first,
+    so its index is their base-p value and GF(p,1) looks exactly like Zp.
+    The modulus is stored as ascending coefficients of the non-leading
     part (x^k + sum modulus[i] x^i).  Multiplication reads exp/log tables of
     the canonical primitive element, the smallest generator of the
     multiplicative group, which is stored as `primitive`.
@@ -221,10 +207,10 @@ class GaloisField(Ring):
             raise NotPrimeError(f"{p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be positive")
+        super().__init__(CyclicGroup(p) if k == 1
+                         else ProductGroup([CyclicGroup(p)] * k))
         self.p = p
         self.k = k
-        self.order = p ** k
-        self.arity = k
         self.one = 1
         self.modulus = self._find_modulus()
         # reduction table for x^k .. x^(2k-2)
@@ -259,39 +245,25 @@ class GaloisField(Ring):
             table.append(cur[:])
         return table
 
-    def _vec(self, a: int) -> list[int]:
-        return _digits(self._check(a), self.p, self.k)
-
-    def _val(self, vec) -> int:
-        out = 0
-        for c in reversed(vec):
-            out = out * self.p + (c % self.p)
-        return out
-
-    def add(self, a, b):
-        va, vb = self._vec(a), self._vec(b)
-        return self._val([(x + y) % self.p for x, y in zip(va, vb)])
-
-    def neg(self, a):
-        return self._val([(-x) % self.p for x in self._vec(a)])
-
     def _primitive_powers(self) -> tuple[int, list[int]]:
         """The smallest a of multiplicative order q - 1, the canonical
         primitive element, and its powers 1, a, ..., a^(q-2)."""
+        one = [1] + [0] * (self.k - 1)
         for a in range(1, self.order):
-            powers = [1]
-            x = a
-            while x != 1:
+            va = list(self.coords(a))[::-1]  # ascending coefficients
+            powers = [one]
+            x = va
+            while x != one:
                 powers.append(x)
-                x = self._poly_mul(x, a)
+                x = self._poly_mul(x, va)
             if len(powers) == self.order - 1:
-                return a, powers
+                return a, [self.index_of(x[::-1]) for x in powers]
         raise RuntimeError("no primitive element found")  # unreachable
 
-    def _poly_mul(self, a: int, b: int) -> int:
-        """Schoolbook polynomial product reduced by the modulus."""
+    def _poly_mul(self, va: list[int], vb: list[int]) -> list[int]:
+        """Schoolbook product of two ascending coefficient lists, reduced
+        by the modulus."""
         p, k = self.p, self.k
-        va, vb = self._vec(a), self._vec(b)
         prod = [0] * (2 * k - 1)
         for i, x in enumerate(va):
             if x:
@@ -300,31 +272,21 @@ class GaloisField(Ring):
         for e in range(2 * k - 2, k - 1, -1):
             c = prod[e]
             if c:
-                prod[e] = 0
                 red = self._xpow[e - k]
                 for i in range(k):
                     prod[i] = (prod[i] + c * red[i]) % p
-        return self._val(prod[:k])
+        return prod[:k]
 
     def mul(self, a, b):
-        a, b = self._check(a), self._check(b)
+        q = self.order
+        if not (0 <= a < q and 0 <= b < q):
+            _refuse(self, a, b)
         if a and b:
             return self._exp[self._log[a] + self._log[b]]
         return 0
 
     def is_unit(self, a):
-        return self._check_indices(a) != 0
-
-    def coords(self, a):
-        return tuple(reversed(self._vec(a)))
-
-    def index_of(self, coords):
-        coords = [int(c) for c in coords]
-        if len(coords) != self.k:
-            raise ValueError(f"expected {self.k} coordinates")
-        if any(not 0 <= c < self.p for c in coords):
-            raise IndexError("coordinate out of range")
-        return self._val(list(reversed(coords)))
+        return self.additive._check(a) != 0
 
     def descriptor(self):
         return {"type": "gf", "p": self.p, "k": self.k}
@@ -333,33 +295,36 @@ class GaloisField(Ring):
         return f"GF({self.order})"
 
 
-class ProductRing(MixedRadix, Ring):
-    """Direct product of rings; unitwise arithmetic, concatenated coords."""
+class ProductRing(Ring):
+    """Direct product of rings: unitwise arithmetic, and the additive group
+    is the product of the factors' additive groups, whose mixed-radix
+    encoding the ring shares."""
 
     def __init__(self, factors):
-        super().__init__(factors)
+        self.factors = tuple(factors)
+        super().__init__(ProductGroup(f.additive for f in self.factors))
         self.one = self.join(f.one for f in self.factors)
 
-    def _zip(self, a, b, fn_name):
-        pa, pb = self.split(a), self.split(b)
-        return self.join(getattr(f, fn_name)(x, y)
-                         for f, x, y in zip(self.factors, pa, pb))
+    def split(self, a) -> tuple:
+        return self.additive.split(a)
 
-    def add(self, a, b):
-        return self._zip(a, b, "add")
+    def join(self, parts) -> int:
+        return self.additive.join(parts)
 
     def mul(self, a, b):
-        return self._zip(a, b, "mul")
-
-    def neg(self, a):
-        return self.join(f.neg(x)
-                         for f, x in zip(self.factors, self.split(a)))
+        g = self.additive
+        return g.join([f.mul(x, y) for f, x, y
+                       in zip(self.factors, g.split(a), g.split(b))])
 
     def is_unit(self, a):
         unit = True
-        for f, x in zip(self.factors, self._split(self._check_indices(a))):
+        for f, x in zip(self.factors, self.split(a)):
             unit = unit & f.is_unit(x)
         return unit
+
+    # the product group's descriptor and name, over the factor rings
+    descriptor = ProductGroup.descriptor
+    __repr__ = ProductGroup.__repr__
 
 
 def make_gf(p: int, k: int = 1) -> GaloisField:
@@ -383,15 +348,7 @@ def make_ring(descriptor: dict) -> Ring:
 
 def additive_group(ring: Ring) -> FiniteGroup:
     """The additive group of a ring, with the same element indexing."""
-    if isinstance(ring, Zmod):
-        return CyclicGroup(ring.order)
-    if isinstance(ring, GaloisField):
-        if ring.k == 1:
-            return CyclicGroup(ring.p)
-        return ProductGroup(CyclicGroup(ring.p) for _ in range(ring.k))
-    if isinstance(ring, ProductRing):
-        return ProductGroup(additive_group(f) for f in ring.factors)
-    raise TypeError(f"no additive group mapping for {type(ring).__name__}")
+    return ring.additive
 
 
 def ring_pow(ring: Ring, a: int, e: int) -> int:
@@ -422,7 +379,7 @@ def starter_reps(ring: Ring) -> list[int]:
     if ring.order % 2 == 0:
         raise EvenOrderError("patterned starters need a ring of odd order")
     h = np.arange(1, ring.order)
-    return h[h <= additive_group(ring).neg(h)].tolist()
+    return h[h <= ring.neg(h)].tolist()
 
 
 def _field_factors(ring: Ring) -> list[GaloisField]:
@@ -471,10 +428,9 @@ def check_y_condition(ring: Ring, y) -> YCheck:
     unit.  Returns the first offending pair on failure: the first non-unit
     of Y, the least element of Y that meets -Y, or the first pair (a, b),
     a < b, of the sorted Y union -Y in row-major order whose difference
-    a - b is not a unit.  All differences come from one broadcast in the
-    additive group.
+    a - b is not a unit.  All differences come from one broadcast of sub.
     """
-    y = [ring._check(int(e)) for e in y]
+    y = _indices(ring.additive, list(y))
     if len(set(y)) != len(y):
         return YCheck(False, None, "repeated element in Y")
     ya = np.array(y, dtype=np.int64)
@@ -482,14 +438,13 @@ def check_y_condition(ring: Ring, y) -> YCheck:
     if not unit.all():
         e = y[int(unit.argmin())]
         return YCheck(False, (e, e), f"element {e} is not a unit")
-    group = additive_group(ring)
-    negs = group.neg(ya).tolist()
+    negs = ring.neg(ya).tolist()
     overlap = sorted(set(y) & set(negs))
     if overlap:
         o = overlap[0]
-        return YCheck(False, (o, group.neg(o)), "Y meets -Y")
+        return YCheck(False, (o, ring.neg(o)), "Y meets -Y")
     full = np.array(sorted(y + negs), dtype=np.int64)  # a disjoint union
-    diff = group.difference(full[:, None], full[None, :])
+    diff = ring.sub(full[:, None], full[None, :])
     bad = np.triu(~ring.is_unit(diff), k=1)
     if bad.any():
         i, j = np.unravel_index(int(bad.argmax()), bad.shape)

@@ -154,43 +154,41 @@ def max_unit_y_search(ring: Ring,
     Backtracks over units in ascending canonical order; a candidate u may
     join Y only if 2u is a unit and u-y, u+y are units for every y already
     chosen, which is exactly the incremental form of the full condition.
+    Each chosen y narrows the candidates with one array test.
     """
     started = time.monotonic()
     deadline = (started + bounds.time_budget_s
                 if bounds.time_budget_s is not None else None)
-    units = [e for e in ring.units() if ring.is_unit(ring.add(e, e))]
+    h = np.arange(ring.order)
+    units = h[ring.is_unit(h) & ring.is_unit(ring.add(h, h))]
     best: list[int] = []
     chosen: list[int] = []
     nodes = 0
     truncated = False
 
-    def compatible(u: int) -> bool:
-        for y in chosen:
-            if not (ring.is_unit(ring.sub(u, y))
-                    and ring.is_unit(ring.add(u, y))):
-                return False
-        return True
-
-    def extend(start: int) -> bool:
+    def extend(start: int, fits: np.ndarray) -> bool:
+        """fits[i]: units[i] - y and units[i] + y are units for every
+        chosen y."""
         nonlocal nodes, truncated, best
         if deadline is not None and time.monotonic() > deadline:
             truncated = True
             return False
         for i in range(start, len(units)):
             nodes += 1
-            u = units[i]
-            if not compatible(u):
+            if not fits[i]:
                 continue
-            chosen.append(u)
+            u = units[i]
+            chosen.append(int(u))
             if len(chosen) > len(best):
                 best = list(chosen)
-            ok = extend(i + 1)
+            ok = extend(i + 1, fits & ring.is_unit(ring.sub(units, u))
+                        & ring.is_unit(ring.add(units, u)))
             chosen.pop()
             if not ok:
                 return False
         return True
 
-    exhausted = extend(0)
+    exhausted = extend(0, np.ones(len(units), dtype=bool))
     return YSearchResult(len(best), tuple(best),
                          exhausted and not truncated, nodes,
                          time.monotonic() - started)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pdfam
 from pdfam.cli import main
 
 
@@ -353,6 +358,14 @@ def test_ring_descriptor_field_not_integer_exits_1(capsys, spec):
     ("starters", lambda v: None),
 ])
 def test_expand_recipe_field_not_integers_exits_1(tmp_path, capsys, key, bad):
+    path = _trivial_recipe_with(tmp_path, capsys, key, bad)
+    _exits_1_with_one_line(capsys, ["construct", "expand", "--recipe",
+                                    str(path)], key)
+
+
+def _trivial_recipe_with(tmp_path, capsys, key, bad):
+    """The canonical recipe of the trivial Hadamard PDF over F7, written to
+    a file with recipe[key] replaced by bad(recipe[key])."""
     code, fam = run_json(capsys, "catalog", "emit", "trivial-hds")
     fam_path = tmp_path / "fam.json"
     fam_path.write_text(json.dumps(fam))
@@ -362,8 +375,19 @@ def test_expand_recipe_field_not_integers_exits_1(tmp_path, capsys, key, bad):
     rec[key] = bad(rec[key])
     path = tmp_path / "recipe.json"
     path.write_text(json.dumps(rec))
+    return path
+
+
+@pytest.mark.parametrize("key,value", [
+    ("starters", [1, 2, 99]), ("starters", [1, 2, -3]),
+    ("y", [3, 2, 99]), ("y", [3, 2, -1]),
+])
+def test_expand_recipe_element_out_of_range_exits_1(tmp_path, capsys, key,
+                                                    value):
+    path = _trivial_recipe_with(tmp_path, capsys, key, lambda v: value)
     _exits_1_with_one_line(capsys, ["construct", "expand", "--recipe",
-                                    str(path)], key)
+                                    str(path)],
+                           f"element {value[-1]} outside 0..6")
 
 
 def test_verify_table_group_entries_not_integers_exits_1(tmp_path, capsys):
@@ -372,3 +396,14 @@ def test_verify_table_group_entries_not_integers_exits_1(tmp_path, capsys):
         "group": {"type": "table", "table": [[0, 1], [1, 0.0]]},
         "blocks": [[0], [1]]}))
     _exits_1_with_one_line(capsys, ["verify", str(path)], "table")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    assert main(["catalog", "list"]) == 0
+    want = capsys.readouterr().out
+    src = str(Path(pdfam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "pdfam", "catalog", "list"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0 and done.stdout == want

@@ -1,6 +1,7 @@
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -312,6 +313,19 @@ _GOLDEN = {
         lambda: cons.expand_from_hds(1, 97),
         "4665dd96f4f02ec3d8a8eabc5e5d1b8c6e760cc8f7cb75170e494afe3b1626e3",
         "93cfca66545cd073996f01dcfdeaade7c096bed69ed8a5c15d3033a9d74089c8"),
+    # F7 x F11 and F49 x F11: the nested additive-group descriptors reach
+    # the output through the ambient group
+    "expand_from_hds(1, 77)": (
+        lambda: cons.expand_from_hds(1, 77),
+        "eef14b6b248282dab8cee6f73754503fb5e81ddb7b5b21852c7523d8c0e91855",
+        "fcce8668ff6e351f7dd911092447f34df6b6905413baebb3455c40c361fe22e8"),
+    "expand u=1 over F49xF11": (
+        lambda: [cons.expand_hadamard_pdf(cons.make_recipe(
+            cons.hadamard_pdf_from_hds(1).family,
+            ProductRing([GaloisField(7, 2), GaloisField(11)]), completion))
+            for completion in cons.COMPLETIONS],
+        "d2fd8434c1a8ed64ad54a75b906b2ef91d9fb491b90d4507565b7039f5efc8a2",
+        "a34f2e3e00eda92cc3a311a4ba8cbf3a99a6c3ae94448c81929d2b0b5cbb1311"),
 }
 
 
@@ -327,3 +341,12 @@ def test_complement_pdf_refuses_float_and_bool_elements():
     for block in ([0.5], [True]):
         with pytest.raises(ValueError, match="is not an integer"):
             cons.complement_pdf(CyclicGroup(4), block)
+
+
+def test_make_recipe_refuses_non_integer_y():
+    for y in ([3.9, 2.2, 6.5], [3, 2, True]):
+        with pytest.raises(ValueError, match=r"^element \S+ is not an integer$"):
+            cons.make_recipe(trivial_hds_family(), GaloisField(7), y=y)
+    rec = cons.make_recipe(trivial_hds_family(), GaloisField(7),
+                           y=np.array([3, 2, 6]))
+    assert rec.y == (3, 2, 6) and all(type(e) is int for e in rec.y)

@@ -193,6 +193,22 @@ def test_multiset_refuses_float_and_bool_elements():
         make_family(CyclicGroup(7), [[0]], forbidden=[0.0])
 
 
+@pytest.mark.parametrize("m", [2.7, 2.0, True, np.float64(2.0),
+                               np.bool_(True)],
+                         ids=["float", "whole-float", "bool", "numpy-float",
+                              "numpy-bool"])
+def test_multiset_refuses_float_and_bool_multiplicities(m):
+    with pytest.raises(ValueError,
+                       match=r"^multiplicity \S+ is not an integer$"):
+        Multiset(CyclicGroup(7), counts={1: m})
+
+
+def test_multiset_accepts_numpy_integer_multiplicities():
+    ms = Multiset(CyclicGroup(7), counts={np.int64(1): np.int32(2), 3: 1})
+    assert ms.counts == {1: 2, 3: 1}
+    assert all(type(m) is int for m in ms.counts.values())
+
+
 def test_make_family_accepts_numpy_integers_as_python_ints():
     g = CyclicGroup(7)
     fam = make_family(g, [np.array([3, 1, 1]), [np.int32(2), 6]],

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdfam.groups import CyclicGroup, ProductGroup
+from pdfam.groups import CyclicGroup, ElementOutOfRangeError, ProductGroup
 from pdfam.rings import (EvenOrderError, GaloisField, NotPrimeError,
                          ProductRing, Zmod, additive_group, build_y_powers,
                          check_y_condition, factorize, is_prime, make_gf,
@@ -125,20 +126,91 @@ def test_product_ring_componentwise():
     assert not r.is_unit(r.join((0, 1)))
 
 
+def _radices(ring):
+    """The moduli of a ring's additive coordinates, leading one first."""
+    if isinstance(ring, Zmod):
+        return [ring.order]
+    if isinstance(ring, GaloisField):
+        return [ring.p] * ring.k
+    return [r for f in ring.factors for r in _radices(f)]
+
+
+def _digit_ref(ring):
+    """Digit-wise reference: (coords, index_of, add, neg, sub) on ints."""
+    radices = _radices(ring)
+
+    def coords(a):
+        out = []
+        for r in reversed(radices):
+            a, d = divmod(a, r)
+            out.append(d)
+        return tuple(reversed(out))
+
+    def index_of(digits):
+        a = 0
+        for r, d in zip(radices, digits):
+            a = a * r + d
+        return a
+
+    def add(a, b):
+        return index_of([(x + y) % r for r, x, y
+                         in zip(radices, coords(a), coords(b))])
+
+    def neg(a):
+        return index_of([-x % r for r, x in zip(radices, coords(a))])
+
+    return coords, index_of, add, neg, lambda a, b: add(a, neg(b))
+
+
 def test_additive_group_preserves_indices():
     cases = [
         (Zmod(9), CyclicGroup(9)),
         (GaloisField(5, 2), ProductGroup([CyclicGroup(5), CyclicGroup(5)])),
         (ProductRing([GaloisField(3, 1), GaloisField(7, 1)]),
          ProductGroup([CyclicGroup(3), CyclicGroup(7)])),
+        (GaloisField(7), CyclicGroup(7)),
+        (GaloisField(3, 3), ProductGroup([CyclicGroup(3)] * 3)),
+        (Zmod(15), CyclicGroup(15)),
+        (ProductRing([GaloisField(5, 2), GaloisField(7)]),
+         ProductGroup([ProductGroup([CyclicGroup(5), CyclicGroup(5)]),
+                       CyclicGroup(7)])),
     ]
     for ring, expected in cases:
         g = additive_group(ring)
         assert g == expected
+        assert g is additive_group(ring)
+        assert (json.dumps(g.descriptor(), sort_keys=True)
+                == json.dumps(expected.descriptor(), sort_keys=True))
         for a in range(0, ring.order, max(1, ring.order // 7)):
             for b in range(0, ring.order, max(1, ring.order // 5)):
                 assert g.op(a, b) == ring.add(a, b)
                 assert g.neg(a) == ring.neg(a)
+
+        coords, index_of, add, neg, sub = _digit_ref(ring)
+        elems = list(ring.elements())
+        col, row = np.arange(ring.order)[:, None], np.arange(ring.order)
+        for name, ref in (("add", add), ("sub", sub)):
+            table = getattr(ring, name)(col, row)
+            assert table.tolist() == [[ref(a, b) for b in elems]
+                                      for a in elems]
+            for a, b in ((0, ring.order - 1), (ring.order // 2, 3)):
+                got = getattr(ring, name)(a, b)
+                assert type(got) is int and got == table[a, b]
+        negs = ring.neg(np.arange(ring.order))
+        assert negs.tolist() == [neg(a) for a in elems]
+        assert all(type(ring.neg(a)) is int and ring.neg(a) == negs[a]
+                   for a in elems)
+        assert [ring.coords(a) for a in elems] == [coords(a) for a in elems]
+        assert all(type(ring.index_of(coords(a))) is int
+                   and ring.index_of(coords(a)) == index_of(coords(a)) == a
+                   for a in elems)
+
+        bad = np.array([1, ring.order + 2, -1])
+        for call in (lambda: ring.add(bad, 0), lambda: ring.neg(bad),
+                     lambda: ring.sub(0, bad)):
+            with pytest.raises(ElementOutOfRangeError,
+                               match=f"element {ring.order + 2} outside"):
+                call()
 
 
 def test_starter_reps_examples():
@@ -199,6 +271,14 @@ def test_check_y_condition_z25_witness():
     assert not chk.ok
     assert chk.witness == (1, 21)
     assert "not a unit" in chk.reason
+
+
+def test_check_y_condition_refuses_non_integers():
+    for y in ([3.9, 2.2], [3, False], [np.float64(3.0)]):
+        with pytest.raises(ValueError,
+                           match=r"^element \S+ is not an integer$"):
+            check_y_condition(GaloisField(7), y)
+    assert check_y_condition(GaloisField(7), np.array([3, 2, 6])).ok
 
 
 def test_check_y_condition_rejects_sign_collision():
