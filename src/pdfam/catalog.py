@@ -3,7 +3,7 @@ trivial order-4 complement pair, and a searched order-16 complement pair."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
@@ -80,7 +80,7 @@ class CatalogCertification:
 
 
 def _certify(name: str, convention: DiffConvention) -> CatalogCertification:
-    rep = verify(catalog_family(name), convention)
+    rep = verify(replace(catalog_family(name), convention=convention))
     hadamard = rep.kind == PDF and rep.v == 2 * rep.lambda_or_mu
     return CatalogCertification(name, convention, rep, hadamard)
 

@@ -3,6 +3,9 @@
 Exit codes: 0 when the requested object certifies, 1 on bad input or a
 construction-level error, 2 when an object was built but failed its
 certification check.
+
+The difference convention is settled in _conv (--convention, else the input
+file's, else right) and given to a family as _load_family decodes it.
 """
 
 from __future__ import annotations
@@ -102,16 +105,17 @@ def _read_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_family(path: str):
-    """Family file, either bare or the construct-command wrapper; the
-    wrapper's declaration is decoded before anything is verified."""
+def _load_family(path: str, args):
+    """Family file, either bare or the construct-command wrapper, read under
+    the convention _conv settles, and the wrapper's declaration or None;
+    both are decoded before anything is verified."""
     data = _read_json(path)
     if isinstance(data, dict) and "family" in data:
-        conv, declared = data.get("convention"), data.get("declared")
-        return (family_from_json(data["family"]),
-                None if conv is None else convention_from_name(conv),
+        declared = data.get("declared")
+        return (family_from_json(data["family"],
+                                 _conv(args, data.get("convention"))),
                 None if declared is None else prediction_from_json(declared))
-    return family_from_json(data), None, None
+    return family_from_json(data, _conv(args)), None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -126,11 +130,23 @@ def _finish(result, out: str | None) -> int:
     return 0 if result.certified else 2
 
 
-def _conv(args, file_conv=None):
-    """Explicit flag wins, then the input file's convention, then default."""
+def _conv(args, file_conv: str | None = None):
+    """Explicit flag wins, then the input file's convention, then default;
+    a file's convention is checked even when the flag wins."""
+    if file_conv is not None:
+        file_conv = convention_from_name(file_conv)
     if args.convention is not None:
         return convention_from_name(args.convention)
     return file_conv or DEFAULT_CONVENTION
+
+
+def _ring(args, command: str) -> Ring:
+    """The ring of --ring, else the ring of the modulus --m."""
+    if args.ring:
+        return parse_ring_spec(args.ring)
+    if args.m is not None:
+        return ring_for_modulus(args.m)
+    raise UsageError(f"{command} needs --ring or --m")
 
 
 def cmd_construct(args) -> int:
@@ -145,8 +161,8 @@ def cmd_construct(args) -> int:
     if kind == "double-sdf":
         if not args.family:
             raise UsageError("double-sdf needs --family FILE")
-        fam, file_conv, _ = _load_family(args.family)
-        return _finish(double_sdf(fam, _conv(args, file_conv)), args.out)
+        fam, _ = _load_family(args.family, args)
+        return _finish(double_sdf(fam), args.out)
     if kind == "paley":
         if args.q is None:
             raise UsageError("paley needs --q PRIME")
@@ -156,20 +172,12 @@ def cmd_construct(args) -> int:
             return _finish(expand_hadamard_pdf(recipe_from_json(
                 _read_json(args.recipe))), args.out)
         if args.family:
-            fam, file_conv, _ = _load_family(args.family)
+            fam, _ = _load_family(args.family, args)
         elif args.u is not None:
             fam = hadamard_pdf_from_hds(args.u, convention=_conv(args)).family
-            file_conv = None
         else:
             raise UsageError("expand needs --recipe, --family, or --u")
-        if args.ring:
-            ring = parse_ring_spec(args.ring)
-        elif args.m is not None:
-            ring = ring_for_modulus(args.m)
-        else:
-            raise UsageError("expand needs --ring or --m")
-        rec = make_recipe(fam, ring, completion,
-                          convention=_conv(args, file_conv))
+        rec = make_recipe(fam, _ring(args, "expand"), completion)
         return _finish(expand_hadamard_pdf(rec), args.out)
     if kind == "corollary-hds":
         if args.u is None or args.m is None:
@@ -186,8 +194,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    fam, file_conv, declared = _load_family(args.file)
-    rep = verify(fam, _conv(args, file_conv))
+    fam, declared = _load_family(args.file, args)
+    rep = verify(fam)
     _emit(canonical_dumps(report_to_json(rep)), args.out)
     if declared is not None:
         return 0 if declared.matches(rep) else 2
@@ -200,7 +208,8 @@ def cmd_search_hds(args) -> int:
                           time_budget_s=args.time_budget)
     conv = _conv(args)
     found = search_hds(group, args.u, bounds, conv)
-    reports = [report_to_json(verify(make_family(group, [list(d)]), conv))
+    reports = [report_to_json(verify(make_family(group, [list(d)],
+                                                 convention=conv)))
                for d in found.results]
     _emit(canonical_dumps({
         "group": group.descriptor(),
@@ -250,15 +259,9 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_recipe(args) -> int:
-    fam, file_conv, _ = _load_family(args.family)
-    if args.ring:
-        ring = parse_ring_spec(args.ring)
-    elif args.m is not None:
-        ring = ring_for_modulus(args.m)
-    else:
-        raise UsageError("recipe needs --ring or --m")
-    rec = make_recipe(fam, ring, args.completion or COMPLETION_SINGLE,
-                      convention=_conv(args, file_conv))
+    fam, _ = _load_family(args.family, args)
+    rec = make_recipe(fam, _ring(args, "recipe"),
+                      args.completion or COMPLETION_SINGLE)
     _emit(canonical_dumps(recipe_to_json(rec)), args.out)
     return 0
 

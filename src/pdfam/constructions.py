@@ -9,7 +9,7 @@ recounts every difference from scratch.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,7 +115,6 @@ class ConstructionResult:
     family: DesignFamily
     report: object
     predicted: Prediction
-    convention: DiffConvention
 
     @property
     def certified(self) -> bool:
@@ -134,7 +133,7 @@ def complement_pdf(group: FiniteGroup, block,
     v = group.order
     if not d or len(d) >= v:
         raise NotADifferenceSetError("need a nonempty proper subset")
-    ds_report = verify(make_family(group, [d]), convention)
+    ds_report = verify(make_family(group, [d], convention=convention))
     if ds_report.kind != DS or ds_report.h != 1:
         raise NotADifferenceSetError(
             f"block does not certify as an ordinary difference set "
@@ -142,32 +141,30 @@ def complement_pdf(group: FiniteGroup, block,
     k = len(d)
     lam = ds_report.lambda_or_mu
     comp = sorted(set(range(v)) - set(d))
-    fam = make_family(group, [d, comp])
+    fam = make_family(group, [d, comp], convention=convention)
     pred = Prediction(PDF, v, tuple(sorted((k, v - k))), v - 2 * k + 2 * lam)
-    return ConstructionResult(fam, verify(fam, convention), pred, convention)
+    return ConstructionResult(fam, verify(fam), pred)
 
 
-def double_sdf(pdf: DesignFamily,
-               convention: DiffConvention = DEFAULT_CONVENTION
-               ) -> ConstructionResult:
+def double_sdf(pdf: DesignFamily) -> ConstructionResult:
     """Double every block of a Hadamard PDF into a strong difference family.
 
     Doubling a block multiplies its non-identity difference counts by four
     and contributes 2|X| identity differences, so a (2*lam,K,lam)-PDF
     doubles to a (2*lam, 2K, 4*lam)-SDF.
     """
-    rep = verify(pdf, convention)
+    rep = verify(pdf)
     if rep.kind != PDF:
         raise NotHadamardError(
             f"input does not certify as an ordinary PDF (got {rep.kind})")
     if rep.v != 2 * rep.lambda_or_mu:
         raise NotHadamardError(
             f"PDF is not Hadamard: v={rep.v}, lambda={rep.lambda_or_mu}")
-    doubled = make_family(pdf.group, [b.scaled(2) for b in pdf.blocks])
+    doubled = make_family(pdf.group, [b.scaled(2) for b in pdf.blocks],
+                          convention=pdf.convention)
     pred = Prediction(SDF, rep.v, tuple(sorted(2 * k for k in rep.K)),
                       4 * rep.lambda_or_mu)
-    return ConstructionResult(doubled, verify(doubled, convention), pred,
-                              convention)
+    return ConstructionResult(doubled, verify(doubled), pred)
 
 
 def paley_double_sdf(q: int,
@@ -186,24 +183,25 @@ def paley_double_sdf(q: int,
     residues = {pow(x, 2, q) for x in range(1, q)}
     comp = sorted(set(range(q)) - residues)
     block = Multiset(group, counts={e: 2 for e in comp})
-    fam = DesignFamily(group, (block,))
+    fam = DesignFamily(group, (block,), convention=convention)
     pred = Prediction(DIFFERENCE_MULTISET, q, (q + 1,), q + 1)
-    return ConstructionResult(fam, verify(fam, convention), pred, convention)
+    return ConstructionResult(fam, verify(fam), pred)
 
 
-def _fiber_matrix(g_group: FiniteGroup, h_group: FiniteGroup, lifts,
-                  convention: DiffConvention) -> np.ndarray:
+def _fiber_matrix(base: DesignFamily, h_group: FiniteGroup,
+                  lifts) -> np.ndarray:
     """Row g, column h: how often a difference inside one lifted block is
-    (g, h), tallied over G x H, where (g, h) has index g*|H| + h."""
+    (g, h), tallied over G x H under the base family's convention, where G
+    is the base family's group and (g, h) has index g*|H| + h."""
+    g_group = base.group
     ambient = ProductGroup([g_group, h_group])
     rows = [[ambient.join(p) for p in pairs] for pairs in lifts]
-    return _difference_counts(ambient, rows, convention).reshape(
+    return _difference_counts(ambient, rows, base.convention).reshape(
         g_group.order, h_group.order)
 
 
 def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
-             lam: int, convention: DiffConvention = DEFAULT_CONVENTION
-             ) -> ConstructionResult:
+             lam: int) -> ConstructionResult:
     """Lift a strong difference family to a relative difference family.
 
     lifts[i] is a set of (g, h) pairs projecting onto the i-th block of the
@@ -212,7 +210,7 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
     lam * (|H|-1) and the combined endomorphism images of every difference
     fiber L_g cover H minus zero uniformly lam times, the images of the
     lifts under all (g,h)->(g,e(h)) form a (|G||H|, G x {0}, ^e K, lam)
-    difference family in G x H.
+    difference family in G x H, read under the strong family's convention.
 
     Each table is checked for additivity before it is used, through a
     generating set of H (groups.endomorphism_mask): e(a + g) = e(a) + e(g)
@@ -220,7 +218,7 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
     table.
     """
     g_group = sdf.group
-    sdf_report = verify(sdf, convention)
+    sdf_report = verify(sdf)
     if sdf_report.kind not in (SDF, DIFFERENCE_MULTISET):
         raise ParameterMismatchError(
             f"input does not certify as a strong difference family "
@@ -270,7 +268,7 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
     # L_g under all tables must be lam copies of H minus zero
     sends = np.bincount((idx * hn + tables).ravel(),
                         minlength=hn * hn).reshape(hn, hn)
-    covered = _fiber_matrix(g_group, h_group, clean_lifts, convention) @ sends
+    covered = _fiber_matrix(sdf, h_group, clean_lifts) @ sends
     h_ident = h_group.identity
     want = np.full(hn, lam)
     want[h_ident] = 0
@@ -289,15 +287,17 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
         blocks.extend(images.tolist())
     forbidden = frozenset(
         ambient.join((np.arange(g_group.order), h_ident)).tolist())
-    fam = make_family(ambient, blocks, forbidden=forbidden)
+    fam = make_family(ambient, blocks, forbidden=forbidden,
+                      convention=sdf.convention)
     sizes = tuple(sorted(len(p) for p in clean_lifts for _ in tables))
     pred = Prediction(DF, ambient.order, sizes, lam, h=g_group.order)
-    return ConstructionResult(fam, verify(fam, convention), pred, convention)
+    return ConstructionResult(fam, verify(fam), pred)
 
 
 @dataclass(frozen=True)
 class ExpansionRecipe:
-    """Everything needed to replay one ring expansion of a Hadamard PDF."""
+    """Everything needed to replay one ring expansion of a Hadamard PDF,
+    whose differences are read under the convention of the family pdf."""
 
     pdf: DesignFamily
     ring: Ring
@@ -305,12 +305,10 @@ class ExpansionRecipe:
     f_map: tuple[int, ...]  # group element index -> ring element index
     starters: tuple[int, ...]
     completion: str
-    convention: DiffConvention = DEFAULT_CONVENTION
 
 
 def make_recipe(pdf: DesignFamily, ring: Ring,
-                completion: str = COMPLETION_SINGLE, y=None,
-                convention: DiffConvention = DEFAULT_CONVENTION
+                completion: str = COMPLETION_SINGLE, y=None
                 ) -> ExpansionRecipe:
     """Canonical recipe: power-built Y, block-position f, canonical starters.
 
@@ -320,7 +318,7 @@ def make_recipe(pdf: DesignFamily, ring: Ring,
     """
     if completion not in COMPLETIONS:
         raise ValueError(f"completion must be one of {COMPLETIONS}")
-    rep = verify(pdf, convention)
+    rep = verify(pdf)
     if rep.kind != PDF or rep.v != 2 * rep.lambda_or_mu:
         raise NotHadamardError(
             f"input does not certify as a Hadamard PDF (kind {rep.kind}, "
@@ -348,12 +346,12 @@ def make_recipe(pdf: DesignFamily, ring: Ring,
         for j, d in enumerate(sorted(block.counts)):
             f_map[d] = y[j]
     return ExpansionRecipe(pdf, ring, tuple(y), tuple(f_map),
-                           tuple(starter_reps(ring)), completion, convention)
+                           tuple(starter_reps(ring)), completion)
 
 
 def validate_recipe(recipe: ExpansionRecipe) -> dict:
     """Recheck every recipe invariant; returns basic parameters."""
-    rep = verify(recipe.pdf, recipe.convention)
+    rep = verify(recipe.pdf)
     if rep.kind != PDF or rep.v != 2 * rep.lambda_or_mu:
         raise RecipeInvariantError("base family is not a Hadamard PDF")
     ring = recipe.ring
@@ -432,7 +430,7 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
 
     # difference fibers of the lifted blocks: every fiber must hold 4*lam
     # entries, be closed under negation, and contain only units
-    fibers = _fiber_matrix(g_group, h_group, lifts, recipe.convention)
+    fibers = _fiber_matrix(recipe.pdf, h_group, lifts)
     lg_checks = {"size": True, "negation_closed": True, "units": True}
     negated = fibers[:, h_group.neg(np.arange(ring.order))]
     support = np.flatnonzero(fibers.any(axis=0))
@@ -448,13 +446,12 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
                 f"difference fiber at g={g_group.coords(int(bad.argmax()))} "
                 f"{problem}")
 
-    sdf = double_sdf(recipe.pdf, recipe.convention)
+    sdf = double_sdf(recipe.pdf)
     if not sdf.certified:
         raise RecipeInvariantError("doubled family failed certification")
     endos = [tuple(ring.mul(s, h) for h in range(ring.order))
              for s in recipe.starters]
-    relative = sdf_lift(sdf.family, h_group, lifts, endos, 2 * lam,
-                        recipe.convention)
+    relative = sdf_lift(sdf.family, h_group, lifts, endos, 2 * lam)
 
     ambient = relative.family.group
     # across all starters, each source block sweeps its own full fiber:
@@ -477,12 +474,12 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
                      for g in zero_fiber]
     completion_sizes = [len(g) for g in zero_fiber]
 
-    final = make_family(ambient, final_blocks)
+    final = make_family(ambient, final_blocks,
+                        convention=recipe.pdf.convention)
     sizes = [2 * k for k in params["K"] for _ in range(n)] + completion_sizes
     pred = Prediction(PDF, g_group.order * ring.order,
                       tuple(sorted(sizes)), 2 * lam)
-    return ExpansionResult(final, verify(final, recipe.convention), pred,
-                           recipe.convention, recipe=recipe,
+    return ExpansionResult(final, verify(final), pred, recipe=recipe,
                            relative=relative, lg_checks=lg_checks)
 
 
@@ -529,34 +526,35 @@ def hadamard_pdf_from_hds(u: int, group: FiniteGroup | None = None,
     return base
 
 
+def _both_completions(pdf: DesignFamily, m: int
+                      ) -> tuple[ExpansionResult, ExpansionResult]:
+    """The single and per-block expansions of a Hadamard PDF by the ring
+    of the modulus m."""
+    ring = ring_for_modulus(m)
+    return tuple(expand_hadamard_pdf(make_recipe(pdf, ring, completion))
+                 for completion in COMPLETIONS)
+
+
 def expand_from_hds(u: int, m: int, group: FiniteGroup | None = None,
                     convention: DiffConvention = DEFAULT_CONVENTION
                     ) -> tuple[ExpansionResult, ExpansionResult]:
     """Both completions of the expansion built on a searched (4u^2, 2u^2-u,
     u^2-u) difference set, for an odd modulus whose maximal prime power
-    divisors all exceed 4u^2 + 2u."""
+    divisors all exceed 4u^2 + 2u, twice the larger block.  The bound is
+    checked before the search."""
     _check_divisors(m, 4 * u * u + 2 * u)
-    base = hadamard_pdf_from_hds(u, group, convention)
-    ring = ring_for_modulus(m)
-    out = []
-    for completion in COMPLETIONS:
-        rec = make_recipe(base.family, ring, completion,
-                          convention=convention)
-        out.append(expand_hadamard_pdf(rec))
-    return tuple(out)
+    return _both_completions(
+        hadamard_pdf_from_hds(u, group, convention).family, m)
 
 
 def expand_nonabelian32(m: int,
                         convention: DiffConvention = DEFAULT_CONVENTION
                         ) -> tuple[ExpansionResult, ExpansionResult]:
-    """Both completions of the expansion built on the order-32 family."""
+    """Both completions of the expansion built on the order-32 family, for
+    an odd modulus whose maximal prime power divisors all exceed twice its
+    largest block."""
     from .catalog import order32_family
 
-    _check_divisors(m, 44)
-    pdf = order32_family()
-    ring = ring_for_modulus(m)
-    out = []
-    for completion in COMPLETIONS:
-        rec = make_recipe(pdf, ring, completion, convention=convention)
-        out.append(expand_hadamard_pdf(rec))
-    return tuple(out)
+    pdf = replace(order32_family(), convention=convention)
+    _check_divisors(m, 2 * max(pdf.block_sizes))
+    return _both_completions(pdf, m)

@@ -8,10 +8,10 @@ lexicographic order on coordinates.  ProductGroup holds the one mixed-radix
 encoding; a ring of pdfam.rings is built on its additive group, from which
 it takes its addition and its element encoding.  Groups are written
 additively but need not be abelian; DiffConvention fixes what "a - b" means
-when order matters.  The left difference (-b) + a in G is the right
-difference a + (-b) in the opposite group G^op, where a o b = b + a, so
-every difference is computed as a right difference in the group that
-for_convention() returns.
+when order matters, and FiniteGroup.difference is the one place that reads
+it.  A design family carries the convention its differences are read under
+(pdfam.multisets.DesignFamily), and the CLI settles it once, when it
+decodes a family file.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class FiniteGroup:
 
     def index_of(self, coords) -> int:
         (a,) = coords
-        return self._check(int(a))
+        return self._check(_coordinate(a))
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -88,27 +88,13 @@ class FiniteGroup:
 
     def difference(self, a: int, b: int,
                    convention: DiffConvention = DEFAULT_CONVENTION) -> int:
-        """a - b under the given convention."""
-        g = self.for_convention(convention)
-        return g.op(a, g.neg(b))
-
-    def opposite(self) -> "FiniteGroup":
-        """G^op: same elements, identity, inverses and coordinates, with
-        a o b = b + a.  An abelian group is its own opposite."""
-        if self.is_abelian:
-            return self
-        cached = getattr(self, "_opposite", None)
-        if cached is None:
-            cached = self._opposite = _OppositeGroup(self)
-        return cached
-
-    def for_convention(self, convention: DiffConvention) -> "FiniteGroup":
-        """The group whose right differences a + (-b) are this group's
-        differences under the convention; for arithmetic only, never a
-        family's group."""
+        """a - b under the given convention: a + (-b) for the right one,
+        (-b) + a for the left."""
         if convention is DiffConvention.RIGHT_INVERSE:
-            return self
-        return self.opposite()
+            return self.op(a, self.neg(b))
+        if convention is DiffConvention.LEFT_INVERSE:
+            return self.op(self.neg(b), a)
+        raise ValueError(f"unknown difference convention {convention!r}")
 
     def _check(self, a):
         """a unchanged when every entry lies in 0..order-1, as an int when
@@ -220,7 +206,7 @@ class ProductGroup(FiniteGroup):
         return tuple(out)
 
     def index_of(self, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(_coordinate, coords))
         if len(coords) != self.arity:
             raise ValueError(
                 f"expected {self.arity} coordinates, got {len(coords)}")
@@ -269,7 +255,7 @@ class Semidirect32(FiniteGroup):
         return divmod(self._check(a), 8)
 
     def index_of(self, coords):
-        x, y = (int(c) for c in coords)
+        x, y = map(_coordinate, coords)
         if not (0 <= x < 4 and 0 <= y < 8):
             raise ElementOutOfRangeError(f"bad coordinates ({x},{y})")
         return (x << 3) | y
@@ -307,33 +293,6 @@ class TableGroup(FiniteGroup):
     def descriptor(self):
         return {"type": "table", "n": self.order,
                 "table": self.table.tolist()}
-
-
-class _OppositeGroup(FiniteGroup):
-    """G^op for a non-abelian G: a o b = b + a on the same elements."""
-
-    def __init__(self, base: FiniteGroup):
-        self.base = base
-        self.order = base.order
-        self.arity = base.arity
-        self.identity = base.identity
-        self._abelian = False
-        self._opposite = base
-
-    def op(self, a, b):
-        return self.base.op(b, a)
-
-    def neg(self, a):
-        return self.base.neg(a)
-
-    def coords(self, a):
-        return self.base.coords(a)
-
-    def index_of(self, coords):
-        return self.base.index_of(coords)
-
-    def descriptor(self):
-        return {"type": "opposite", "of": self.base.descriptor()}
 
 
 def _scalar_or_array(x):
@@ -439,6 +398,13 @@ def make_group(descriptor: dict) -> FiniteGroup:
 def _is_int(x) -> bool:
     """A Python or numpy integer; booleans and floats are not integers."""
     return type(x) is int or isinstance(x, np.integer)
+
+
+def _coordinate(c) -> int:
+    """An element coordinate as a Python int; non-integers are refused."""
+    if not _is_int(c):
+        raise ValueError(f"coordinate {c!r} is not an integer")
+    return int(c)
 
 
 def _ints(x) -> bool:

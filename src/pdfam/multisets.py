@@ -2,8 +2,11 @@
 
 delta_block(X) is the multiset of all differences x - x' over ordered pairs
 of distinct positions of the multiset X (so a repeated element contributes
-identity differences).  verify() recomputes everything from the blocks and
-classifies the family; it never trusts declared parameters.
+identity differences).  A DesignFamily carries the difference convention
+its differences are read under (right by default; the CLI settles it as it
+decodes a family file), and delta_family and verify read it from the
+family.  verify() recomputes everything from the blocks and classifies the
+family; it never trusts declared parameters.
 """
 
 from __future__ import annotations
@@ -147,11 +150,13 @@ def delta_block(block: Multiset,
 
 @dataclass(frozen=True, eq=False)
 class DesignFamily:
-    """Blocks over one group, with an optional forbidden subgroup."""
+    """Blocks over one group, with an optional forbidden subgroup, and the
+    convention under which its differences are read."""
 
     group: FiniteGroup
     blocks: tuple[Multiset, ...]
     forbidden: frozenset[int] | None = None
+    convention: DiffConvention = DEFAULT_CONVENTION
 
     def __post_init__(self):
         if not self.blocks:
@@ -174,10 +179,13 @@ class DesignFamily:
         return (isinstance(other, DesignFamily)
                 and self.group == other.group
                 and self.blocks == other.blocks
-                and self.forbidden == other.forbidden)
+                and self.forbidden == other.forbidden
+                and self.convention is other.convention)
 
 
-def make_family(group: FiniteGroup, blocks, forbidden=None) -> DesignFamily:
+def make_family(group: FiniteGroup, blocks, forbidden=None,
+                convention: DiffConvention = DEFAULT_CONVENTION
+                ) -> DesignFamily:
     """Build a DesignFamily from iterables of indices, mappings, or Multisets.
 
     The elements of all the index blocks are checked in one pass, so the
@@ -194,13 +202,13 @@ def make_family(group: FiniteGroup, blocks, forbidden=None) -> DesignFamily:
         for b in blocks)
     forb = (None if forbidden is None
             else frozenset(_indices(group, list(forbidden))))
-    return DesignFamily(group, ms, forb)
+    return DesignFamily(group, ms, forb, convention)
 
 
-def delta_family(family: DesignFamily,
-                 convention: DiffConvention = DEFAULT_CONVENTION) -> Multiset:
+def delta_family(family: DesignFamily) -> Multiset:
     return _from_dense(family.group, _difference_counts(
-        family.group, [b.positions() for b in family.blocks], convention))
+        family.group, [b.positions() for b in family.blocks],
+        family.convention))
 
 
 @dataclass(frozen=True)
@@ -236,10 +244,9 @@ def is_hadamard_pdf(report: VerificationReport) -> bool:
     return report.v == 2 * report.lambda_or_mu
 
 
-def verify(family: DesignFamily,
-           convention: DiffConvention = DEFAULT_CONVENTION
-           ) -> VerificationReport:
-    """Classify a family by recomputing its full difference multiset.
+def verify(family: DesignFamily) -> VerificationReport:
+    """Classify a family by recomputing its full difference multiset, read
+    under the family's convention.
 
     Single-block families classify as DS / DifferenceMultiset, multi-block
     ones as PDF / RelativePDF / DF / SDF.  An ordinary PDF requires the
@@ -251,7 +258,7 @@ def verify(family: DesignFamily,
     v = g.order
     ident = g.identity
     rows = [b.positions() for b in family.blocks]
-    delta = _difference_counts(g, rows, convention)
+    delta = _difference_counts(g, rows, family.convention)
     cover = np.bincount(np.concatenate(rows), minlength=v)
     sizes = family.block_sizes
     single = len(family.blocks) == 1

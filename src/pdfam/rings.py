@@ -213,8 +213,6 @@ class GaloisField(Ring):
         self.k = k
         self.one = 1
         self.modulus = self._find_modulus()
-        # reduction table for x^k .. x^(2k-2)
-        self._xpow = self._reduction_table()
         # exp runs over two periods, so a sum of two logs needs no reduction
         self.primitive, powers = self._primitive_powers()
         self._exp = powers + powers
@@ -229,21 +227,6 @@ class GaloisField(Ring):
             if _is_irreducible(low + [1], p):
                 return tuple(low)
         raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-    def _reduction_table(self) -> list[list[int]]:
-        p, k = self.p, self.k
-        x_k = [(-c) % p for c in self.modulus]  # x^k reduced mod the modulus
-        table = [x_k[:]]
-        cur = x_k[:]
-        for _ in range(k - 2):
-            top = cur[-1]
-            nxt = [0] + cur[:-1]  # multiply by x; top coefficient overflows
-            if top:
-                for i in range(k):
-                    nxt[i] = (nxt[i] + top * x_k[i]) % p
-            cur = nxt
-            table.append(cur[:])
-        return table
 
     def _primitive_powers(self) -> tuple[int, list[int]]:
         """The smallest a of multiplicative order q - 1, the canonical
@@ -262,20 +245,14 @@ class GaloisField(Ring):
 
     def _poly_mul(self, va: list[int], vb: list[int]) -> list[int]:
         """Schoolbook product of two ascending coefficient lists, reduced
-        by the modulus."""
+        by the monic modulus."""
         p, k = self.p, self.k
         prod = [0] * (2 * k - 1)
         for i, x in enumerate(va):
             if x:
                 for j, y in enumerate(vb):
                     prod[i + j] = (prod[i + j] + x * y) % p
-        for e in range(2 * k - 2, k - 1, -1):
-            c = prod[e]
-            if c:
-                red = self._xpow[e - k]
-                for i in range(k):
-                    prod[i] = (prod[i] + c * red[i]) % p
-        return prod[:k]
+        return _poly_rem(prod, list(self.modulus) + [1], p)
 
     def mul(self, a, b):
         q = self.order

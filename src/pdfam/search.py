@@ -38,11 +38,12 @@ def hds_parameters(u: int) -> tuple[int, int, int]:
 
 def _canonical_translate(diff: list[list[int]], d: tuple[int, ...]) -> bool:
     """True when the sorted set d is the least of its identity-containing
-    right translates d + (-x), x in d, read from diff[e][x] = e + (-x).
+    translates {e - x : e in d}, x in d, read from diff[e][x] = e - x.
 
-    Right translates preserve right differences; given the table of the
-    group that for_convention() returns, this normalizes under either
-    convention.
+    Under the right convention these are the right translates d + (-x),
+    under the left one the left translates (-x) + d, and each preserves the
+    differences of its own convention, so a table of either convention's
+    differences normalizes under that convention.
     """
     for x in d:
         if tuple(sorted(diff[e][x] for e in d)) < d:
@@ -88,7 +89,7 @@ def search_hds(group: FiniteGroup, u: int,
         d = tuple(sorted(chosen))
         if not _canonical_translate(diff, d):
             return True
-        rep = verify(make_family(group, [list(d)]), convention)
+        rep = verify(make_family(group, [list(d)], convention=convention))
         if (rep.kind == DS and rep.h == 1 and rep.v == v
                 and rep.lambda_or_mu == lam):
             results.append(d)

@@ -1,7 +1,9 @@
 """JSON codecs for groups, rings, families, reports, and recipes.
 
 Files are emitted through canonical_dumps (sorted keys, two-space indent,
-trailing newline) so identical inputs produce byte-identical output.
+trailing newline) so identical inputs produce byte-identical output.  A
+family's own JSON has no convention; the construction and recipe wrappers
+record the family's convention, and decoding hands it back to the family.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ import functools
 import json
 
 from .constructions import ConstructionResult, ExpansionRecipe, Prediction
-from .groups import _field, _int_field, _ints, convention_from_name, make_group
+from .groups import (DEFAULT_CONVENTION, DiffConvention, _field, _int_field,
+                     _ints, convention_from_name, make_group)
 from .multisets import (DesignFamily, VerificationReport, Witness,
                         make_family)
 from .rings import make_ring
@@ -23,11 +26,11 @@ def canonical_dumps(obj) -> str:
 def _decoder(fn):
     """Decode a JSON object; a missing key is named in a ValueError."""
     @functools.wraps(fn)
-    def decode(data):
+    def decode(data, *args):
         if not isinstance(data, dict):
             raise ValueError(f"a {type(data).__name__} is not a JSON object")
         try:
-            return fn(data)
+            return fn(data, *args)
         except KeyError as exc:
             raise ValueError(f"missing key {exc.args[0]!r}") from None
     return decode
@@ -47,14 +50,19 @@ def family_to_json(family: DesignFamily) -> dict:
 
 
 @_decoder
-def family_from_json(data: dict) -> DesignFamily:
+def family_from_json(data: dict,
+                     convention: DiffConvention = DEFAULT_CONVENTION
+                     ) -> DesignFamily:
+    """A family read under the given convention, which its JSON does not
+    hold."""
     group = make_group(data["group"])
     blocks, forbidden = data["blocks"], data.get("forbidden")
     if not (isinstance(blocks, list) and all(map(_ints, blocks))):
         raise ValueError("blocks must be arrays of integers")
     if not (forbidden is None or _ints(forbidden)):
         raise ValueError("forbidden must be null or an array of integers")
-    return make_family(group, blocks, forbidden=forbidden)
+    return make_family(group, blocks, forbidden=forbidden,
+                       convention=convention)
 
 
 def witness_to_json(w: Witness | None) -> dict | None:
@@ -105,7 +113,7 @@ def result_to_json(result: ConstructionResult) -> dict:
         "declared": prediction_to_json(result.predicted),
         "report": report_to_json(result.report),
         "certified": result.certified,
-        "convention": result.convention.value,
+        "convention": result.family.convention.value,
     }
 
 
@@ -117,18 +125,18 @@ def recipe_to_json(recipe: ExpansionRecipe) -> dict:
         "f_map": list(recipe.f_map),
         "starters": list(recipe.starters),
         "completion": recipe.completion,
-        "convention": recipe.convention.value,
+        "convention": recipe.pdf.convention.value,
     }
 
 
 @_decoder
 def recipe_from_json(data: dict) -> ExpansionRecipe:
     return ExpansionRecipe(
-        pdf=family_from_json(data["pdf"]),
+        pdf=family_from_json(data["pdf"],
+                             convention_from_name(data["convention"])),
         ring=make_ring(data["ring"]),
         y=tuple(_int_array(data, "y")),
         f_map=tuple(_int_array(data, "f_map")),
         starters=tuple(_int_array(data, "starters")),
         completion=data["completion"],
-        convention=convention_from_name(data["convention"]),
     )

@@ -9,6 +9,7 @@ the analysis lives in the README's caveats section.  Do not relax them.
 """
 
 import random
+from dataclasses import replace
 from itertools import combinations
 from math import gcd
 from time import perf_counter
@@ -113,7 +114,7 @@ def test_ac03_double_sdf_catalog():
             continue
         fam = catalog_family(cert.name)
         lam = cert.report.lambda_or_mu
-        res = double_sdf(fam, cert.convention)
+        res = double_sdf(replace(fam, convention=cert.convention))
         assert res.certified and res.report.kind == SDF
         assert res.report.lambda_or_mu == 4 * lam
         # exhaustive multiplicity check for scale r = 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -120,6 +121,60 @@ def test_corollary_sporadic(capsys):
 
 def test_corollary_sporadic_small_m(capsys):
     assert main(["construct", "corollary-sporadic", "--m", "45"]) == 1
+
+
+# sha256 of the stdout of construct corollary-sporadic --m 47 --convention
+# left, taken while the convention was still passed alongside each family
+_SPORADIC_LEFT_SHA256 = {
+    "single":
+        "c9901f0c8a8fe6dccc24cce1516e093204673fb8e7bc89139cd2f143f7e91a73",
+    "per-block":
+        "60a9bd04845c3e49f49f7e959242e4fe53cab4b8ba8b3c7b327aa97e4523063d",
+}
+
+
+@pytest.mark.parametrize("completion", sorted(_SPORADIC_LEFT_SHA256))
+def test_corollary_sporadic_left_output_bytes_are_pinned(capsys, completion):
+    code, out = run(capsys, "construct", "corollary-sporadic", "--m", "47",
+                    "--convention", "left", "--completion", completion)
+    assert code == (0 if completion == "single" else 2)
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == _SPORADIC_LEFT_SHA256[completion])
+
+
+def test_left_recipe_replays_to_the_direct_bytes(tmp_path, capsys):
+    fpath = tmp_path / "order32.json"
+    assert main(["catalog", "emit", "order-32", "--out", str(fpath)]) == 0
+    rpath = tmp_path / "recipe.json"
+    assert main(["recipe", "--family", str(fpath), "--m", "47",
+                 "--convention", "left", "--out", str(rpath)]) == 0
+    assert json.loads(rpath.read_text())["convention"] == "left"
+    _, via_recipe = run(capsys, "construct", "expand", "--recipe", str(rpath))
+    _, direct = run(capsys, "construct", "corollary-sporadic", "--m", "47",
+                    "--convention", "left")
+    assert json.loads(via_recipe)["convention"] == "left"
+    assert via_recipe == direct
+
+
+def test_verify_reads_flag_then_file_convention_then_right(tmp_path, capsys):
+    """Over Semidirect32 this family's first failing count differs by
+    convention: 2 under the right one, 1 under the left."""
+    family = {"group": {"type": "semidirect32"},
+              "blocks": [[1, 10], [3, 12, 21]], "forbidden": None}
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(family))
+    wrapped = tmp_path / "wrapped.json"
+    wrapped.write_text(json.dumps({"family": family, "convention": "left"}))
+    actual = {"right": 2, "left": 1}
+    for path, flag, conv in ((bare, None, "right"), (bare, "left", "left"),
+                             (wrapped, None, "left"),
+                             (wrapped, "right", "right"),
+                             (wrapped, "left", "left")):
+        argv = ["verify", str(path)] + (["--convention", flag] if flag else [])
+        code, rep = run_json(capsys, *argv)
+        assert code == 2 and rep["kind"] == "Invalid"
+        assert (rep["witness"]["element"], rep["witness"]["actual"]) == (
+            9, actual[conv])
 
 
 def test_verify_round_trip(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from pdfam.multisets import (DF, DS, INVALID, PDF, RELATIVE_PDF, SDF,
                              Multiset, delta_block, delta_family,
                              make_family, verify)
 from pdfam.rings import GaloisField, ProductRing, Zmod, additive_group
-from pdfam.serialize import canonical_dumps, result_to_json
+from pdfam.serialize import (canonical_dumps, recipe_from_json,
+                             recipe_to_json, result_to_json)
 
 
 def test_complement_pdf_trivial():
@@ -284,10 +286,37 @@ def test_ring_for_modulus():
 
 
 def test_expansion_left_convention_also_works_for_abelian_base():
-    rec = cons.make_recipe(trivial_hds_family(), GaloisField(7, 1),
-                           convention=DiffConvention.LEFT_INVERSE)
+    rec = cons.make_recipe(
+        replace(trivial_hds_family(), convention=DiffConvention.LEFT_INVERSE),
+        GaloisField(7, 1))
     res = cons.expand_hadamard_pdf(rec)
     assert res.certified
+
+
+def test_family_convention_reaches_every_stage():
+    left = DiffConvention.LEFT_INVERSE
+    pdf = replace(order32_family(), convention=left)
+    rec = cons.make_recipe(pdf, GaloisField(47), cons.COMPLETION_PER_BLOCK)
+    assert rec.pdf.convention is left
+    assert recipe_to_json(rec)["convention"] == "left"
+    assert recipe_from_json(recipe_to_json(rec)).pdf == pdf
+    res = cons.expand_hadamard_pdf(rec)
+    assert res.recipe is rec
+    assert res.relative.family.convention is left
+    assert res.relative.report == verify(res.relative.family)
+    assert res.family.convention is left
+    assert res.report == verify(res.family)
+    assert result_to_json(res)["convention"] == "left"
+    assert cons.double_sdf(pdf).family.convention is left
+    for built in (cons.complement_pdf(CyclicGroup(4), [0], left),
+                  cons.paley_double_sdf(7, left),
+                  cons.hadamard_pdf_from_hds(1, convention=left),
+                  *cons.expand_from_hds(1, 7, convention=left),
+                  *cons.expand_nonabelian32(47, left)):
+        assert built.family.convention is left
+        assert built.report == verify(built.family)
+    assert [r.family.convention for r in cons.expand_nonabelian32(47)] == [
+        DiffConvention.RIGHT_INVERSE] * 2
 
 
 def test_prediction_refinement():

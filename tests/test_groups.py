@@ -74,19 +74,42 @@ def test_abelian_difference_convention_agrees():
                     == g.difference(a, b, DiffConvention.LEFT_INVERSE))
 
 
-def test_opposite_group():
-    abelian = ProductGroup([CyclicGroup(3), CyclicGroup(4)])
-    assert abelian.opposite() is abelian
+@pytest.mark.parametrize("g,coords", [
+    (CyclicGroup(7), (2.5,)),
+    (additive_group(GaloisField(3, 2)), (1.7, 0)),
+    (Semidirect32(), (1.9, 2.2)),
+    (CyclicGroup(7), (True,)),
+    (ProductGroup([CyclicGroup(3), CyclicGroup(4)]), (1, False)),
+], ids=["Z7-float", "GF9-float", "semidirect32-float", "Z7-bool",
+        "Z3xZ4-bool"])
+def test_index_of_refuses_non_integer_coordinates(g, coords):
+    with pytest.raises(ValueError, match=r"^coordinate \S+ is not an integer$"):
+        g.index_of(coords)
+
+
+def test_index_of_accepts_numpy_integers():
+    assert CyclicGroup(7).index_of((np.int64(2),)) == 2
+    assert GaloisField(3, 2).index_of((np.int32(1), np.int64(0))) == 3
+    assert Semidirect32().index_of(np.array([1, 2])) == 10
+    assert all(type(g.index_of(c)) is int for g, c in (
+        (CyclicGroup(7), (np.int64(2),)), (Semidirect32(), np.array([1, 2]))))
+
+
+def test_difference_refuses_a_convention_that_is_not_one():
     g = Semidirect32()
-    opp = g.opposite()
-    assert opp is g.opposite() and opp.opposite() is g
-    assert opp != g and opp.identity == g.identity
+    for bad in ("right", "left", None):
+        with pytest.raises(ValueError, match="unknown difference convention"):
+            g.difference(1, 9, bad)
+
+
+def test_semidirect32_differences_read_as_their_conventions_say():
+    g = Semidirect32()
     for a in g.elements():
-        assert opp.neg(a) == g.neg(a) and opp.coords(a) == g.coords(a)
         for b in g.elements():
-            assert opp.op(a, b) == g.op(b, a)
             assert (g.difference(a, b, DiffConvention.LEFT_INVERSE)
                     == g.op(g.neg(b), a))
+            assert (g.difference(a, b, DiffConvention.RIGHT_INVERSE)
+                    == g.difference(a, b) == g.op(a, g.neg(b)))
 
 
 def _cyclic_with_swapped_intercalate(n, rows, cols):
@@ -192,7 +215,7 @@ def _relabeled(g, perm):
     return t
 
 
-_ARRAY_BASES = [
+ARRAY_GROUPS = [
     CyclicGroup(9),
     ProductGroup([CyclicGroup(3), CyclicGroup(4)]),
     ProductGroup([CyclicGroup(3), Semidirect32()]),
@@ -200,8 +223,6 @@ _ARRAY_BASES = [
     # identity at label 5
     TableGroup(_relabeled(Semidirect32(), [(a + 5) % 32 for a in range(32)])),
 ]
-ARRAY_GROUPS = _ARRAY_BASES + [g.opposite() for g in _ARRAY_BASES
-                               if not g.is_abelian]
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,9 +243,8 @@ def test_verify_order32_catalog_blocks_inline():
     x3 = [(0, 1), (0, 3), (1, 2), (1, 5), (1, 6), (3, 3)]
     blocks = [sorted(g.index_of(c) for c in b) for b in (x1, x2, x3)]
     rest = sorted(set(range(32)) - set().union(*blocks))
-    fam = make_family(g, blocks + [rest])
     for conv in DiffConvention:
-        rep = verify(fam, conv)
+        rep = verify(make_family(g, blocks + [rest], convention=conv))
         assert rep.kind == PDF
         assert (rep.v, tuple(rep.K), rep.lambda_or_mu) == (32, (2, 2, 6, 22), 16)
         assert is_hadamard_pdf(rep)
@@ -262,3 +262,21 @@ def test_delta_family_is_sum_of_blocks(data):
     for b in fam.blocks:
         total.update(delta_block(b).counts)
     assert delta_family(fam).counts == total
+
+
+def test_family_equality_tells_conventions_apart():
+    g = Semidirect32()
+    right = make_family(g, [[1, 10], [3, 12, 21]])
+    left = make_family(g, [[1, 10], [3, 12, 21]],
+                       convention=DiffConvention.LEFT_INVERSE)
+    assert right.convention is DiffConvention.RIGHT_INVERSE
+    assert right != left and left != right
+    assert left == replace(right, convention=DiffConvention.LEFT_INVERSE)
+    assert right == make_family(g, [[1, 10], [3, 12, 21]],
+                                convention=DiffConvention.RIGHT_INVERSE)
+    # the convention is what verify reads: the first failing count differs
+    assert verify(right).witness.actual == 2
+    assert verify(left).witness.actual == 1
+    assert delta_family(left) == multiset_sum(
+        *(delta_block(b, DiffConvention.LEFT_INVERSE) for b in left.blocks))
+    assert delta_family(left) != delta_family(right)

@@ -139,7 +139,7 @@ def test_search_hds_table_groups(make_group, hits, convention):
     assert res.complete and len(res.results) == hits
     for d in res.results:
         assert g.identity in d and list(d) == sorted(d)
-        rep = verify(make_family(g, [list(d)]), convention)
+        rep = verify(make_family(g, [list(d)], convention=convention))
         assert rep.kind == DS
         assert (rep.v, tuple(rep.K), rep.lambda_or_mu) == (16, (6,), 2)
 
