@@ -5,8 +5,8 @@ its elapsed seconds.
 
 The base is the complement pair of a searched (4u^2, 2u^2-u, u^2-u)
 difference set (--base hds, the default), or the order-32 family
-(--base order32), which is swept over the moduli whose maximal prime power
-divisors all exceed 44.
+(--base order32).  A modulus with a maximal prime power divisor too small
+for the base is reported as skipped.
 
     PYTHONPATH=src python3 scripts/expansion_sweep.py --u 1 --max-m 100
     PYTHONPATH=src python3 scripts/expansion_sweep.py --base order32 --max-m 99
@@ -18,7 +18,6 @@ from time import perf_counter
 
 from pdfam.constructions import (COMPLETIONS, DivisorTooSmallError,
                                  expand_from_hds, expand_nonabelian32)
-from pdfam.rings import maximal_prime_power_divisors
 
 
 def main():
@@ -35,16 +34,12 @@ def main():
         if gcd(m, args.coprime_to) != 1:
             continue
         t_m = perf_counter()
-        if args.base == "order32":
-            if min(maximal_prime_power_divisors(m)) <= 44:
-                continue
-            pair = expand_nonabelian32(m)
-        else:
-            try:
-                pair = expand_from_hds(args.u, m)
-            except DivisorTooSmallError as exc:
-                print(f"m={m:3d}  skipped: {exc}")
-                continue
+        try:
+            pair = (expand_nonabelian32(m) if args.base == "order32"
+                    else expand_from_hds(args.u, m))
+        except DivisorTooSmallError as exc:
+            print(f"m={m:3d}  skipped: {exc}")
+            continue
         total += 1
         cells = []
         for completion, res in zip(COMPLETIONS, pair):

@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Exhaustive (4u^2, 2u^2-u, u^2-u) difference-set search, order-16 sweep
-by default."""
+by default; each group's line gives its search nodes and nodes per second.
+
+    PYTHONPATH=src python3 scripts/hds_landscape.py
+    PYTHONPATH=src python3 scripts/hds_landscape.py --u 3 --group Z6xZ6 --max-results 1
+"""
 
 import argparse
 
@@ -12,8 +16,10 @@ from pdfam.search import (SearchBounds, abelian_groups_order16,
 def sweep_group(name, group, u, bounds):
     res = search_hds(group, u, bounds)
     tag = "complete" if res.complete else "truncated"
+    rate = res.nodes / res.elapsed if res.elapsed else 0.0
     print(f"{name:16s} {len(res.results):4d} normalized sets "
-          f"({tag}, {res.nodes} nodes, {res.elapsed:.2f}s)")
+          f"({tag}, {res.nodes} nodes, {res.elapsed:.2f}s, "
+          f"{rate:,.0f} nodes/s)")
     for d in res.results[:3]:
         print(f"    {d}")
     if len(res.results) > 3:

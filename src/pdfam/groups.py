@@ -77,8 +77,8 @@ class FiniteGroup:
         return (self._check(a),)
 
     def index_of(self, coords) -> int:
-        (a,) = coords
-        return self._check(_coordinate(a))
+        (a,) = self._coordinates(coords)
+        return self._check(a)
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -95,6 +95,15 @@ class FiniteGroup:
         if convention is DiffConvention.LEFT_INVERSE:
             return self.op(self.neg(b), a)
         raise ValueError(f"unknown difference convention {convention!r}")
+
+    def _coordinates(self, coords) -> tuple[int, ...]:
+        """coords as Python ints, refusing non-integers and a count other
+        than the group's arity."""
+        coords = tuple(map(_coordinate, coords))
+        if len(coords) != self.arity:
+            raise ValueError(
+                f"expected {self.arity} coordinates, got {len(coords)}")
+        return coords
 
     def _check(self, a):
         """a unchanged when every entry lies in 0..order-1, as an int when
@@ -182,12 +191,12 @@ class ProductGroup(FiniteGroup):
         a = self._check(a)
         out = []
         for s in self.strides:
-            q, a = divmod(a, s)
-            out.append(q)
+            out.append(a // s)
+            a = a % s
         return tuple(out)
 
     def join(self, parts) -> int:
-        return sum(p * s for p, s in zip(parts, self.strides))
+        return sum(map(operator.mul, parts, self.strides))
 
     def op(self, a, b):
         pa = self.split(a)
@@ -206,10 +215,7 @@ class ProductGroup(FiniteGroup):
         return tuple(out)
 
     def index_of(self, coords):
-        coords = tuple(map(_coordinate, coords))
-        if len(coords) != self.arity:
-            raise ValueError(
-                f"expected {self.arity} coordinates, got {len(coords)}")
+        coords = self._coordinates(coords)
         parts = []
         pos = 0
         for f in self.factors:
@@ -255,7 +261,7 @@ class Semidirect32(FiniteGroup):
         return divmod(self._check(a), 8)
 
     def index_of(self, coords):
-        x, y = map(_coordinate, coords)
+        x, y = self._coordinates(coords)
         if not (0 <= x < 4 and 0 <= y < 8):
             raise ElementOutOfRangeError(f"bad coordinates ({x},{y})")
         return (x << 3) | y

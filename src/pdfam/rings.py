@@ -157,16 +157,15 @@ class Zmod(Ring):
 
 
 def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num by den over Zp; coefficient lists ascending."""
+    """Remainder of num by the monic den over Zp; coefficient lists
+    ascending."""
     num = num[:]
     dn = len(den) - 1
-    inv_lead = pow(den[dn], -1, p)
     for k in range(len(num) - 1, dn - 1, -1):
         c = num[k] % p
         if c:
-            f = (c * inv_lead) % p
             for i in range(dn + 1):
-                num[k - dn + i] = (num[k - dn + i] - f * den[i]) % p
+                num[k - dn + i] = (num[k - dn + i] - c * den[i]) % p
     return [c % p for c in num[:dn]]
 
 
@@ -230,7 +229,19 @@ class GaloisField(Ring):
 
     def _primitive_powers(self) -> tuple[int, list[int]]:
         """The smallest a of multiplicative order q - 1, the canonical
-        primitive element, and its powers 1, a, ..., a^(q-2)."""
+        primitive element, and its powers 1, a, ..., a^(q-2).
+
+        A prime field walks the powers as integers mod p, an extension
+        field as polynomials."""
+        if self.k == 1:
+            p = self.p
+            for a in range(1, p):
+                powers, x = [1], a
+                while x != 1:
+                    powers.append(x)
+                    x = x * a % p
+                if len(powers) == p - 1:
+                    return a, powers
         one = [1] + [0] * (self.k - 1)
         for a in range(1, self.order):
             va = list(self.coords(a))[::-1]  # ascending coefficients

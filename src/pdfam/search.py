@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -61,6 +62,16 @@ def search_hds(group: FiniteGroup, u: int,
     index order, pruning as soon as any non-identity difference count
     exceeds u^2-u.  Hits are returned sorted; every hit is re-certified by
     the verifier before being returned.
+
+    The difference counts are packed into one int, a ``width``-bit field
+    per element, each starting at 2^(width-1) - 1 - lambda so that a count
+    above lambda sets the field's top bit.  Every walk position carries
+    the packed differences its element would add to the chosen set, so a
+    candidate is tested with one add and one mask and nothing is undone.
+    Before a candidate is added every count is at most lambda, and a
+    candidate e adds at most 2 to the count of g (e - d = g and d - e = g
+    each have one solution d), so 2^(width-1) >= max(lambda + 1, 2) keeps
+    every field below 2^width: no field carries into the next.
     """
     v, k, lam = hds_parameters(u)
     if group.order != v:
@@ -72,18 +83,18 @@ def search_hds(group: FiniteGroup, u: int,
     idx = np.arange(v)
     diff = group.difference(idx[:, None], idx[None, :], convention).tolist()
     walk = [group.identity] + [x for x in range(v) if x != group.identity]
-    counts = [0] * v
+    width = max(lam, 1).bit_length() + 1
+    unit = [1 << (width * g) for g in range(v)]
+    ones = sum(unit)
+    top = ones << (width - 1)
+    bias = ones * ((1 << (width - 1)) - 1 - lam)
+    # pair[e][j]: the packed differences e and walk[j] make with each other
+    pair = [[unit[diff[e][d]] + unit[diff[d][e]] for d in walk]
+            for e in range(v)]
     chosen = [group.identity]
     results: list[tuple[int, ...]] = []
     nodes = 0
     truncated = False
-
-    def diffs_with(e: int) -> list[int]:
-        out = []
-        for d in chosen:
-            out.append(diff[e][d])
-            out.append(diff[d][e])
-        return out
 
     def emit() -> bool:
         d = tuple(sorted(chosen))
@@ -98,31 +109,25 @@ def search_hds(group: FiniteGroup, u: int,
                 return False
         return True
 
-    def extend(start: int) -> bool:
+    def extend(start: int, counts: int, adds: list[int]) -> bool:
+        """counts: the chosen set's packed difference counts; adds[j]:
+        those walk[start + j] would add to them."""
         nonlocal nodes, truncated
         if len(chosen) == k:
             return emit()
         if deadline is not None and time.monotonic() > deadline:
             truncated = True
             return False
-        for i in range(start, v - (k - len(chosen)) + 1):
-            e = walk[i]
+        for i, more in zip(range(start, v - (k - len(chosen)) + 1), adds):
             nodes += 1
-            new = diffs_with(e)
-            bad_at = len(new)
-            for j, g in enumerate(new):
-                counts[g] += 1
-                if counts[g] > lam:
-                    bad_at = j + 1
-                    break
-            if bad_at == len(new):
-                chosen.append(e)
-                ok = extend(i + 1)
-                chosen.pop()
-            else:
-                ok = True
-            for g in new[:bad_at]:
-                counts[g] -= 1
+            grown = counts + more
+            if grown & top:
+                continue
+            e = walk[i]
+            chosen.append(e)
+            ok = extend(i + 1, grown, list(map(
+                add, adds[i + 1 - start:], pair[e][i + 1:])))
+            chosen.pop()
             if not ok:
                 return False
         return True
@@ -132,7 +137,7 @@ def search_hds(group: FiniteGroup, u: int,
     elif k == 1:
         exhausted = emit()
     else:
-        exhausted = extend(1)
+        exhausted = extend(1, bias, pair[group.identity][1:])
     complete = exhausted and not truncated
     return HdsSearchResult(tuple(results), complete, nodes,
                            time.monotonic() - started)

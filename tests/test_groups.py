@@ -95,6 +95,40 @@ def test_index_of_accepts_numpy_integers():
         (CyclicGroup(7), (np.int64(2),)), (Semidirect32(), np.array([1, 2]))))
 
 
+@pytest.mark.parametrize("g,coords,arity", [
+    (CyclicGroup(7), (1, 2), 1),
+    (CyclicGroup(7), (), 1),
+    (TableGroup(CyclicGroup(4).op(np.arange(4)[:, None],
+                                  np.arange(4)[None, :])), (0, 1), 1),
+    (Semidirect32(), (1, 2, 3), 2),
+    (Semidirect32(), (1,), 2),
+    (ProductGroup([CyclicGroup(3), CyclicGroup(4)]), (1,), 2),
+    (ProductGroup([CyclicGroup(3), CyclicGroup(4)]), (1, 2, 0), 2),
+], ids=["Z7-two", "Z7-none", "table-two", "semidirect32-three",
+        "semidirect32-one", "Z3xZ4-one", "Z3xZ4-three"])
+def test_index_of_refuses_the_wrong_number_of_coordinates(g, coords, arity):
+    with pytest.raises(ValueError, match=(
+            rf"^expected {arity} coordinates, got {len(coords)}$")):
+        g.index_of(coords)
+
+
+@pytest.mark.parametrize("g", [
+    ProductGroup([CyclicGroup(3), CyclicGroup(4)]),
+    ProductGroup([CyclicGroup(2), CyclicGroup(2), CyclicGroup(4)]),
+    ProductGroup([CyclicGroup(5)]),
+], ids=repr)
+def test_split_and_join_agree_on_ints_and_arrays(g):
+    idx = np.arange(g.order)
+    parts = g.split(idx)
+    for a in range(g.order):
+        scalar = g.split(a)
+        assert all(type(x) is int for x in scalar)
+        assert scalar == tuple(int(p[a]) for p in parts)
+        assert g.join(scalar) == a and type(g.join(scalar)) is int
+    assert np.array_equal(g.join(parts), idx)
+    assert np.array_equal(idx, np.arange(g.order))  # the input is untouched
+
+
 def test_difference_refuses_a_convention_that_is_not_one():
     g = Semidirect32()
     for bad in ("right", "left", None):

@@ -117,6 +117,24 @@ def test_primitive_element_is_sympy_primitive_root():
         assert primitive_element(GaloisField(p)) == sympy.primitive_root(p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 47, 401, 499])
+def test_prime_field_is_integers_mod_p(p):
+    f = GaloisField(p)
+    rho = primitive_element(f)
+    assert [ring_pow(f, rho, i) for i in range(p - 1)] == [
+        pow(rho, i, p) for i in range(p - 1)]
+    step = max(1, p // 23)
+    assert all(f.mul(a, b) == a * b % p
+               for a in range(p) for b in range(0, p, step))
+
+
+def test_product_ring_mul_is_unitwise_on_every_pair():
+    r = ProductRing([GaloisField(7), GaloisField(13)])
+    assert [[r.mul(a, b) for b in range(91)] for a in range(91)] == [
+        [13 * (a // 13 * (b // 13) % 7) + a % 13 * (b % 13) % 13
+         for b in range(91)] for a in range(91)]
+
+
 def test_product_ring_componentwise():
     r = ProductRing([GaloisField(7, 1), GaloisField(11, 1)])
     a = r.join((3, 5))

@@ -1,14 +1,16 @@
+import random
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 
 from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup, TableGroup
 from pdfam.multisets import DS, make_family, verify
 from pdfam.rings import GaloisField, Zmod, check_y_condition
 from pdfam.search import (HdsSearchResult, OrderMismatchError, SearchBounds,
-                          abelian_groups_order16, hds_parameters,
-                          max_unit_y_search, search_hds)
+                          _canonical_translate, abelian_groups_order16,
+                          hds_parameters, max_unit_y_search, search_hds)
 
 
 def test_hds_parameters():
@@ -21,6 +23,7 @@ def test_search_hds_trivial_u1():
     res = search_hds(CyclicGroup(4), 1)
     assert res.results == ((0,),)
     assert res.complete
+    assert res.nodes == 0
 
 
 def test_search_hds_order_mismatch():
@@ -70,12 +73,14 @@ def test_search_hds_max_results_marks_incomplete():
     res = search_hds(g, 2, SearchBounds(max_results=1))
     assert len(res.results) == 1
     assert not res.complete
+    assert (res.nodes, res.results) == (21, ((0, 1, 2, 4, 9, 14),))
 
 
 def test_search_hds_time_budget_zero():
     g = ProductGroup([CyclicGroup(4), CyclicGroup(4)])
     res = search_hds(g, 2, SearchBounds(time_budget_s=0.0))
     assert not res.complete
+    assert (res.nodes, res.results) == (0, ())
 
 
 def test_order16_sweep_matches_known_classification():
@@ -116,15 +121,31 @@ Q8_X_Z2 = [
 ]
 
 
+def _cayley(g):
+    idx = np.arange(g.order)
+    return g.op(idx[:, None], idx[None, :]).tolist()
+
+
+def _dihedral16():
+    """r^a s^b at index 8b + a; (r^a s^b)(r^c s^d) = r^(a + (-1)^b c) s^(b+d)."""
+    return [[8 * ((x // 8 + y // 8) % 2)
+             + (x % 8 + (-(y % 8) if x // 8 else y % 8)) % 8
+             for y in range(16)] for x in range(16)]
+
+
+def _relabeled(table, perm):
+    """The Cayley table after renaming element a to perm[a]."""
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, c in enumerate(row):
+            out[perm[a]][perm[b]] = perm[c]
+    return TableGroup(out)
+
+
 def _z4xz4_identity_at_5():
     """Z4 x Z4 as a table with element a renamed perm[a]."""
     base = ProductGroup([CyclicGroup(4), CyclicGroup(4)])
-    perm = [5, 0, 1, 2, 3, 4] + list(range(6, 16))
-    table = [[0] * 16 for _ in range(16)]
-    for a in range(16):
-        for b in range(16):
-            table[perm[a]][perm[b]] = perm[base.op(a, b)]
-    return TableGroup(table)
+    return _relabeled(_cayley(base), [5, 0, 1, 2, 3, 4] + list(range(6, 16)))
 
 
 @pytest.mark.parametrize("convention", list(DiffConvention),
@@ -142,6 +163,129 @@ def test_search_hds_table_groups(make_group, hits, convention):
         rep = verify(make_family(g, [list(d)], convention=convention))
         assert rep.kind == DS
         assert (rep.v, tuple(rep.K), rep.lambda_or_mu) == (16, (6,), 2)
+
+
+def _order16_groups():
+    """The order-16 groups the search is pinned on, by name: the abelian
+    products and their Cayley tables, Q8 x Z2, D16, and Z4 x Z4 with its
+    identity at label 5."""
+    groups = dict(abelian_groups_order16())
+    groups |= {f"{name}@table": TableGroup(_cayley(g))
+               for name, g in groups.items()}
+    return groups | {"Q8xZ2": TableGroup(Q8_X_Z2),
+                     "D16": TableGroup(_dihedral16()),
+                     "Z4xZ4@5": _z4xz4_identity_at_5()}
+
+
+ORDER16_GROUPS = _order16_groups()
+
+# (nodes, hits) of the exhaustive u=2 search, taken from the per-element
+# search loop that kept a list of counts and undid every increment; every
+# search is complete and the same under both conventions and labelings
+ORDER16_GOLDEN = {
+    "Z16": (2881, 0), "Z2xZ8": (2843, 12), "Z4xZ4": (3090, 12),
+    "Z2xZ2xZ4": (3052, 28), "Z2xZ2xZ2xZ2": (3052, 28),
+    "Q8xZ2": (3454, 44), "D16": (2446, 0),
+}
+
+
+@pytest.mark.parametrize("convention", list(DiffConvention),
+                         ids=lambda c: c.value)
+@pytest.mark.parametrize("name", list(ORDER16_GROUPS))
+def test_search_hds_order16_nodes_and_hits_are_pinned(name, convention):
+    res = search_hds(ORDER16_GROUPS[name], 2, convention=convention)
+    nodes, hits = ORDER16_GOLDEN[name.split("@")[0]]
+    assert (res.nodes, len(res.results), res.complete) == (nodes, hits, True)
+
+
+def _reference_search_hds(group, u, max_results=None,
+                          convention=DiffConvention.RIGHT_INVERSE):
+    """Oracle: the search with one list of difference counts, each
+    candidate's differences added one at a time and all undone after.
+    Returns (results, complete, nodes)."""
+    v, k, lam = hds_parameters(u)
+    idx = np.arange(v)
+    diff = group.difference(idx[:, None], idx[None, :], convention).tolist()
+    walk = [group.identity] + [x for x in range(v) if x != group.identity]
+    counts = [0] * v
+    chosen = [group.identity]
+    results = []
+    nodes = 0
+
+    def emit():
+        d = tuple(sorted(chosen))
+        if not _canonical_translate(diff, d):
+            return True
+        rep = verify(make_family(group, [list(d)], convention=convention))
+        if (rep.kind == DS and rep.h == 1 and rep.v == v
+                and rep.lambda_or_mu == lam):
+            results.append(d)
+            if max_results is not None and len(results) >= max_results:
+                return False
+        return True
+
+    def extend(start):
+        nonlocal nodes
+        if len(chosen) == k:
+            return emit()
+        for i in range(start, v - (k - len(chosen)) + 1):
+            e = walk[i]
+            nodes += 1
+            new = [g for d in chosen for g in (diff[e][d], diff[d][e])]
+            bad_at = len(new)
+            for j, g in enumerate(new):
+                counts[g] += 1
+                if counts[g] > lam:
+                    bad_at = j + 1
+                    break
+            if bad_at == len(new):
+                chosen.append(e)
+                ok = extend(i + 1)
+                chosen.pop()
+            else:
+                ok = True
+            for g in new[:bad_at]:
+                counts[g] -= 1
+            if not ok:
+                return False
+        return True
+
+    complete = emit() if k == 1 else extend(1)
+    return tuple(results), complete, nodes
+
+
+def _random_relabelings(seed, count):
+    rng = random.Random(seed)
+    groups = list(ORDER16_GROUPS.values())
+    for _ in range(count):
+        perm = list(range(16))
+        rng.shuffle(perm)
+        yield _relabeled(_cayley(rng.choice(groups)), perm)
+
+
+@pytest.mark.parametrize("max_results", [None, 1, 2, 7])
+@pytest.mark.parametrize("convention", list(DiffConvention),
+                         ids=lambda c: c.value)
+def test_search_hds_matches_the_per_element_oracle(convention, max_results):
+    bounds = SearchBounds(max_results=max_results)
+    groups = [*ORDER16_GROUPS.values(), *_random_relabelings(7, 6)]
+    for g in groups:
+        res = search_hds(g, 2, bounds, convention)
+        assert (res.results, res.complete, res.nodes) == \
+            _reference_search_hds(g, 2, max_results, convention)
+
+
+def test_search_hds_first_z6xz6_set_is_pinned():
+    g = ProductGroup([CyclicGroup(6), CyclicGroup(6)])
+    res = search_hds(g, 3, SearchBounds(max_results=1))
+    assert (res.nodes, res.results, res.complete) == (
+        193187, ((0, 1, 2, 3, 4, 6, 7, 13, 15, 20, 23, 25, 27, 33, 34),),
+        False)
+    rep = verify(make_family(g, [list(res.results[0])]))
+    assert (rep.kind, rep.v, tuple(rep.K), rep.lambda_or_mu) == (
+        DS, 36, (15,), 6)
+    assert (res.results, res.complete, res.nodes) == \
+        _reference_search_hds(g, 3, max_results=1)
 
 
 # -- maximum unit sets -----------------------------------------------------
