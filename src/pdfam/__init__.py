@@ -5,8 +5,8 @@ covers the group (or the group minus a forbidden subgroup) uniformly, and
 certifies every constructed object with an independent brute-force count.
 """
 
-from .catalog import (CatalogCertification, catalog_family, catalog_names,
-                      certify_catalog, hds16_family, order32_family,
+from .catalog import (CatalogCertification, catalog_family, certify_catalog,
+                      hds16_family, order32_family,
                       order32_certified_conventions, trivial_hds_family)
 from .constructions import (COMPLETION_PER_BLOCK, COMPLETION_SINGLE,
                             COMPLETIONS, BadResidueClassError,
@@ -31,10 +31,9 @@ from .multisets import (DF, DIFFERENCE_MULTISET, DS, INVALID, PDF,
                         delta_family, is_hadamard_pdf, make_family,
                         multiset_sum, verify)
 from .rings import (EvenOrderError, GaloisField, NotPrimeError, ProductRing,
-                    Ring, YCheck, Zmod, additive_group, build_y_powers,
-                    check_y_condition, factorize, is_prime, make_gf,
-                    make_ring, maximal_prime_power_divisors,
-                    primitive_element, ring_pow, starter_reps)
+                    Ring, YCheck, Zmod, build_y_powers, check_y_condition,
+                    factorize, is_prime, make_ring,
+                    maximal_prime_power_divisors, ring_pow, starter_reps)
 from .search import (HdsSearchResult, OrderMismatchError, SearchBounds,
                      YSearchResult, abelian_groups_order16,
                      hds_parameters, max_unit_y_search, search_hds)

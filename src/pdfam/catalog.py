@@ -1,13 +1,14 @@
-"""Built-in certified families: the sporadic non-abelian order-32 PDF, the
-trivial order-4 complement pair, and a searched order-16 complement pair."""
+"""Built-in certified families: the sporadic non-abelian order-32 PDF and
+the complement pairs of the first searched Hadamard difference sets for
+u = 1 and u = 2, built by constructions.hadamard_pdf_from_hds."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
-                     ProductGroup, Semidirect32)
+from .constructions import hadamard_pdf_from_hds
+from .groups import DEFAULT_CONVENTION, DiffConvention, Semidirect32
 from .multisets import (PDF, DesignFamily, VerificationReport, make_family,
                         verify)
 
@@ -32,20 +33,13 @@ def order32_family() -> DesignFamily:
 @lru_cache(maxsize=None)
 def trivial_hds_family() -> DesignFamily:
     """{D, G minus D} over Z4 for the one-element difference set {0}."""
-    return make_family(CyclicGroup(4), [[0], [1, 2, 3]])
+    return hadamard_pdf_from_hds(1).family
 
 
 @lru_cache(maxsize=None)
 def hds16_family() -> DesignFamily:
     """{D, G minus D} over Z4 x Z4 for the first searched (16,6,2)-DS."""
-    from .search import SearchBounds, search_hds
-
-    g = ProductGroup([CyclicGroup(4), CyclicGroup(4)])
-    found = search_hds(g, 2, SearchBounds(max_results=1))
-    if not found.results:  # exhaustive search cannot miss; defensive only
-        raise RuntimeError("no (16,6,2) difference set found in Z4xZ4")
-    d = found.results[0]
-    return make_family(g, [sorted(d), sorted(set(g.elements()) - set(d))])
+    return hadamard_pdf_from_hds(2).family
 
 
 _BUILDERS = {
@@ -53,10 +47,6 @@ _BUILDERS = {
     "trivial-hds": trivial_hds_family,
     "hds16": hds16_family,
 }
-
-
-def catalog_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
 
 
 def catalog_family(name: str) -> DesignFamily:

@@ -15,19 +15,17 @@ import json
 import sys
 from pathlib import Path
 
-from .catalog import catalog_family, catalog_names, certify_catalog
-from .constructions import (COMPLETION_SINGLE, COMPLETIONS,
-                            ConstructionError, complement_pdf, double_sdf,
-                            expand_from_hds, expand_hadamard_pdf,
+from .catalog import catalog_family, certify_catalog
+from .constructions import (COMPLETION_SINGLE, COMPLETIONS, complement_pdf,
+                            double_sdf, expand_from_hds, expand_hadamard_pdf,
                             expand_nonabelian32, hadamard_pdf_from_hds,
                             make_recipe, paley_double_sdf, ring_for_modulus)
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, ElementOutOfRangeError,
                      ProductGroup, Semidirect32, _ints, convention_from_name,
                      make_group)
-from .multisets import make_family, verify
-from .rings import (EvenOrderError, GaloisField, NotPrimeError, ProductRing,
-                    Ring, Zmod, factorize, make_ring)
-from .search import OrderMismatchError, SearchBounds, max_unit_y_search, search_hds
+from .multisets import verify
+from .rings import GaloisField, ProductRing, Ring, Zmod, factorize, make_ring
+from .search import SearchBounds, max_unit_y_search, search_hds
 from .serialize import (canonical_dumps, family_from_json,
                         family_to_json, prediction_from_json,
                         recipe_from_json, recipe_to_json, report_to_json,
@@ -206,18 +204,14 @@ def cmd_search_hds(args) -> int:
     group = parse_group_spec(args.group)
     bounds = SearchBounds(max_results=args.max_results,
                           time_budget_s=args.time_budget)
-    conv = _conv(args)
-    found = search_hds(group, args.u, bounds, conv)
-    reports = [report_to_json(verify(make_family(group, [list(d)],
-                                                 convention=conv)))
-               for d in found.results]
+    found = search_hds(group, args.u, bounds, _conv(args))
     _emit(canonical_dumps({
         "group": group.descriptor(),
         "u": args.u,
         "results": [list(d) for d in found.results],
         "complete": found.complete,
         "nodes": found.nodes,
-        "reports": reports,
+        "reports": [report_to_json(r) for r in found.reports],
     }), args.out)
     return 0
 
@@ -253,7 +247,7 @@ def cmd_catalog(args) -> int:
     try:
         fam = catalog_family(args.name)
     except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(exc.args[0]) from exc
     _emit(canonical_dumps(family_to_json(fam)), args.out)
     return 0
 
@@ -334,11 +328,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConstructionError, OrderMismatchError, NotPrimeError,
-            EvenOrderError, ElementOutOfRangeError, ValueError, KeyError,
+    # construction, search and ring errors are all ValueErrors
+    except (UsageError, ValueError, ElementOutOfRangeError, KeyError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,6 +22,7 @@ from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
 from .rings import (EvenOrderError, GaloisField, ProductRing, Ring,
                     build_y_powers, check_y_condition, factorize, is_prime,
                     maximal_prime_power_divisors, starter_reps)
+from .search import SearchBounds, hds_parameters, search_hds
 
 
 class ConstructionError(ValueError):
@@ -325,8 +326,6 @@ def make_recipe(pdf: DesignFamily, ring: Ring,
             f"v={rep.v}, lambda={rep.lambda_or_mu})")
     if ring.order % 2 == 0:
         raise EvenOrderError("expansion ring must have odd order")
-    if ring.order < 3:
-        raise ValueError("expansion ring must have at least 3 elements")
     kmax = max(rep.K)
     if y is None:
         try:
@@ -355,7 +354,7 @@ def validate_recipe(recipe: ExpansionRecipe) -> dict:
     if rep.kind != PDF or rep.v != 2 * rep.lambda_or_mu:
         raise RecipeInvariantError("base family is not a Hadamard PDF")
     ring = recipe.ring
-    if ring.order % 2 == 0 or ring.order < 3:
+    if ring.order % 2 == 0:
         raise RecipeInvariantError("ring order must be odd and at least 3")
     kmax = max(rep.K)
     if len(recipe.y) != kmax:
@@ -505,10 +504,7 @@ def hadamard_pdf_from_hds(u: int, group: FiniteGroup | None = None,
                           convention: DiffConvention = DEFAULT_CONVENTION
                           ) -> ConstructionResult:
     """Complement pair over the first searched (4u^2, 2u^2-u, u^2-u) set."""
-    from .search import SearchBounds, search_hds
-
-    if u < 1:
-        raise ValueError("u must be positive")
+    hds_parameters(u)  # refuses u < 1 before a default group is sought
     if group is None:
         if u == 1:
             group = CyclicGroup(4)

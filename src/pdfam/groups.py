@@ -119,15 +119,6 @@ class FiniteGroup:
                 f"element {a} outside 0..{self.order - 1}")
         return a
 
-    @property
-    def is_abelian(self) -> bool:
-        cached = getattr(self, "_abelian", None)
-        if cached is None:
-            idx = np.arange(self.order)
-            table = self.op(idx[:, None], idx[None, :])
-            cached = self._abelian = bool((table == table.T).all())
-        return cached
-
     def __eq__(self, other):
         return (isinstance(other, FiniteGroup)
                 and self.descriptor() == other.descriptor())
@@ -147,7 +138,6 @@ class CyclicGroup(FiniteGroup):
             raise ValueError("order must be positive")
         self.order = n
         self.arity = 1
-        self._abelian = True
 
     def op(self, a, b):
         return (self._check(a) + self._check(b)) % self.order
@@ -227,10 +217,6 @@ class ProductGroup(FiniteGroup):
         return {"type": "product",
                 "factors": [f.descriptor() for f in self.factors]}
 
-    @property
-    def is_abelian(self):
-        return all(f.is_abelian for f in self.factors)
-
     def __repr__(self):
         return " x ".join(repr(f) for f in self.factors)
 
@@ -245,7 +231,6 @@ class Semidirect32(FiniteGroup):
     def __init__(self):
         self.order = 32
         self.arity = 2
-        self._abelian = False
 
     def op(self, a, b):
         x1, y1 = divmod(self._check(a), 8)
@@ -450,10 +435,11 @@ _REQUIRED = object()
 def _field(descriptor: dict, key: str, valid, what: str,
            default=_REQUIRED):
     """descriptor[key], or the default when one is given and the key is
-    absent, if valid(value); otherwise a ValueError names the key and the
-    value.  A missing required key is a KeyError."""
-    value = (descriptor[key] if default is _REQUIRED
-             else descriptor.get(key, default))
+    absent, if valid(value); otherwise a ValueError names the key, and the
+    value when there is one."""
+    if default is _REQUIRED and key not in descriptor:
+        raise ValueError(f"missing key {key!r}")
+    value = descriptor.get(key, default)
     if not valid(value):
         raise ValueError(f"{key} {reprlib.repr(value)} is not {what}")
     return value

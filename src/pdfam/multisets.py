@@ -74,9 +74,6 @@ class Multiset:
     def mult(self, e: int) -> int:
         return self.counts.get(e, 0)
 
-    def support(self) -> list[int]:
-        return sorted(self.counts)
-
     @property
     def is_set(self) -> bool:
         return len(self.counts) == self.size

@@ -78,7 +78,6 @@ class Ring:
     def __init__(self, additive: FiniteGroup):
         self.additive = additive
         self.order = additive.order
-        self.arity = additive.arity
 
     def add(self, a, b):
         return self.additive.op(a, b)
@@ -140,10 +139,8 @@ class Zmod(Ring):
         self.one = 1
 
     def mul(self, a, b):
-        n = self.order
-        if not (0 <= a < n and 0 <= b < n):
-            _refuse(self, a, b)
-        return a * b % n
+        a, b = _indices(self.additive, [a, b])
+        return a * b % self.order
 
     def is_unit(self, a):
         unit = np.gcd(self.additive._check(a), self.order) == 1
@@ -291,13 +288,7 @@ class ProductRing(Ring):
     def __init__(self, factors):
         self.factors = tuple(factors)
         super().__init__(ProductGroup(f.additive for f in self.factors))
-        self.one = self.join(f.one for f in self.factors)
-
-    def split(self, a) -> tuple:
-        return self.additive.split(a)
-
-    def join(self, parts) -> int:
-        return self.additive.join(parts)
+        self.one = self.additive.join(f.one for f in self.factors)
 
     def mul(self, a, b):
         g = self.additive
@@ -306,17 +297,13 @@ class ProductRing(Ring):
 
     def is_unit(self, a):
         unit = True
-        for f, x in zip(self.factors, self.split(a)):
+        for f, x in zip(self.factors, self.additive.split(a)):
             unit = unit & f.is_unit(x)
         return unit
 
     # the product group's descriptor and name, over the factor rings
     descriptor = ProductGroup.descriptor
     __repr__ = ProductGroup.__repr__
-
-
-def make_gf(p: int, k: int = 1) -> GaloisField:
-    return GaloisField(p, k)
 
 
 def make_ring(descriptor: dict) -> Ring:
@@ -334,11 +321,6 @@ def make_ring(descriptor: dict) -> Ring:
     raise ValueError(f"unknown ring descriptor type {kind!r}")
 
 
-def additive_group(ring: Ring) -> FiniteGroup:
-    """The additive group of a ring, with the same element indexing."""
-    return ring.additive
-
-
 def ring_pow(ring: Ring, a: int, e: int) -> int:
     """a**e by binary exponentiation, e >= 0."""
     result = ring.one
@@ -349,13 +331,6 @@ def ring_pow(ring: Ring, a: int, e: int) -> int:
         base = ring.mul(base, base)
         e >>= 1
     return result
-
-
-def primitive_element(field: GaloisField) -> int:
-    """Smallest element generating the multiplicative group."""
-    if not isinstance(field, GaloisField):
-        raise TypeError("primitive elements are defined for fields")
-    return field.primitive
 
 
 def starter_reps(ring: Ring) -> list[int]:
@@ -391,13 +366,13 @@ def build_y_powers(ring: Ring, m: int) -> list[int]:
     canonical ordering of Y.
     """
     fields = _field_factors(ring)
-    rhos = [primitive_element(f) for f in fields]
+    rhos = [f.primitive for f in fields]
     powers = [list(rhos)]
     for _ in range(m - 1):
         powers.append([f.mul(prev, r)
                        for f, prev, r in zip(fields, powers[-1], rhos)])
     if isinstance(ring, ProductRing):
-        return [ring.join(vec) for vec in powers[:m]]
+        return [ring.additive.join(vec) for vec in powers[:m]]
     return [vec[0] for vec in powers[:m]]
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup)
-from .multisets import DS, make_family, verify
+from .multisets import DS, VerificationReport, make_family, verify
 from .rings import Ring
 
 
@@ -31,9 +31,14 @@ class HdsSearchResult:
     complete: bool
     nodes: int
     elapsed: float
+    # reports[i]: the verifier's report on results[i] as a one-block family
+    reports: tuple[VerificationReport, ...]
 
 
 def hds_parameters(u: int) -> tuple[int, int, int]:
+    """(v, k, lambda) = (4u^2, 2u^2-u, u^2-u) for a positive u."""
+    if u < 1:
+        raise ValueError("u must be positive")
     return 4 * u * u, 2 * u * u - u, u * u - u
 
 
@@ -61,7 +66,7 @@ def search_hds(group: FiniteGroup, u: int,
     Depth-first from the identity over the other elements in ascending
     index order, pruning as soon as any non-identity difference count
     exceeds u^2-u.  Hits are returned sorted; every hit is re-certified by
-    the verifier before being returned.
+    the verifier before being returned, with its report.
 
     The difference counts are packed into one int, a ``width``-bit field
     per element, each starting at 2^(width-1) - 1 - lambda so that a count
@@ -93,6 +98,7 @@ def search_hds(group: FiniteGroup, u: int,
             for e in range(v)]
     chosen = [group.identity]
     results: list[tuple[int, ...]] = []
+    reports: list[VerificationReport] = []
     nodes = 0
     truncated = False
 
@@ -104,6 +110,7 @@ def search_hds(group: FiniteGroup, u: int,
         if (rep.kind == DS and rep.h == 1 and rep.v == v
                 and rep.lambda_or_mu == lam):
             results.append(d)
+            reports.append(rep)
             if (bounds.max_results is not None
                     and len(results) >= bounds.max_results):
                 return False
@@ -132,15 +139,10 @@ def search_hds(group: FiniteGroup, u: int,
                 return False
         return True
 
-    if k == 0:
-        exhausted = True  # no sets of size zero contain the identity
-    elif k == 1:
-        exhausted = emit()
-    else:
-        exhausted = extend(1, bias, pair[group.identity][1:])
+    exhausted = extend(1, bias, pair[group.identity][1:])
     complete = exhausted and not truncated
     return HdsSearchResult(tuple(results), complete, nodes,
-                           time.monotonic() - started)
+                           time.monotonic() - started, tuple(reports))
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,35 @@ def test_catalog_emit_unknown_name(capsys):
     assert main(["catalog", "emit", "no-such-family"]) == 1
 
 
+def test_catalog_emit_unknown_name_message_is_unquoted(capsys):
+    assert main(["catalog", "emit", "nope"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: unknown catalog entry 'nope'; "
+        "choose from ['hds16', 'order-32', 'trivial-hds']\n"))
+
+
+# sha256 of the stdout of `catalog list` and `catalog emit NAME`, taken while
+# the catalog still built its Hadamard entries by hand
+_CATALOG_SHA256 = {
+    "list":
+        "8d47360947551e03671b4bb8c1cb9136085499a2e8637be5f822c4ce3229d5b3",
+    "trivial-hds":
+        "231e589e9ac9783b619bb4eb4f1a697554f7f1a485064a5bf2b1c5b475324de9",
+    "hds16":
+        "d341af1c1709fcb13a800e4d312768148bb7be7c44ab401801dde3c9c7233512",
+    "order-32":
+        "fc58ce590d01efb593230bb76dd93f88207260ec309d3dd74c67df0a75be7943",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOG_SHA256))
+def test_catalog_output_bytes_are_pinned(capsys, name):
+    argv = ["catalog", "list"] if name == "list" else ["catalog", "emit", name]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _CATALOG_SHA256[name]
+
+
 def test_search_hds_cli(capsys):
     code, doc = run_json(capsys, "search-hds", "--group", "Z16", "--u", "2")
     assert code == 0
@@ -233,6 +262,13 @@ def test_search_hds_cli(capsys):
     assert code == 0
     assert len(doc["results"]) == 1 and doc["complete"] is False
     assert doc["reports"][0]["kind"] == "DS"
+
+
+@pytest.mark.parametrize("u", ["-1", "0"])
+def test_search_hds_non_positive_u_exits_1(capsys, u):
+    # u = -1 reported the (4,3,2) set [0, 1, 2] as a Hadamard set, exit 0
+    _exits_1_with_one_line(capsys, ["search-hds", "--group", "Z4",
+                                    "--u", u], "u must be positive")
 
 
 def test_search_y_cli(capsys):
@@ -405,6 +441,19 @@ def test_verify_declared_field_not_integer_exits_1(tmp_path, capsys, key,
 def test_ring_descriptor_field_not_integer_exits_1(capsys, spec):
     _exits_1_with_one_line(capsys, ["construct", "expand", "--u", "1",
                                     "--ring", spec], "is not an integer")
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["construct", "complement", "--group", '{"type": "cyclic"}',
+      "--block", "0"], "n"),
+    (["construct", "complement", "--group", '{"type": "table"}',
+      "--block", "0"], "table"),
+    (["construct", "expand", "--u", "1", "--ring", '{"type": "gf"}'], "p"),
+    (["construct", "expand", "--u", "1", "--ring", '{"type": "zmod"}'], "n"),
+], ids=["cyclic-n", "table-table", "gf-p", "zmod-n"])
+def test_descriptor_spec_missing_key_is_named(capsys, argv, key):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: missing key {key!r}\n")
 
 
 @pytest.mark.parametrize("key,bad", [

@@ -13,7 +13,7 @@ from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup
 from pdfam.multisets import (DF, DS, INVALID, PDF, RELATIVE_PDF, SDF,
                              Multiset, delta_block, delta_family,
                              make_family, verify)
-from pdfam.rings import GaloisField, ProductRing, Zmod, additive_group
+from pdfam.rings import GaloisField, ProductRing, Zmod
 from pdfam.serialize import (canonical_dumps, recipe_from_json,
                              recipe_to_json, result_to_json)
 
@@ -116,7 +116,7 @@ def _lift_fixture():
 
 def test_sdf_lift_certifies_relative():
     sdf, ring, lifts, endos = _lift_fixture()
-    res = cons.sdf_lift(sdf, additive_group(ring), lifts, endos, lam=4)
+    res = cons.sdf_lift(sdf, ring.additive, lifts, endos, lam=4)
     assert res.certified
     r = res.report
     assert r.kind == RELATIVE_PDF
@@ -127,14 +127,14 @@ def test_sdf_lift_certifies_relative():
 def test_sdf_lift_parameter_check():
     sdf, ring, lifts, endos = _lift_fixture()
     with pytest.raises(cons.ParameterMismatchError):
-        cons.sdf_lift(sdf, additive_group(ring), lifts, endos, lam=5)
+        cons.sdf_lift(sdf, ring.additive, lifts, endos, lam=5)
 
 
 def test_sdf_lift_projection_check():
     sdf, ring, lifts, endos = _lift_fixture()
     bad = [lifts[0], [(d, h) for d, h in lifts[1][:-1]] + [(0, 1)]]
     with pytest.raises(cons.ProjectionMismatchError):
-        cons.sdf_lift(sdf, additive_group(ring), bad, endos, lam=4)
+        cons.sdf_lift(sdf, ring.additive, bad, endos, lam=4)
 
 
 def test_sdf_lift_covering_check():
@@ -142,14 +142,14 @@ def test_sdf_lift_covering_check():
     # {1,2,6} picks the pair {1,-1} twice and never {3,-3}: covering fails
     bad_endos = [tuple(ring.mul(s, h) for h in range(7)) for s in (1, 2, 6)]
     with pytest.raises(cons.ConditionFailsError):
-        cons.sdf_lift(sdf, additive_group(ring), lifts, bad_endos, lam=4)
+        cons.sdf_lift(sdf, ring.additive, lifts, bad_endos, lam=4)
 
 
 def test_sdf_lift_accepts_any_complete_starter_set():
     sdf, ring, lifts, endos = _lift_fixture()
     # {1,2,4} is a non-canonical but complete set of pair representatives
     alt = [tuple(ring.mul(s, h) for h in range(7)) for s in (1, 2, 4)]
-    res = cons.sdf_lift(sdf, additive_group(ring), lifts, alt, lam=4)
+    res = cons.sdf_lift(sdf, ring.additive, lifts, alt, lam=4)
     assert res.certified
 
 
@@ -157,7 +157,7 @@ def test_sdf_lift_rejects_non_endomorphism():
     sdf, ring, lifts, endos = _lift_fixture()
     bad = [tuple((h + 1) % 7 for h in range(7))] + endos[1:]
     with pytest.raises(ValueError):
-        cons.sdf_lift(sdf, additive_group(ring), lifts, bad, lam=4)
+        cons.sdf_lift(sdf, ring.additive, lifts, bad, lam=4)
 
 
 @pytest.mark.parametrize("bad,says", [
@@ -173,7 +173,7 @@ def test_sdf_lift_rejects_non_endomorphism():
 def test_sdf_lift_rejects_malformed_tables(bad, says):
     sdf, ring, lifts, endos = _lift_fixture()
     with pytest.raises(ValueError, match=says):
-        cons.sdf_lift(sdf, additive_group(ring), lifts, bad(endos), lam=4)
+        cons.sdf_lift(sdf, ring.additive, lifts, bad(endos), lam=4)
 
 
 # -- recipes and full expansions -------------------------------------------

@@ -8,7 +8,7 @@ from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
                           Semidirect32, TableGroup, convention_from_name,
                           endomorphism_mask, is_subgroup, make_group,
                           subgroup_closure)
-from pdfam.rings import GaloisField, additive_group
+from pdfam.rings import GaloisField
 
 SMALL_GROUPS = [
     CyclicGroup(1),
@@ -54,7 +54,8 @@ def test_semidirect32_law():
     a, b = pairs((2, 0), (2, 0))
     assert g.coords(g.op(a, b)) == (0, 0)
     assert g.coords(g.neg(g.index_of((2, 0)))) == (2, 0)
-    assert not g.is_abelian
+    a, b = pairs((0, 1), (1, 0))
+    assert g.op(a, b) != g.op(b, a)  # (1, 5) and (1, 1): not abelian
 
 
 def test_semidirect32_difference_conventions_differ_somewhere():
@@ -76,7 +77,7 @@ def test_abelian_difference_convention_agrees():
 
 @pytest.mark.parametrize("g,coords", [
     (CyclicGroup(7), (2.5,)),
-    (additive_group(GaloisField(3, 2)), (1.7, 0)),
+    (GaloisField(3, 2).additive, (1.7, 0)),
     (Semidirect32(), (1.9, 2.2)),
     (CyclicGroup(7), (True,)),
     (ProductGroup([CyclicGroup(3), CyclicGroup(4)]), (1, False)),
@@ -312,9 +313,10 @@ def _known_endomorphisms(g, field):
     x -> x + ... + x when abelian, and multiplications by field elements
     when g is the field's additive group."""
     idx = np.arange(g.order)
+    table = g.op(idx[:, None], idx[None, :])
     maps = [idx, np.full(g.order, g.identity)]
     maps += [g.op(g.op(c, idx), g.neg(c)) for c in g.elements()]
-    if g.is_abelian:
+    if (table == table.T).all():
         t = maps[1]
         for _ in range(min(g.order, 8)):
             t = g.op(t, idx)
@@ -326,7 +328,7 @@ def _known_endomorphisms(g, field):
 
 
 # (group, field whose additive group it is, or None)
-_ENDO_GROUPS = [(additive_group(GaloisField(p, 2)), GaloisField(p, 2))
+_ENDO_GROUPS = [(GaloisField(p, 2).additive, GaloisField(p, 2))
                 for p in (2, 3, 5)] + [
     (ProductGroup([CyclicGroup(3), CyclicGroup(4)]), None),
     (Semidirect32(), None),

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from pdfam.groups import CyclicGroup, ElementOutOfRangeError, ProductGroup
 from pdfam.rings import (EvenOrderError, GaloisField, NotPrimeError,
-                         ProductRing, Zmod, additive_group, build_y_powers,
-                         check_y_condition, factorize, is_prime, make_gf,
-                         make_ring, maximal_prime_power_divisors,
-                         primitive_element, ring_pow, starter_reps)
+                         ProductRing, Zmod, build_y_powers, check_y_condition,
+                         factorize, is_prime, make_ring,
+                         maximal_prime_power_divisors, ring_pow, starter_reps)
 
 
 def test_factorize_and_divisors():
@@ -65,7 +64,7 @@ def test_gf_rejects_composite_characteristic():
 def test_primitive_element_orders():
     for q, expected in [((5, 1), 2), ((7, 1), 3), ((3, 1), 2)]:
         f = GaloisField(*q)
-        rho = primitive_element(f)
+        rho = f.primitive
         assert rho == expected
         seen = set()
         acc = f.one
@@ -77,7 +76,7 @@ def test_primitive_element_orders():
 
 def test_primitive_element_generates_gf27():
     f = GaloisField(3, 3)
-    rho = primitive_element(f)
+    rho = f.primitive
     acc, seen = f.one, set()
     for _ in range(26):
         acc = f.mul(acc, rho)
@@ -114,18 +113,31 @@ def test_gf_mul_matches_schoolbook_product(q):
 def test_primitive_element_is_sympy_primitive_root():
     sympy = pytest.importorskip("sympy")
     for p in sympy.primerange(2, 1000):
-        assert primitive_element(GaloisField(p)) == sympy.primitive_root(p)
+        assert GaloisField(p).primitive == sympy.primitive_root(p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 47, 401, 499])
 def test_prime_field_is_integers_mod_p(p):
     f = GaloisField(p)
-    rho = primitive_element(f)
+    rho = f.primitive
     assert [ring_pow(f, rho, i) for i in range(p - 1)] == [
         pow(rho, i, p) for i in range(p - 1)]
     step = max(1, p // 23)
     assert all(f.mul(a, b) == a * b % p
                for a in range(p) for b in range(0, p, step))
+
+
+def test_zmod_mul_refuses_non_integers_and_returns_ints():
+    # 2.5 * 3 % 7 was 0.5, and a numpy operand gave a numpy result
+    r = Zmod(7)
+    for a, b, bad in ((2.5, 3, "2.5"), (3, 4.0, "4.0"), (True, 3, "True")):
+        with pytest.raises(ValueError,
+                           match=rf"^element {bad} is not an integer$"):
+            r.mul(a, b)
+    for a, b in ((np.int64(3), 4), (3, np.int32(4)), (3, 4)):
+        assert type(r.mul(a, b)) is int and r.mul(a, b) == 5
+    with pytest.raises(ElementOutOfRangeError, match="^element 7 outside"):
+        r.mul(3, 7)
 
 
 def test_product_ring_mul_is_unitwise_on_every_pair():
@@ -137,11 +149,11 @@ def test_product_ring_mul_is_unitwise_on_every_pair():
 
 def test_product_ring_componentwise():
     r = ProductRing([GaloisField(7, 1), GaloisField(11, 1)])
-    a = r.join((3, 5))
-    b = r.join((2, 9))
-    assert r.split(r.mul(a, b)) == (6, 45 % 11)
+    a = r.additive.join((3, 5))
+    b = r.additive.join((2, 9))
+    assert r.additive.split(r.mul(a, b)) == (6, 45 % 11)
     assert r.is_unit(a)
-    assert not r.is_unit(r.join((0, 1)))
+    assert not r.is_unit(r.additive.join((0, 1)))
 
 
 def _radices(ring):
@@ -194,9 +206,9 @@ def test_additive_group_preserves_indices():
                        CyclicGroup(7)])),
     ]
     for ring, expected in cases:
-        g = additive_group(ring)
+        g = ring.additive
         assert g == expected
-        assert g is additive_group(ring)
+        assert g is ring.additive
         assert (json.dumps(g.descriptor(), sort_keys=True)
                 == json.dumps(expected.descriptor(), sort_keys=True))
         for a in range(0, ring.order, max(1, ring.order // 7)):
@@ -271,7 +283,7 @@ def test_build_y_powers_f7():
 def test_build_y_powers_product_diagonal():
     r = ProductRing([GaloisField(5, 1), GaloisField(5, 1)])
     ys = build_y_powers(r, 3)
-    assert [r.split(y) for y in ys] == [(2, 2), (4, 4), (3, 3)]
+    assert [r.additive.split(y) for y in ys] == [(2, 2), (4, 4), (3, 3)]
 
 
 def test_build_y_powers_needs_fields():
@@ -316,7 +328,7 @@ def test_ring_pow():
 
 
 def test_make_ring_roundtrip():
-    for r in [Zmod(9), GaloisField(3, 2), make_gf(7, 1),
+    for r in [Zmod(9), GaloisField(3, 2), GaloisField(7, 1),
               ProductRing([GaloisField(5, 1), GaloisField(7, 1)])]:
         assert make_ring(r.descriptor()) == r
 

@@ -5,6 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from pdfam.constructions import hadamard_pdf_from_hds
 from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup, TableGroup
 from pdfam.multisets import DS, make_family, verify
 from pdfam.rings import GaloisField, Zmod, check_y_condition
@@ -17,6 +18,17 @@ def test_hds_parameters():
     assert hds_parameters(1) == (4, 1, 0)
     assert hds_parameters(2) == (16, 6, 2)
     assert hds_parameters(3) == (36, 15, 6)
+
+
+@pytest.mark.parametrize("u", [0, -1])
+def test_non_positive_u_is_refused(u):
+    # u = -1 once searched Z4 for a (4, 3, 2) set and reported [0, 1, 2]
+    for call in (lambda: hds_parameters(u),
+                 lambda: search_hds(CyclicGroup(4), u),
+                 lambda: hadamard_pdf_from_hds(u),
+                 lambda: hadamard_pdf_from_hds(u, CyclicGroup(4))):
+        with pytest.raises(ValueError, match="^u must be positive$"):
+            call()
 
 
 def test_search_hds_trivial_u1():
@@ -163,6 +175,23 @@ def test_search_hds_table_groups(make_group, hits, convention):
         rep = verify(make_family(g, [list(d)], convention=convention))
         assert rep.kind == DS
         assert (rep.v, tuple(rep.K), rep.lambda_or_mu) == (16, (6,), 2)
+
+
+@pytest.mark.parametrize("max_results", [None, 1])
+@pytest.mark.parametrize("convention", list(DiffConvention),
+                         ids=lambda c: c.value)
+@pytest.mark.parametrize("make_group", [
+    lambda: ProductGroup([CyclicGroup(4), CyclicGroup(4)]),
+    lambda: ProductGroup([CyclicGroup(2), CyclicGroup(8)]),
+    lambda: TableGroup(Q8_X_Z2),
+], ids=["Z4xZ4", "Z2xZ8", "Q8xZ2"])
+def test_search_hds_reports_are_the_verifier_reports(make_group, convention,
+                                                     max_results):
+    g = make_group()
+    res = search_hds(g, 2, SearchBounds(max_results=max_results), convention)
+    assert res.results and len(res.reports) == len(res.results)
+    for d, rep in zip(res.results, res.reports):
+        assert rep == verify(make_family(g, [list(d)], convention=convention))
 
 
 def _order16_groups():
