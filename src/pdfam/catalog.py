@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .constructions import hadamard_pdf_from_hds
+from .constructions import ConstructionResult, hadamard_pdf_from_hds
 from .groups import DEFAULT_CONVENTION, DiffConvention, Semidirect32
 from .multisets import (PDF, DesignFamily, VerificationReport, make_family,
                         verify)
@@ -31,15 +31,24 @@ def order32_family() -> DesignFamily:
 
 
 @lru_cache(maxsize=None)
+def _hds_pair(u: int) -> ConstructionResult:
+    """The complement pair of the first searched (4u^2, 2u^2-u, u^2-u)
+    difference set, with the report it was certified by."""
+    return hadamard_pdf_from_hds(u)
+
+
+# the catalog entries built by _hds_pair, by u
+_HDS_ENTRIES = {"trivial-hds": 1, "hds16": 2}
+
+
 def trivial_hds_family() -> DesignFamily:
     """{D, G minus D} over Z4 for the one-element difference set {0}."""
-    return hadamard_pdf_from_hds(1).family
+    return _hds_pair(1).family
 
 
-@lru_cache(maxsize=None)
 def hds16_family() -> DesignFamily:
     """{D, G minus D} over Z4 x Z4 for the first searched (16,6,2)-DS."""
-    return hadamard_pdf_from_hds(2).family
+    return _hds_pair(2).family
 
 
 _BUILDERS = {
@@ -70,7 +79,11 @@ class CatalogCertification:
 
 
 def _certify(name: str, convention: DiffConvention) -> CatalogCertification:
-    rep = verify(replace(catalog_family(name), convention=convention))
+    if name in _HDS_ENTRIES and convention is DEFAULT_CONVENTION:
+        # the pair was built and verified under this convention
+        rep = _hds_pair(_HDS_ENTRIES[name]).report
+    else:
+        rep = verify(replace(catalog_family(name), convention=convention))
     hadamard = rep.kind == PDF and rep.v == 2 * rep.lambda_or_mu
     return CatalogCertification(name, convention, rep, hadamard)
 

@@ -196,9 +196,11 @@ def _fiber_matrix(base: DesignFamily, h_group: FiniteGroup,
     is the base family's group and (g, h) has index g*|H| + h."""
     g_group = base.group
     ambient = ProductGroup([g_group, h_group])
-    rows = [[ambient.join(p) for p in pairs] for pairs in lifts]
-    return _difference_counts(ambient, rows, base.convention).reshape(
-        g_group.order, h_group.order)
+    flat = ambient.join(np.array([p for pairs in lifts for p in pairs],
+                                 dtype=np.int64).reshape(-1, 2).T)
+    return _difference_counts(ambient, flat, list(map(len, lifts)),
+                              base.convention).reshape(g_group.order,
+                                                       h_group.order)
 
 
 def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,

@@ -11,7 +11,8 @@ additively but need not be abelian; DiffConvention fixes what "a - b" means
 when order matters, and FiniteGroup.difference is the one place that reads
 it.  A design family carries the convention its differences are read under
 (pdfam.multisets.DesignFamily), and the CLI settles it once, when it
-decodes a family file.
+decodes a family file.  Difference counts go through the group's
+DifferencePlan, which tallies pairs on the digits of its leaf factors.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import operator
 import reprlib
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -95,6 +97,15 @@ class FiniteGroup:
         if convention is DiffConvention.LEFT_INVERSE:
             return self.op(self.neg(b), a)
         raise ValueError(f"unknown difference convention {convention!r}")
+
+    def difference_plan(self, convention: DiffConvention = DEFAULT_CONVENTION
+                        ) -> "DifferencePlan":
+        """The tally plan of this group's differences under the convention,
+        built on first use and kept on the group."""
+        plans = self.__dict__.setdefault("_difference_plans", {})
+        if convention not in plans:
+            plans[convention] = DifferencePlan(self, convention)
+        return plans[convention]
 
     def _coordinates(self, coords) -> tuple[int, ...]:
         """coords as Python ints, refusing non-integers and a count other
@@ -175,6 +186,7 @@ class ProductGroup(FiniteGroup):
             acc *= f.order
         self.strides = tuple(reversed(strides))
         self.order = acc
+        self.identity = self.join(f.identity for f in factors)
 
     def split(self, a) -> tuple:
         """Index -> per-factor indices."""
@@ -284,6 +296,80 @@ class TableGroup(FiniteGroup):
     def descriptor(self):
         return {"type": "table", "n": self.order,
                 "table": self.table.tolist()}
+
+
+def _leaves(group: FiniteGroup, stride: int = 1):
+    """(leaf, stride) for every non-product factor of a group, nested
+    products flattened, most significant first: element a of the group has
+    leaf element a // stride % leaf.order."""
+    if isinstance(group, ProductGroup):
+        for f, s in zip(group.factors, group.strides):
+            yield from _leaves(f, stride * s)
+    else:
+        yield group, stride
+
+
+class DifferencePlan:
+    """Differences a - b in one group under one convention, tallied on leaf
+    digits rather than through op and neg.
+
+    Every leaf of the group (_leaves) is one axis of a padded grid.  A
+    cyclic leaf of order r gets 2r - 1 cells: a has left code a + r - 1 and
+    b right code -b, and their sum a - b + r - 1 needs no reduction.  Any
+    other leaf gets |L| cells, and the digit of a - b is read from its
+    |L| x |L| difference table.  The cell of a pair is therefore
+    left[a] + right[b] plus one table read per non-cyclic leaf, and fold
+    maps every cell to its group element.  A direct product's differences
+    are its leaves' differences, under either convention.
+    """
+
+    def __init__(self, group: FiniteGroup, convention: DiffConvention):
+        leaves = [(leaf, stride, isinstance(leaf, CyclicGroup))
+                  for leaf, stride in _leaves(group)]
+        sizes = [2 * leaf.order - 1 if cyclic else leaf.order
+                 for leaf, _, cyclic in leaves]
+        cell_strides = np.cumprod([1] + sizes[:0:-1])[::-1].tolist()
+        self.order = group.order
+        self.grid = int(np.prod(sizes))
+        # per leaf: left and right codes of its digits, the element each of
+        # its cells folds to; entry i of an outer sum over the leaves adds
+        # up the parts at the digits of i
+        left, right, fold = [], [], []
+        # (row code, column code, flat table of cells) per non-cyclic leaf
+        self.tables = []
+        for (leaf, stride, cyclic), cs in zip(leaves, cell_strides):
+            r = leaf.order
+            own = np.arange(r)
+            if cyclic:
+                left.append((own + r - 1) * cs)
+                right.append(-own * cs)
+                # cell c holds a - b = c - (r - 1)
+                fold.append((np.arange(2 * r - 1) + 1) % r * stride)
+            else:
+                left.append(0 * own)
+                right.append(0 * own)
+                fold.append(own * stride)
+                table = leaf.difference(own[:, None], own[None, :],
+                                        convention)
+                digit = np.arange(group.order) // stride % r
+                self.tables.append((digit * r, digit, (table * cs).ravel()))
+        self.left = reduce(np.add.outer, left).ravel()
+        self.right = reduce(np.add.outer, right).ravel()
+        self.fold = reduce(np.add.outer, fold).ravel()
+
+    def codes(self, x: np.ndarray) -> np.ndarray:
+        """Entry [i, j, k]: the grid cell of x[i, j] - x[i, k], for a stack
+        x of equal-length rows; the diagonal j = k is included."""
+        code = self.left[x][:, :, None] + self.right[x][:, None, :]
+        for row, col, table in self.tables:
+            code += table[row[x][:, :, None] + col[x][:, None, :]]
+        return code
+
+    def to_elements(self, tally: np.ndarray) -> np.ndarray:
+        """Per-cell counts summed onto group elements.  The weights are
+        float64, exact for counts below 2**53."""
+        return np.bincount(self.fold, weights=tally,
+                           minlength=self.order).astype(np.int64)
 
 
 def _scalar_or_array(x):

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -115,21 +116,47 @@ def multiset_sum(a: Multiset, b: Multiset) -> Multiset:
     return Multiset(a.group, counts=c)
 
 
-def _difference_counts(group: FiniteGroup, rows,
+def _difference_counts(group: FiniteGroup, flat: np.ndarray, lengths,
                        convention: DiffConvention) -> np.ndarray:
     """Entry e: how many ordered pairs of distinct positions of the same row
-    have difference e.  Rows of equal length are stacked into one array, so
-    each length costs one broadcast difference and one bincount."""
-    by_length: dict[int, list] = {}
-    for row in rows:
-        by_length.setdefault(len(row), []).append(row)
-    out = np.zeros(group.order, dtype=np.int64)
-    for k, stack in by_length.items():
-        x = np.array(stack, dtype=np.int64)
-        d = group.difference(x[:, :, None], x[:, None, :], convention)
-        out += np.bincount(d[:, ~np.eye(k, dtype=bool)].ravel(),
-                           minlength=group.order)
+    have difference e, for rows laid end to end in flat with the given
+    lengths.
+
+    Rows of equal length are stacked, and each stack costs one add, one
+    gather per non-cyclic leaf and one bincount onto the grid of the
+    group's difference plan, diagonal included.  The grid is folded onto
+    the elements once, and the diagonal, one identity difference per
+    position, is taken back off.
+    """
+    plan = group.difference_plan(convention)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    tally = 0
+    for k in set(lengths.tolist()):
+        first = ends[lengths == k] - k
+        x = flat[first[:, None] + np.arange(k)]
+        tally = tally + np.bincount(plan.codes(x).ravel(),
+                                    minlength=plan.grid)
+    out = plan.to_elements(tally)
+    out[group.identity] -= len(flat)
     return out
+
+
+def _laid_out(blocks) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The blocks' positions laid end to end, in no particular order within
+    a block, with the block sizes, and whether every block is a set."""
+    counts = list(map(attrgetter("counts"), blocks))
+    distinct = list(map(len, counts))
+    keys = np.fromiter(chain.from_iterable(counts), dtype=np.int64,
+                       count=sum(distinct))
+    mult = np.fromiter(chain.from_iterable(map(dict.values, counts)),
+                       dtype=np.int64, count=len(keys))
+    if (mult == 1).all():
+        return keys, np.array(distinct, dtype=np.int64), True
+    # positions before each block's first key, and after its last
+    taken = np.concatenate(([0], mult.cumsum()))
+    bounds = np.cumsum([0] + distinct)
+    return np.repeat(keys, mult), np.diff(taken[bounds]), False
 
 
 def _from_dense(group: FiniteGroup, dense: np.ndarray) -> Multiset:
@@ -141,8 +168,9 @@ def _from_dense(group: FiniteGroup, dense: np.ndarray) -> Multiset:
 def delta_block(block: Multiset,
                 convention: DiffConvention = DEFAULT_CONVENTION) -> Multiset:
     """Differences over all ordered pairs of distinct positions of a block."""
+    flat, lengths, _ = _laid_out([block])
     return _from_dense(block.group, _difference_counts(
-        block.group, [block.positions()], convention))
+        block.group, flat, lengths, convention))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,9 +231,9 @@ def make_family(group: FiniteGroup, blocks, forbidden=None,
 
 
 def delta_family(family: DesignFamily) -> Multiset:
+    flat, lengths, _ = _laid_out(family.blocks)
     return _from_dense(family.group, _difference_counts(
-        family.group, [b.positions() for b in family.blocks],
-        family.convention))
+        family.group, flat, lengths, family.convention))
 
 
 @dataclass(frozen=True)
@@ -254,12 +282,11 @@ def verify(family: DesignFamily) -> VerificationReport:
     g = family.group
     v = g.order
     ident = g.identity
-    rows = [b.positions() for b in family.blocks]
-    delta = _difference_counts(g, rows, family.convention)
-    cover = np.bincount(np.concatenate(rows), minlength=v)
-    sizes = family.block_sizes
+    flat, lengths, blocks_are_sets = _laid_out(family.blocks)
+    delta = _difference_counts(g, flat, lengths, family.convention)
+    cover = np.bincount(flat, minlength=v)
+    sizes = tuple(sorted(lengths.tolist()))
     single = len(family.blocks) == 1
-    blocks_are_sets = all(b.is_set for b in family.blocks)
 
     def report_invalid(mismatch_elem: int, expected: int) -> VerificationReport:
         # a doubly covered element earlier in canonical order outranks

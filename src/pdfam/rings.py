@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (CyclicGroup, FiniteGroup, ProductGroup, _factors,
-                     _indices, _int_field, _scalar_or_array)
+                     _indices, _int_field, _is_int, _scalar_or_array)
 
 
 class NotPrimeError(ValueError):
@@ -122,11 +122,12 @@ class Ring:
 
 
 def _refuse(ring: Ring, a, b):
-    """The cold path of mul's inline range test: raise the additive group's
-    ElementOutOfRangeError for the first of a, b outside 0..order-1.  mul
+    """The cold path of mul's inline operand test: raise what _indices
+    raises for [a, b], a ValueError for a non-integer or the additive
+    group's ElementOutOfRangeError for an element outside 0..order-1.  mul
     tests inline because it runs once per entry of every endomorphism
-    table, where a call to _check would cost more than the product."""
-    ring.additive._check(b if 0 <= a < ring.order else a)
+    table, where a call to _indices would cost more than the product."""
+    _indices(ring.additive, [a, b])
 
 
 class Zmod(Ring):
@@ -209,10 +210,12 @@ class GaloisField(Ring):
         self.k = k
         self.one = 1
         self.modulus = self._find_modulus()
-        # exp runs over two periods, so a sum of two logs needs no reduction
+        # exp runs over two periods, so a sum of two logs needs no reduction,
+        # and then over zeros, where the log of 0 points, so a product with
+        # 0 reads 0 without a branch
         self.primitive, powers = self._primitive_powers()
-        self._exp = powers + powers
-        self._log = [0] * self.order
+        self._exp = powers + powers + [0] * (2 * self.order - 1)
+        self._log = [2 * self.order - 2] * self.order
         for i, x in enumerate(powers):
             self._log[x] = i
 
@@ -266,9 +269,10 @@ class GaloisField(Ring):
         q = self.order
         if not (0 <= a < q and 0 <= b < q):
             _refuse(self, a, b)
-        if a and b:
+        try:
             return self._exp[self._log[a] + self._log[b]]
-        return 0
+        except TypeError:  # a list index that is not an integer
+            _refuse(self, a, b)
 
     def is_unit(self, a):
         return self.additive._check(a) != 0
@@ -291,9 +295,13 @@ class ProductRing(Ring):
         self.one = self.additive.join(f.one for f in self.factors)
 
     def mul(self, a, b):
-        g = self.additive
-        return g.join([f.mul(x, y) for f, x, y
-                       in zip(self.factors, g.split(a), g.split(b))])
+        q = self.order
+        if not (_is_int(a) and _is_int(b) and 0 <= a < q and 0 <= b < q):
+            _refuse(self, a, b)
+        out = 0
+        for f, s in zip(self.factors, self.additive.strides):
+            out += f.mul(a // s % f.order, b // s % f.order) * s
+        return out
 
     def is_unit(self, a):
         unit = True

@@ -8,7 +8,12 @@ from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
                           Semidirect32, TableGroup, convention_from_name,
                           endomorphism_mask, is_subgroup, make_group,
                           subgroup_closure)
+from pdfam.multisets import DS, make_family, verify
 from pdfam.rings import GaloisField
+from pdfam.search import search_hds
+
+# Z4 with element a renamed a + 2 mod 4: the identity is label 2
+Z4_IDENTITY_AT_2 = [[(x + y + 2) % 4 for y in range(4)] for x in range(4)]
 
 SMALL_GROUPS = [
     CyclicGroup(1),
@@ -18,6 +23,7 @@ SMALL_GROUPS = [
     ProductGroup([CyclicGroup(2), CyclicGroup(2)]),
     ProductGroup([CyclicGroup(3), CyclicGroup(4)]),
     ProductGroup([CyclicGroup(2), CyclicGroup(2), CyclicGroup(4)]),
+    ProductGroup([TableGroup(Z4_IDENTITY_AT_2), CyclicGroup(4)]),
     Semidirect32(),
 ]
 
@@ -221,6 +227,32 @@ def test_subgroup_closure_and_check():
     assert subgroup_closure(s, [s.index_of((0, 1))]) == set(range(8))
     assert subgroup_closure(s, [8, 1]) == set(s.elements())
     assert is_subgroup(s, range(8)) and not is_subgroup(s, range(9))
+
+
+def test_product_identity_joins_factor_identities():
+    g = ProductGroup([TableGroup(Z4_IDENTITY_AT_2), CyclicGroup(4)])
+    assert g.identity == g.index_of((2, 0)) == 8
+    nested = ProductGroup([CyclicGroup(3), g, TableGroup(Z4_IDENTITY_AT_2)])
+    assert nested.identity == nested.index_of((0, 2, 0, 2))
+
+
+@pytest.mark.parametrize("convention", list(DiffConvention),
+                         ids=lambda c: c.value)
+@pytest.mark.parametrize("relabeled", [(0,), (1,), (0, 1)],
+                         ids=["first", "second", "both"])
+def test_product_with_relabeled_factor_identity(relabeled, convention):
+    """Z4 x Z4 with Z4 factors given as a table whose identity is label 2
+    behaves as Z4 x Z4: its subgroup closure of nothing is the identity,
+    the whole group is a (16, 16, 16) difference multiset read as a DS, and
+    the (16, 6, 2) search finds the 12 normalized sets of Z4 x Z4."""
+    g = ProductGroup([TableGroup(Z4_IDENTITY_AT_2) if i in relabeled
+                      else CyclicGroup(4) for i in range(2)])
+    assert subgroup_closure(g, []) == {g.identity}
+    rep = verify(make_family(g, [g.elements()], convention=convention))
+    assert (rep.kind, rep.v, rep.K, rep.lambda_or_mu) == (DS, 16, (16,), 16)
+    found = search_hds(g, 2, convention=convention)
+    assert found.complete and len(found.results) == 12
+    assert all(g.identity in d for d in found.results)
 
 
 def test_product_order_and_strides():

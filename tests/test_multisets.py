@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdfam.constructions import _fiber_matrix
 from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
-                          ProductGroup, Semidirect32)
+                          ProductGroup, Semidirect32, TableGroup)
 from pdfam.multisets import (DF, DIFFERENCE_MULTISET, DS, INVALID, PDF,
                              RELATIVE_PDF, SDF, Multiset, NotAPdfError,
                              delta_block, delta_family, is_hadamard_pdf,
                              make_family, multiset_sum, verify)
+from pdfam.rings import GaloisField
 
 
 def brute_delta(group, positions, convention=DiffConvention.RIGHT_INVERSE):
@@ -42,9 +44,28 @@ def test_delta_size_identity_small():
         assert delta_block(x).size == len(elems) * (len(elems) - 1)
 
 
+def _relabeled_table(g, shift):
+    """g as a Cayley table with element a renamed (a + shift) mod |g|, so
+    the identity is off label 0."""
+    n = g.order
+    t = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            t[(a + shift) % n][(b + shift) % n] = (g.op(a, b) + shift) % n
+    return TableGroup(t)
+
+
 group_strategy = st.sampled_from([
     CyclicGroup(3), CyclicGroup(8), CyclicGroup(11),
     ProductGroup([CyclicGroup(2), CyclicGroup(6)]), Semidirect32(),
+    # nested products mixing cyclic, Semidirect32 and relabeled tables
+    ProductGroup([CyclicGroup(3),
+                  ProductGroup([Semidirect32(), CyclicGroup(2)])]),
+    ProductGroup([_relabeled_table(CyclicGroup(4), 2), Semidirect32()]),
+    ProductGroup([ProductGroup([CyclicGroup(1),
+                                _relabeled_table(Semidirect32(), 5)]),
+                  CyclicGroup(5)]),
+    _relabeled_table(Semidirect32(), 5),
 ])
 
 
@@ -58,6 +79,44 @@ def test_delta_size_identity_property(g, convention, data):
     assert d.group == g
     assert d.size == x.size * (x.size - 1)
     assert d.counts == brute_delta(g, x.positions(), convention)
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_strategy, st.sampled_from(list(DiffConvention)), st.data())
+def test_delta_family_matches_oracle_property(g, convention, data):
+    """Blocks of mixed lengths, with repeats: the family tally is the sum
+    of the oracle's block tallies."""
+    blocks = data.draw(st.lists(
+        st.lists(st.integers(0, g.order - 1), min_size=1, max_size=8),
+        min_size=1, max_size=5))
+    fam = make_family(g, blocks, convention=convention)
+    want = Counter()
+    for b in fam.blocks:
+        want.update(brute_delta(g, b.positions(), convention))
+    assert delta_family(fam).counts == want
+    rep = verify(fam)
+    assert rep.K == tuple(sorted(map(len, blocks)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([CyclicGroup(4), Semidirect32(),
+                        _relabeled_table(Semidirect32(), 5)]),
+       st.sampled_from([CyclicGroup(7), GaloisField(3, 2).additive,
+                        _relabeled_table(CyclicGroup(4), 2)]),
+       st.sampled_from(list(DiffConvention)), st.data())
+def test_fiber_matrix_matches_oracle(g, h, convention, data):
+    pair = st.tuples(st.integers(0, g.order - 1), st.integers(0, h.order - 1))
+    lifts = data.draw(st.lists(st.lists(pair, min_size=1, max_size=6),
+                               min_size=1, max_size=4))
+    base = make_family(g, [[x for x, _ in pairs] for pairs in lifts],
+                       convention=convention)
+    ambient = ProductGroup([g, h])
+    want = np.zeros((g.order, h.order), dtype=np.int64)
+    for pairs in lifts:
+        for e, m in brute_delta(ambient, [ambient.join(p) for p in pairs],
+                                convention).items():
+            want[e // h.order, e % h.order] += m
+    assert np.array_equal(_fiber_matrix(base, h, lifts), want)
 
 
 @settings(max_examples=100, deadline=None)

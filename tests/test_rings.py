@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 
@@ -138,6 +139,30 @@ def test_zmod_mul_refuses_non_integers_and_returns_ints():
         assert type(r.mul(a, b)) is int and r.mul(a, b) == 5
     with pytest.raises(ElementOutOfRangeError, match="^element 7 outside"):
         r.mul(3, 7)
+
+
+@pytest.mark.parametrize("ring", [
+    GaloisField(7), GaloisField(3, 2),
+    ProductRing([GaloisField(7), GaloisField(11)]),
+    ProductRing([Zmod(9), GaloisField(5)]),
+], ids=repr)
+def test_mul_refuses_floats_with_the_zmod_message(ring):
+    # GaloisField.mul read 0.0 as zero and 2.5 as a bad list index;
+    # ProductRing.mul split 2.5 into float digits
+    for a, b, bad in ((2.5, 3, "2.5"), (3, 4.0, "4.0"), (0.0, 3, "0.0"),
+                      (3, np.float64(0.0), "np.float64(0.0)"),
+                      (-1, 2.5, "2.5")):
+        with pytest.raises(ValueError,
+                           match=rf"^element {re.escape(bad)} is not an "
+                                 rf"integer$"):
+            ring.mul(a, b)
+    with pytest.raises(ElementOutOfRangeError,
+                       match=rf"^element {ring.order} outside"):
+        ring.mul(3, ring.order)
+    want = ring.mul(3, 4)
+    for a, b in ((np.int64(3), 4), (3, np.int32(4))):
+        assert type(ring.mul(a, b)) is int and ring.mul(a, b) == want
+    assert ring.mul(0, 4) == ring.mul(4, 0) == 0
 
 
 def test_product_ring_mul_is_unitwise_on_every_pair():
