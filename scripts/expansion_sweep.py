@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Expand a Hadamard PDF by every admissible odd modulus in a range,
 certifying both completions of each result; each modulus's line ends with
-its elapsed seconds.
+its elapsed seconds and the process's peak RSS so far (ru_maxrss).
 
 The base is the complement pair of a searched (4u^2, 2u^2-u, u^2-u)
 difference set (--base hds, the default), or the order-32 family
@@ -14,6 +14,7 @@ for the base is reported as skipped.
 
 import argparse
 from math import gcd
+from resource import RUSAGE_SELF, getrusage
 from time import perf_counter
 
 from pdfam.constructions import (COMPLETIONS, DivisorTooSmallError,
@@ -48,7 +49,8 @@ def main():
                          + ("certified" if res.certified
                             else f"INVALID at {rep.witness}"))
         print(f"m={m:3d}  v={pair[0].report.v:4d}  " + "  |  ".join(cells)
-              + f"  ({perf_counter() - t_m:.2f}s)")
+              + f"  ({perf_counter() - t_m:.2f}s, "
+              f"{getrusage(RUSAGE_SELF).ru_maxrss / 1024:.0f} MB)")
     print(f"{total} moduli expanded in {perf_counter() - t0:.2f}s")
 
 

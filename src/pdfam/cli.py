@@ -93,7 +93,10 @@ def _parse_block(text: str) -> list[int]:
         if not _ints(block):
             raise UsageError(f"block {text!r} is not an array of integers")
         return block
-    return [int(x) for x in t.split(",") if x.strip() != ""]
+    for x in t.split(","):
+        if not x.strip().removeprefix("-").isdecimal():
+            raise UsageError(f"block item {x.strip()!r} is not an integer")
+    return [int(x) for x in t.split(",")]
 
 
 def _read_json(path: str) -> dict:

@@ -189,18 +189,23 @@ def paley_double_sdf(q: int,
     return ConstructionResult(fam, verify(fam), pred)
 
 
-def _fiber_matrix(base: DesignFamily, h_group: FiniteGroup,
-                  lifts) -> np.ndarray:
-    """Row g, column h: how often a difference inside one lifted block is
-    (g, h), tallied over G x H under the base family's convention, where G
-    is the base family's group and (g, h) has index g*|H| + h."""
-    g_group = base.group
-    ambient = ProductGroup([g_group, h_group])
-    flat = ambient.join(np.array([p for pairs in lifts for p in pairs],
-                                 dtype=np.int64).reshape(-1, 2).T)
-    return _difference_counts(ambient, flat, list(map(len, lifts)),
-                              base.convention).reshape(g_group.order,
-                                                       h_group.order)
+def _fiber_matrix(ambient: ProductGroup, flat: np.ndarray, lengths,
+                  convention: DiffConvention) -> np.ndarray:
+    """Row g, column h: how often (g, h), of index g*|H| + h, is a
+    difference inside one lifted block of G x H, laid end to end in flat."""
+    return _difference_counts(ambient, flat, lengths, convention).reshape(
+        -1, ambient.factors[1].order)
+
+
+def _check_strong(sdf: DesignFamily, e: int, lam_h: int) -> None:
+    """Certify the strong family and check mu * e = lam * (|H|-1) = lam_h."""
+    rep = verify(sdf)
+    if rep.kind not in (SDF, DIFFERENCE_MULTISET):
+        raise ParameterMismatchError("input does not certify as a strong "
+                                     f"difference family (got {rep.kind})")
+    if rep.lambda_or_mu * e != lam_h:
+        raise ParameterMismatchError(
+            f"mu*e = {rep.lambda_or_mu * e} but lambda*(|H|-1) = {lam_h}")
 
 
 def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
@@ -215,25 +220,14 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
     lifts under all (g,h)->(g,e(h)) form a (|G||H|, G x {0}, ^e K, lam)
     difference family in G x H, read under the strong family's convention.
 
-    Each table is checked for additivity before it is used, through a
-    generating set of H (groups.endomorphism_mask): e(a + g) = e(a) + e(g)
-    for every a in H and every generator g, |H| checks per generator and
-    table.
+    This public entry checks every input (strong family, identity, table
+    shape, type, range and endomorphism_mask, lifts, covering), then runs
+    the core shared with expand_hadamard_pdf (_lift), whose verify certifies.
     """
     g_group = sdf.group
-    sdf_report = verify(sdf)
-    if sdf_report.kind not in (SDF, DIFFERENCE_MULTISET):
-        raise ParameterMismatchError(
-            f"input does not certify as a strong difference family "
-            f"(got {sdf_report.kind})")
-    mu = sdf_report.lambda_or_mu
-    e = len(endos)
-    if mu * e != lam * (h_group.order - 1):
-        raise ParameterMismatchError(
-            f"mu*e = {mu * e} but lambda*(|H|-1) = {lam * (h_group.order - 1)}")
+    _check_strong(sdf, len(endos), lam * (h_group.order - 1))
 
     hn = h_group.order
-    idx = np.arange(hn)
     try:
         tables = np.asarray(endos)
     except ValueError:  # ragged
@@ -254,45 +248,52 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
 
     if len(lifts) != len(sdf.blocks):
         raise ProjectionMismatchError("one lift block per strong block")
-    clean_lifts = []
+    pairs, lengths = [], []
     for i, (block, x) in enumerate(zip(lifts, sdf.blocks)):
         gs, hs = zip(*block) if block else ((), ())
         gs, hs = _indices(g_group, list(gs)), _indices(h_group, list(hs))
-        pairs = list(zip(gs, hs))
-        if len(set(pairs)) != len(pairs):
+        if len(set(zip(gs, hs))) != len(gs):
             raise ProjectionMismatchError(f"lift block {i} has repeats")
         if Counter(gs) != x.counts:
             raise ProjectionMismatchError(
                 f"projection of lift block {i} does not match the strong "
                 f"family block")
-        clean_lifts.append(pairs)
+        pairs += zip(gs, hs)
+        lengths.append(len(gs))
+    gs, hs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
     # sends[h, h'] counts the tables sending h to h'; the images of fiber
     # L_g under all tables must be lam copies of H minus zero
-    sends = np.bincount((idx * hn + tables).ravel(),
+    ambient = ProductGroup([g_group, h_group])
+    sends = np.bincount((np.arange(hn) * hn + tables).ravel(),
                         minlength=hn * hn).reshape(hn, hn)
-    covered = _fiber_matrix(sdf, h_group, clean_lifts) @ sends
-    h_ident = h_group.identity
-    want = np.full(hn, lam)
-    want[h_ident] = 0
+    covered = _fiber_matrix(ambient, ambient.join((gs, hs)), lengths,
+                            sdf.convention) @ sends
+    want = lam * (np.arange(hn) != h_group.identity)
     bad = (covered != want).any(axis=1)
     if bad.any():
         raise ConditionFailsError("endomorphism covering fails at g = "
                                   f"{g_group.coords(int(bad.argmax()))}")
+    return _lift(ambient, gs, lengths, tables[:, hs], lam, sdf.convention)
 
-    ambient = ProductGroup([g_group, h_group])
+
+def _lift(ambient: ProductGroup, gs, lengths, images, lam: int,
+          convention: DiffConvention) -> ConstructionResult:
+    """The verified relative family of the blocks {(gs[j], images[t, j])},
+    one per lifted block (the next lengths[i] positions) and table t.  Only
+    a collapsed block is refused: sdf_lift checks all its inputs first, the
+    expansion its recipe and fiber conditions."""
+    g_group, h_group = ambient.factors
     blocks = []
-    for pairs in clean_lifts:
-        gs, hs = np.array(pairs).T
-        images = np.sort(ambient.join((gs, tables[:, hs])), axis=1)
-        if (np.diff(images, axis=1) == 0).any():
+    for block in np.split(ambient.join((gs, images)), np.cumsum(lengths)[:-1],
+                          axis=1):
+        block = np.sort(block, axis=1)
+        if (np.diff(block, axis=1) == 0).any():
             raise ConditionFailsError("endomorphism collapses a block")
-        blocks.extend(images.tolist())
-    forbidden = frozenset(
-        ambient.join((np.arange(g_group.order), h_ident)).tolist())
-    fam = make_family(ambient, blocks, forbidden=forbidden,
-                      convention=sdf.convention)
-    sizes = tuple(sorted(len(p) for p in clean_lifts for _ in tables))
+        blocks.extend(block.tolist())
+    forbidden = ambient.join((np.arange(g_group.order), h_group.identity))
+    fam = make_family(ambient, blocks, forbidden, convention)
+    sizes = tuple(sorted(np.repeat(lengths, len(images)).tolist()))
     pred = Prediction(DF, ambient.order, sizes, lam, h=g_group.order)
     return ConstructionResult(fam, verify(fam), pred)
 
@@ -413,25 +414,26 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     ordinary PDF with doubled index.  The "single" completion appends the
     whole zero fiber as one block, "per-block" appends one zero-fiber copy
     of each original block.
+
+    Only the recipe and the fiber conditions (each difference fiber of the
+    lifts holds 4*lam units, closed under negation) are checked: covering,
+    collapse-freeness and the sweep follow, and starter tables are additive
+    by distributivity.  sdf_lift's core (_lift) and the final verify certify.
     """
     params = validate_recipe(recipe)
     lam, n = params["lam"], params["n"]
-    g_group = recipe.pdf.group
-    ring = recipe.ring
-    h_group = ring.additive
+    g_group, conv = recipe.pdf.group, recipe.pdf.convention
+    ring, h_group = recipe.ring, recipe.ring.additive
+    ambient = ProductGroup([g_group, h_group])
 
-    lifts = []
-    for block in recipe.pdf.blocks:
-        pairs = []
-        for d in sorted(block.counts):
-            fd = recipe.f_map[d]
-            pairs.append((d, fd))
-            pairs.append((d, ring.neg(fd)))
-        lifts.append(pairs)
+    # lifted block i: (d, f(d)), (d, -f(d)) for d in block i, in order
+    sources = [sorted(b.counts) for b in recipe.pdf.blocks]
+    lengths = [2 * len(s) for s in sources]
+    gs = np.repeat(np.concatenate(sources), 2)
+    fd = np.asarray(recipe.f_map, dtype=np.int64)[gs[::2]]
+    hs = np.stack((fd, h_group.neg(fd)), axis=1).ravel()
 
-    # difference fibers of the lifted blocks: every fiber must hold 4*lam
-    # entries, be closed under negation, and contain only units
-    fibers = _fiber_matrix(recipe.pdf, h_group, lifts)
+    fibers = _fiber_matrix(ambient, ambient.join((gs, hs)), lengths, conv)
     lg_checks = {"size": True, "negation_closed": True, "units": True}
     negated = fibers[:, h_group.neg(np.arange(ring.order))]
     support = np.flatnonzero(fibers.any(axis=0))
@@ -447,51 +449,35 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
                 f"difference fiber at g={g_group.coords(int(bad.argmax()))} "
                 f"{problem}")
 
-    sdf = double_sdf(recipe.pdf)
-    if not sdf.certified:
-        raise RecipeInvariantError("doubled family failed certification")
-    endos = [tuple(ring.mul(s, h) for h in range(ring.order))
-             for s in recipe.starters]
-    relative = sdf_lift(sdf.family, h_group, lifts, endos, 2 * lam)
+    _check_strong(double_sdf(recipe.pdf).family, n,
+                  2 * lam * (ring.order - 1))
+    tables = np.fromiter(
+        (ring.mul(s, h) for s in recipe.starters for h in range(ring.order)),
+        dtype=np.int64, count=n * ring.order).reshape(n, ring.order)
+    relative = _lift(ambient, gs, lengths, tables[:, hs], 2 * lam, conv)
+    # the images keep g: each block sweeps its own fiber iff they tile G x H-0
+    if relative.report.kind != RELATIVE_PDF:
+        raise RecipeInvariantError(
+            "starter images do not sweep the block fiber exactly once")
 
-    ambient = relative.family.group
-    # across all starters, each source block sweeps its own full fiber:
-    # the union of its images is exactly block x (H minus 0), once each
-    nonzero = np.flatnonzero(np.arange(ring.order) != h_group.identity)
-    for i, block in enumerate(recipe.pdf.blocks):
-        swept = sorted(e for b in relative.family.blocks[i * n:(i + 1) * n]
-                       for e in b)
-        want = ambient.join((np.array(sorted(block.counts))[:, None], nonzero))
-        if swept != want.ravel().tolist():
-            raise RecipeInvariantError(
-                "starter images do not sweep the block fiber exactly once")
-
+    zero_fiber = ([range(g_group.order)]
+                  if recipe.completion == COMPLETION_SINGLE else sources)
     final_blocks = [sorted(b.counts) for b in relative.family.blocks]
-    if recipe.completion == COMPLETION_SINGLE:
-        zero_fiber = [np.arange(g_group.order)]
-    else:
-        zero_fiber = [np.array(sorted(b.counts)) for b in recipe.pdf.blocks]
-    final_blocks += [ambient.join((g, h_group.identity)).tolist()
+    final_blocks += [ambient.join((np.array(g), h_group.identity)).tolist()
                      for g in zero_fiber]
-    completion_sizes = [len(g) for g in zero_fiber]
-
-    final = make_family(ambient, final_blocks,
-                        convention=recipe.pdf.convention)
-    sizes = [2 * k for k in params["K"] for _ in range(n)] + completion_sizes
-    pred = Prediction(PDF, g_group.order * ring.order,
-                      tuple(sorted(sizes)), 2 * lam)
+    final = make_family(ambient, final_blocks, convention=conv)
+    sizes = [2 * k for k in params["K"] for _ in range(n)]
+    sizes += map(len, zero_fiber)
+    pred = Prediction(PDF, ambient.order, tuple(sorted(sizes)), 2 * lam)
     return ExpansionResult(final, verify(final), pred, recipe=recipe,
                            relative=relative, lg_checks=lg_checks)
 
 
 def ring_for_modulus(m: int) -> Ring:
     """The product of Galois fields of the maximal prime power divisors."""
-    factors = []
-    for p, a in sorted(factorize(m).items(), key=lambda pa: pa[0] ** pa[1]):
-        factors.append(GaloisField(p, a))
-    if len(factors) == 1:
-        return factors[0]
-    return ProductRing(factors)
+    factors = [GaloisField(p, a) for p, a in sorted(
+        factorize(m).items(), key=lambda pa: pa[0] ** pa[1])]
+    return factors[0] if len(factors) == 1 else ProductRing(factors)
 
 
 def _check_divisors(m: int, bound: int) -> None:

@@ -560,4 +560,6 @@ def is_subgroup(group: FiniteGroup, subset) -> bool:
     group._check(s)
     member = np.zeros(group.order, dtype=bool)
     member[s] = True
+    if group.order % member.sum():  # Lagrange: no difference is formed
+        return False
     return bool(member[group.difference(s[:, None], s[None, :])].all())

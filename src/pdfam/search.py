@@ -21,8 +21,16 @@ class OrderMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class SearchBounds:
+    """Stop after max_results >= 1 hits or time_budget_s >= 0 seconds."""
+
     max_results: int | None = None
     time_budget_s: float | None = None
+
+    def __post_init__(self):
+        if self.max_results is not None and self.max_results < 1:
+            raise ValueError(f"max results {self.max_results} is not >= 1")
+        if self.time_budget_s is not None and not self.time_budget_s >= 0:
+            raise ValueError(f"time budget {self.time_budget_s} is not >= 0")
 
 
 @dataclass(frozen=True)

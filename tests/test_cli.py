@@ -271,6 +271,28 @@ def test_search_hds_non_positive_u_exits_1(capsys, u):
                                     "--u", u], "u must be positive")
 
 
+@pytest.mark.parametrize("argv,says", [
+    (["search-hds", "--group", "Z4xZ4", "--u", "2", "--max-results", "0"],
+     "max results 0"),
+    (["search-hds", "--group", "Z4xZ4", "--u", "2", "--time-budget", "-1"],
+     "time budget -1.0"),
+    (["search-y", "--ring", "Z25", "--time-budget", "-1"],
+     "time budget -1.0"),
+], ids=["hds-max-results-0", "hds-negative-budget", "y-negative-budget"])
+def test_search_refuses_empty_bounds_exits_1(capsys, argv, says):
+    # --max-results 0 exited 0 with one result and "complete": false
+    _exits_1_with_one_line(capsys, argv, says)
+
+
+@pytest.mark.parametrize("block,says", [
+    ("0,,1", "block item '' is not an integer"),  # read as [0, 1]
+    ("0,x", "block item 'x' is not an integer"),  # int()'s own message
+], ids=["empty-item", "word-item"])
+def test_construct_malformed_block_item_exits_1(capsys, block, says):
+    _exits_1_with_one_line(capsys, ["construct", "complement", "--group",
+                                    "Z4", "--block", block], says)
+
+
 def test_search_y_cli(capsys):
     code, doc = run_json(capsys, "search-y", "--ring", "Z25")
     assert code == 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdfam import constructions as cons
+from pdfam import groups
 from pdfam.catalog import order32_family, trivial_hds_family
 from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup
 from pdfam.multisets import (DF, DS, INVALID, PDF, RELATIVE_PDF, SDF,
@@ -379,3 +380,70 @@ def test_make_recipe_refuses_non_integer_y():
     rec = cons.make_recipe(trivial_hds_family(), GaloisField(7),
                            y=np.array([3, 2, 6]))
     assert rec.y == (3, 2, 6) and all(type(e) is int for e in rec.y)
+
+
+# -- the lift core shared by sdf_lift and the expansion ---------------------
+
+_CORE_CASES = {
+    "u1-m7": lambda conv: (cons.hadamard_pdf_from_hds(1, convention=conv)
+                           .family, 7),
+    "u1-m77": lambda conv: (cons.hadamard_pdf_from_hds(1, convention=conv)
+                            .family, 77),  # a ProductRing
+    "u2-m25": lambda conv: (cons.hadamard_pdf_from_hds(2, convention=conv)
+                            .family, 25),
+    "order32-m47": lambda conv: (replace(order32_family(), convention=conv),
+                                 47),
+}
+
+
+def _core_recipe(name, conv):
+    pdf, m = _CORE_CASES[name](conv)
+    return cons.make_recipe(pdf, cons.ring_for_modulus(m))
+
+
+@pytest.mark.parametrize("conv", list(DiffConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("name", sorted(_CORE_CASES))
+def test_sdf_lift_matches_the_expansion_relative(name, conv):
+    rec = _core_recipe(name, conv)
+    ring = rec.ring
+    lifts = [[(d, s) for d in sorted(b.counts)
+              for s in (rec.f_map[d], ring.neg(rec.f_map[d]))]
+             for b in rec.pdf.blocks]
+    endos = [[ring.mul(s, h) for h in range(ring.order)]
+             for s in rec.starters]
+    rep = verify(rec.pdf)
+    public = cons.sdf_lift(cons.double_sdf(rec.pdf).family, ring.additive,
+                           lifts, endos, 2 * rep.lambda_or_mu)
+    relative = cons.expand_hadamard_pdf(rec).relative
+    assert public.family == relative.family
+    assert public.report == relative.report
+    assert public.predicted == relative.predicted and public.certified
+
+
+@pytest.mark.parametrize("conv", list(DiffConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("name", sorted(_CORE_CASES))
+def test_expansion_builds_one_ambient_group(monkeypatch, name, conv):
+    rec = _core_recipe(name, conv)
+    made, plans = [], []
+    real_product, real_plan = cons.ProductGroup, groups.DifferencePlan
+
+    def product(factors):
+        made.append(real_product(factors))
+        return made[-1]
+
+    def plan(group, convention):
+        plans.append(group.order)
+        return real_plan(group, convention)
+
+    def no_mask(*args):
+        raise AssertionError("endomorphism_mask called")
+
+    monkeypatch.setattr(cons, "ProductGroup", product)
+    monkeypatch.setattr(groups, "DifferencePlan", plan)
+    monkeypatch.setattr(cons, "endomorphism_mask", no_mask)
+    res = cons.expand_hadamard_pdf(rec)
+    order = rec.pdf.group.order * rec.ring.order
+    assert [g.order for g in made] == [order]
+    assert plans == [order]
+    assert res.relative.family.group is made[0]
+    assert res.family.group is made[0]

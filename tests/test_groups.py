@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
-                          NoIdentityError, NonAssociativeError, ProductGroup,
-                          Semidirect32, TableGroup, convention_from_name,
+                          FiniteGroup, NoIdentityError, NonAssociativeError,
+                          ProductGroup, Semidirect32, TableGroup,
+                          convention_from_name,
                           endomorphism_mask, is_subgroup, make_group,
                           subgroup_closure)
-from pdfam.multisets import DS, make_family, verify
+from pdfam.multisets import DS, INVALID, make_family, verify
 from pdfam.rings import GaloisField
 from pdfam.search import search_hds
 
@@ -403,3 +404,24 @@ def test_endomorphism_mask_matches_full_check(group_field, data):
     tables = data.draw(st.lists(maps, min_size=1, max_size=4))
     assert endomorphism_mask(g, tables).tolist() == [
         _fully_additive(g, t) for t in tables]
+
+
+def test_is_subgroup_refuses_a_size_not_dividing_the_order(monkeypatch):
+    calls = []
+    difference = FiniteGroup.difference
+    monkeypatch.setattr(FiniteGroup, "difference",
+                        lambda *a: calls.append(1) or difference(*a))
+    g = ProductGroup([CyclicGroup(2)] * 4)
+    assert not is_subgroup(g, [0, 1, 2])  # 3 does not divide 16
+    assert calls == []
+    assert is_subgroup(g, [0, 1, 2, 3]) and calls == [1]
+
+
+def test_verify_skips_the_subgroup_walk_on_a_sparse_family():
+    # one block whose ~4,066 zero-difference elements cannot be a subgroup
+    # of order 4,096: the report is the first mismatch, as before
+    g = ProductGroup([CyclicGroup(2)] * 12)
+    rep = verify(make_family(g, [[0, 1, 2, 4, 8, 16]]))
+    assert rep.kind == INVALID
+    w = rep.witness
+    assert (w.element, w.expected, w.actual) == (7, 2, 0)

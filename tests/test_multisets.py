@@ -116,7 +116,9 @@ def test_fiber_matrix_matches_oracle(g, h, convention, data):
         for e, m in brute_delta(ambient, [ambient.join(p) for p in pairs],
                                 convention).items():
             want[e // h.order, e % h.order] += m
-    assert np.array_equal(_fiber_matrix(base, h, lifts), want)
+    assert np.array_equal(_fiber_matrix(
+        ambient, np.array([ambient.join(p) for pairs in lifts for p in pairs]),
+        list(map(len, lifts)), base.convention), want)
 
 
 @settings(max_examples=100, deadline=None)

@@ -95,6 +95,15 @@ def test_search_hds_time_budget_zero():
     assert (res.nodes, res.results) == (0, ())
 
 
+@pytest.mark.parametrize("bounds", [
+    {"max_results": 0}, {"max_results": -3}, {"time_budget_s": -1.0},
+    {"time_budget_s": float("nan")}])
+def test_search_bounds_refuse_empty_bounds(bounds):
+    # max_results=0 returned one result, marked incomplete
+    with pytest.raises(ValueError, match="is not >="):
+        SearchBounds(**bounds)
+
+
 def test_order16_sweep_matches_known_classification():
     hits = {}
     for name, g in abelian_groups_order16():
