@@ -6,8 +6,7 @@ certifies every constructed object with an independent brute-force count.
 """
 
 from .catalog import (CatalogCertification, catalog_family, certify_catalog,
-                      hds16_family, order32_family,
-                      order32_certified_conventions, trivial_hds_family)
+                      hds16_family, order32_family, trivial_hds_family)
 from .constructions import (COMPLETION_PER_BLOCK, COMPLETION_SINGLE,
                             COMPLETIONS, BadResidueClassError,
                             ConditionFailsError, ConstructionError,
@@ -24,16 +23,15 @@ from .constructions import (COMPLETION_PER_BLOCK, COMPLETION_SINGLE,
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup, Semidirect32, TableGroup,
                      convention_from_name, endomorphism_mask, is_subgroup,
-                     make_group, subgroup_closure)
+                     make_group)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, INVALID, PDF,
                         RELATIVE_PDF, SDF, DesignFamily, Multiset,
                         VerificationReport, Witness, delta_block,
-                        delta_family, is_hadamard_pdf, make_family,
-                        multiset_sum, verify)
+                        delta_family, make_family, verify)
 from .rings import (EvenOrderError, GaloisField, NotPrimeError, ProductRing,
                     Ring, YCheck, Zmod, build_y_powers, check_y_condition,
                     factorize, is_prime, make_ring,
-                    maximal_prime_power_divisors, ring_pow, starter_reps)
+                    maximal_prime_power_divisors, starter_reps)
 from .search import (HdsSearchResult, OrderMismatchError, SearchBounds,
                      YSearchResult, abelian_groups_order16,
                      hds_parameters, max_unit_y_search, search_hds)

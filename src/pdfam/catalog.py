@@ -99,9 +99,3 @@ def certify_catalog() -> list[CatalogCertification]:
     out.append(_certify("hds16", DEFAULT_CONVENTION))
     return out
 
-
-@lru_cache(maxsize=None)
-def order32_certified_conventions() -> tuple[DiffConvention, ...]:
-    """Conventions under which the order-32 entry certifies as a PDF."""
-    return tuple(conv for conv in DiffConvention
-                 if _certify("order-32", conv).certified)

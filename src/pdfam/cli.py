@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .catalog import catalog_family, certify_catalog
@@ -263,6 +264,7 @@ def cmd_recipe(args) -> int:
     return 0
 
 
+@cache  # parse_args leaves the parser as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="pdfam",
                      description="Construct, verify, and search partitioned "

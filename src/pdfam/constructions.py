@@ -8,7 +8,6 @@ recounts every difference from scratch.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,8 +16,8 @@ from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup, _indices, _is_int,
                      endomorphism_mask)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
-                        DesignFamily, Multiset, _difference_counts,
-                        make_family, verify)
+                        DesignFamily, Multiset, _blocks_of,
+                        _difference_counts, make_family, verify)
 from .rings import (EvenOrderError, GaloisField, ProductRing, Ring,
                     build_y_powers, check_y_condition, factorize, is_prime,
                     maximal_prime_power_divisors, starter_reps)
@@ -130,7 +129,10 @@ def complement_pdf(group: FiniteGroup, block,
     A (v,k,lam) difference set yields a (v,[k,v-k],v-2k+2*lam) partitioned
     family; it is Hadamard exactly when v = 2(v-2k+2*lam).
     """
-    d = sorted(set(_indices(group, list(block))))
+    d = sorted(_indices(group, list(block)))
+    repeated = [a for a, b in zip(d, d[1:]) if a == b]
+    if repeated:
+        raise NotADifferenceSetError(f"element {repeated[0]} is repeated")
     v = group.order
     if not d or len(d) >= v:
         raise NotADifferenceSetError("need a nonempty proper subset")
@@ -254,7 +256,7 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
         gs, hs = _indices(g_group, list(gs)), _indices(h_group, list(hs))
         if len(set(zip(gs, hs))) != len(gs):
             raise ProjectionMismatchError(f"lift block {i} has repeats")
-        if Counter(gs) != x.counts:
+        if not np.array_equal(np.sort(gs), x.elements):
             raise ProjectionMismatchError(
                 f"projection of lift block {i} does not match the strong "
                 f"family block")
@@ -284,17 +286,18 @@ def _lift(ambient: ProductGroup, gs, lengths, images, lam: int,
     a collapsed block is refused: sdf_lift checks all its inputs first, the
     expansion its recipe and fiber conditions."""
     g_group, h_group = ambient.factors
-    blocks = []
-    for block in np.split(ambient.join((gs, images)), np.cumsum(lengths)[:-1],
-                          axis=1):
-        block = np.sort(block, axis=1)
-        if (np.diff(block, axis=1) == 0).any():
-            raise ConditionFailsError("endomorphism collapses a block")
-        blocks.extend(block.tolist())
+    rows = [np.sort(r, axis=1) for r in np.split(
+        ambient.join((gs, images)), np.cumsum(lengths)[:-1], axis=1)]
+    if any((np.diff(r, axis=1) == 0).any() for r in rows):
+        raise ConditionFailsError("endomorphism collapses a block")
+    sizes = np.repeat(lengths, len(images)).tolist()
+    blocks = _blocks_of(ambient, np.concatenate([r.ravel() for r in rows]),
+                        sizes)
     forbidden = ambient.join((np.arange(g_group.order), h_group.identity))
-    fam = make_family(ambient, blocks, forbidden, convention)
-    sizes = tuple(sorted(np.repeat(lengths, len(images)).tolist()))
-    pred = Prediction(DF, ambient.order, sizes, lam, h=g_group.order)
+    fam = DesignFamily(ambient, tuple(blocks), frozenset(forbidden.tolist()),
+                       convention)
+    pred = Prediction(DF, ambient.order, tuple(sorted(sizes)), lam,
+                      h=g_group.order)
     return ConstructionResult(fam, verify(fam), pred)
 
 
@@ -343,11 +346,10 @@ def make_recipe(pdf: DesignFamily, ring: Ring,
     if not chk.ok:
         raise NoValidYError(
             f"unit-difference condition fails: {chk.reason}, pair {chk.witness}")
-    f_map = [-1] * pdf.group.order
+    f_map = np.full(pdf.group.order, -1)
     for block in pdf.blocks:
-        for j, d in enumerate(sorted(block.counts)):
-            f_map[d] = y[j]
-    return ExpansionRecipe(pdf, ring, tuple(y), tuple(f_map),
+        f_map[block.elements] = y[:block.size]
+    return ExpansionRecipe(pdf, ring, tuple(y), tuple(f_map.tolist()),
                            tuple(starter_reps(ring)), completion)
 
 
@@ -372,7 +374,7 @@ def validate_recipe(recipe: ExpansionRecipe) -> dict:
     yset = set(recipe.y)
     for block in recipe.pdf.blocks:
         seen = set()
-        for d in block.counts:
+        for d in block.positions():
             fd = recipe.f_map[d]
             if fd not in yset:
                 raise RecipeInvariantError(f"f({d}) = {fd} is outside Y")
@@ -427,7 +429,7 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     ambient = ProductGroup([g_group, h_group])
 
     # lifted block i: (d, f(d)), (d, -f(d)) for d in block i, in order
-    sources = [sorted(b.counts) for b in recipe.pdf.blocks]
+    sources = [b.elements for b in recipe.pdf.blocks]
     lengths = [2 * len(s) for s in sources]
     gs = np.repeat(np.concatenate(sources), 2)
     fd = np.asarray(recipe.f_map, dtype=np.int64)[gs[::2]]
@@ -460,12 +462,12 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
         raise RecipeInvariantError(
             "starter images do not sweep the block fiber exactly once")
 
-    zero_fiber = ([range(g_group.order)]
+    # sorted rows: joining a fixed h keeps the order of g
+    zero_fiber = ([np.arange(g_group.order)]
                   if recipe.completion == COMPLETION_SINGLE else sources)
-    final_blocks = [sorted(b.counts) for b in relative.family.blocks]
-    final_blocks += [ambient.join((np.array(g), h_group.identity)).tolist()
-                     for g in zero_fiber]
-    final = make_family(ambient, final_blocks, convention=conv)
+    final = DesignFamily(ambient, relative.family.blocks + tuple(_blocks_of(
+        ambient, ambient.join((np.concatenate(zero_fiber), h_group.identity)),
+        list(map(len, zero_fiber)))), convention=conv)
     sizes = [2 * k for k in params["K"] for _ in range(n)]
     sizes += map(len, zero_fiber)
     pred = Prediction(PDF, ambient.order, tuple(sorted(sizes)), 2 * lam)

@@ -377,16 +377,6 @@ def _scalar_or_array(x):
     return x if isinstance(x, np.ndarray) else x.item()
 
 
-def _close(member: np.ndarray, combine) -> np.ndarray:
-    """Grow the mask in place until combine of two members is a member."""
-    size = 0
-    while member.sum() > size:
-        size = member.sum()
-        s = np.flatnonzero(member)
-        member[combine(s[:, None], s[None, :])] = True
-    return member
-
-
 def _find_identity(t: np.ndarray) -> int:
     idx = np.arange(t.shape[0])
     found = np.flatnonzero((t == idx).all(axis=1) & (t.T == idx).all(axis=1))
@@ -418,7 +408,11 @@ def _generating_set(group: FiniteGroup) -> list[int]:
     while not closure.all():
         gens.append(int(closure.argmin()))
         closure[gens[-1]] = True
-        _close(closure, group.op)
+        size = 0
+        while closure.sum() > size:  # until op of two members is a member
+            size = closure.sum()
+            s = np.flatnonzero(closure)
+            closure[group.op(s[:, None], s[None, :])] = True
     return gens
 
 
@@ -541,15 +535,6 @@ def _factors(descriptor: dict) -> list:
     array."""
     return _field(descriptor, "factors", lambda x: isinstance(x, list),
                   "an array")
-
-
-def subgroup_closure(group: FiniteGroup, generators) -> frozenset[int]:
-    """Smallest subgroup containing the generators: the smallest set that
-    holds them and the identity and is closed under a + (-b)."""
-    seeds = np.array([group.identity] + [int(g) for g in generators])
-    member = np.zeros(group.order, dtype=bool)
-    member[group._check(seeds)] = True
-    return frozenset(np.flatnonzero(_close(member, group.difference)).tolist())
 
 
 def is_subgroup(group: FiniteGroup, subset) -> bool:

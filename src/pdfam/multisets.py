@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import attrgetter
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -24,10 +23,6 @@ from .groups import (DEFAULT_CONVENTION, DiffConvention, FiniteGroup, _indices,
 
 class GroupMismatchError(ValueError):
     """Operands live over different groups."""
-
-
-class NotAPdfError(ValueError):
-    """Report does not describe an ordinary partitioned difference family."""
 
 
 # report kinds
@@ -41,59 +36,61 @@ INVALID = "Invalid"
 
 
 class Multiset:
-    """Multiset of group elements, keyed by canonical element index."""
+    """Multiset of group elements, stored as the sorted, read-only int64
+    array of its positions: canonical element indices, each repeated per
+    multiplicity."""
 
-    __slots__ = ("group", "counts")
+    __slots__ = ("group", "elements")
 
     def __init__(self, group: FiniteGroup, elements=(), counts=None):
         self.group = group
-        c: Counter = Counter()
+        keys, mult = [], []
         if counts is not None:
             counts = dict(counts)
-            for e, m in zip(_indices(group, list(counts)), counts.values()):
+            keys, mult = _indices(group, list(counts)), list(counts.values())
+            for m in mult:
                 if not _is_int(m):
                     raise ValueError(f"multiplicity {m!r} is not an integer")
-                m = int(m)
                 if m < 0:
                     raise ValueError("negative multiplicity")
-                if m:
-                    c[e] = m
-        c.update(_indices(group, list(elements)))
-        self.counts = c
+        positions = np.sort(np.concatenate((
+            np.repeat(np.array(keys, dtype=np.int64),
+                      np.array(mult, dtype=np.int64)),
+            np.array(_indices(group, list(elements)), dtype=np.int64))))
+        positions.flags.writeable = False
+        self.elements = positions
 
-    @classmethod
-    def _of_checked(cls, group: FiniteGroup, counts: Counter) -> "Multiset":
-        """A multiset over positive counts of already-checked indices."""
-        ms = cls.__new__(cls)
-        ms.group, ms.counts = group, counts
-        return ms
+    @property
+    def counts(self) -> Counter:
+        """A fresh Counter of the multiplicities, keyed by Python ints."""
+        return Counter(self.elements.tolist())
 
     @property
     def size(self) -> int:
-        return sum(self.counts.values())
+        return len(self.elements)
 
     def mult(self, e: int) -> int:
-        return self.counts.get(e, 0)
+        return int(np.count_nonzero(self.elements == e))
 
     @property
     def is_set(self) -> bool:
-        return len(self.counts) == self.size
+        return not (self.elements[1:] == self.elements[:-1]).any()
 
     def positions(self) -> list[int]:
         """Every element repeated per multiplicity, in canonical order."""
-        return sorted(self.counts.elements())
+        return self.elements.tolist()
 
     def scaled(self, r: int) -> "Multiset":
         """The multiset with every multiplicity scaled by r."""
         if r < 0:
             raise ValueError("negative scale")
-        return Multiset(self.group,
-                        counts={e: r * m for e, m in self.counts.items()})
+        return _blocks_of(self.group, np.repeat(self.elements, r),
+                          [r * self.size])[0]
 
     def __eq__(self, other):
         return (isinstance(other, Multiset)
                 and self.group == other.group
-                and self.counts == other.counts)
+                and np.array_equal(self.elements, other.elements))
 
     def __iter__(self):
         return iter(self.positions())
@@ -104,16 +101,24 @@ class Multiset:
     def __repr__(self):
         inner = ", ".join(
             (f"{e}" if m == 1 else f"{e}x{m}")
-            for e, m in sorted(self.counts.items()))
+            for e, m in zip(*map(np.ndarray.tolist, np.unique(
+                self.elements, return_counts=True))))
         return f"Multiset{{{inner}}}"
 
 
-def multiset_sum(a: Multiset, b: Multiset) -> Multiset:
-    if a.group != b.group:
-        raise GroupMismatchError("multisets over different groups")
-    c = Counter(a.counts)
-    c.update(b.counts)
-    return Multiset(a.group, counts=c)
+def _blocks_of(group: FiniteGroup, flat: np.ndarray,
+               lengths) -> list[Multiset]:
+    """Multisets of the checked positions laid end to end in flat and
+    sorted within blocks of the given lengths.  Each block is a read-only
+    slice of flat, which the blocks take over."""
+    flat.flags.writeable = False
+    bounds = list(accumulate(lengths, initial=0))
+    blocks = []
+    for start, stop in zip(bounds, bounds[1:]):
+        ms = object.__new__(Multiset)
+        ms.group, ms.elements = group, flat[start:stop]
+        blocks.append(ms)
+    return blocks
 
 
 def _difference_counts(group: FiniteGroup, flat: np.ndarray, lengths,
@@ -142,35 +147,16 @@ def _difference_counts(group: FiniteGroup, flat: np.ndarray, lengths,
     return out
 
 
-def _laid_out(blocks) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The blocks' positions laid end to end, in no particular order within
-    a block, with the block sizes, and whether every block is a set."""
-    counts = list(map(attrgetter("counts"), blocks))
-    distinct = list(map(len, counts))
-    keys = np.fromiter(chain.from_iterable(counts), dtype=np.int64,
-                       count=sum(distinct))
-    mult = np.fromiter(chain.from_iterable(map(dict.values, counts)),
-                       dtype=np.int64, count=len(keys))
-    if (mult == 1).all():
-        return keys, np.array(distinct, dtype=np.int64), True
-    # positions before each block's first key, and after its last
-    taken = np.concatenate(([0], mult.cumsum()))
-    bounds = np.cumsum([0] + distinct)
-    return np.repeat(keys, mult), np.diff(taken[bounds]), False
-
-
 def _from_dense(group: FiniteGroup, dense: np.ndarray) -> Multiset:
-    support = np.flatnonzero(dense)
-    return Multiset(group, counts=dict(zip(support.tolist(),
-                                           dense[support].tolist())))
+    return _blocks_of(group, np.repeat(np.arange(len(dense)), dense),
+                      [int(dense.sum())])[0]
 
 
 def delta_block(block: Multiset,
                 convention: DiffConvention = DEFAULT_CONVENTION) -> Multiset:
     """Differences over all ordered pairs of distinct positions of a block."""
-    flat, lengths, _ = _laid_out([block])
     return _from_dense(block.group, _difference_counts(
-        block.group, flat, lengths, convention))
+        block.group, block.elements, [block.size], convention))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,26 +200,40 @@ def make_family(group: FiniteGroup, blocks, forbidden=None,
     """Build a DesignFamily from iterables of indices, mappings, or Multisets.
 
     The elements of all the index blocks are checked in one pass, so the
-    first bad element in block order is the one named.
+    first bad element in block order is the one named, and sorted within
+    their blocks in one call.
     """
     blocks = [b if isinstance(b, (Multiset, dict)) else list(b)
               for b in blocks]
-    elements = iter(_indices(group, list(chain.from_iterable(
-        b for b in blocks if isinstance(b, list)))))
+    lists = [b for b in blocks if isinstance(b, list)]
+    lengths = list(map(len, lists))
+    flat = np.array(_indices(group, list(chain.from_iterable(lists))),
+                    dtype=np.int64)
+    # block i's positions shifted by i * |G| stay in block order when sorted
+    offset = np.arange(len(lists)).repeat(lengths) * group.order
+    flat += offset
+    flat.sort()
+    flat -= offset
+    checked = iter(_blocks_of(group, flat, lengths))
     ms = tuple(
         b if isinstance(b, Multiset)
         else Multiset(group, counts=b) if isinstance(b, dict)
-        else Multiset._of_checked(group, Counter(islice(elements, len(b))))
+        else next(checked)
         for b in blocks)
     forb = (None if forbidden is None
             else frozenset(_indices(group, list(forbidden))))
     return DesignFamily(group, ms, forb, convention)
 
 
+def _laid_end_to_end(blocks) -> tuple[np.ndarray, list[int]]:
+    """The blocks' positions laid end to end, with the block sizes."""
+    elements = [b.elements for b in blocks]
+    return np.concatenate(elements), list(map(len, elements))
+
+
 def delta_family(family: DesignFamily) -> Multiset:
-    flat, lengths, _ = _laid_out(family.blocks)
     return _from_dense(family.group, _difference_counts(
-        family.group, flat, lengths, family.convention))
+        family.group, *_laid_end_to_end(family.blocks), family.convention))
 
 
 @dataclass(frozen=True)
@@ -262,13 +262,6 @@ class VerificationReport:
         return self.kind != INVALID
 
 
-def is_hadamard_pdf(report: VerificationReport) -> bool:
-    """True when an ordinary PDF has group order exactly twice its index."""
-    if report.kind != PDF:
-        raise NotAPdfError(f"report kind is {report.kind}, not {PDF}")
-    return report.v == 2 * report.lambda_or_mu
-
-
 def verify(family: DesignFamily) -> VerificationReport:
     """Classify a family by recomputing its full difference multiset, read
     under the family's convention.
@@ -282,10 +275,10 @@ def verify(family: DesignFamily) -> VerificationReport:
     g = family.group
     v = g.order
     ident = g.identity
-    flat, lengths, blocks_are_sets = _laid_out(family.blocks)
+    flat, lengths = _laid_end_to_end(family.blocks)
     delta = _difference_counts(g, flat, lengths, family.convention)
     cover = np.bincount(flat, minlength=v)
-    sizes = tuple(sorted(lengths.tolist()))
+    sizes = tuple(sorted(lengths))
     single = len(family.blocks) == 1
 
     def report_invalid(mismatch_elem: int, expected: int) -> VerificationReport:
@@ -322,7 +315,9 @@ def verify(family: DesignFamily) -> VerificationReport:
         h = int(in_h.sum())
         target = np.where(in_h, 0, 1) if h > 1 else np.ones(v, dtype=np.int64)
         target_name = "group" if h == 1 else "group-minus-forbidden"
-        partitioned = blocks_are_sets and np.array_equal(cover, target)
+        # cover counts every position, so a block that repeats an
+        # element covers it twice
+        partitioned = np.array_equal(cover, target)
         if single:
             kind = DS
         elif partitioned:

@@ -329,18 +329,6 @@ def make_ring(descriptor: dict) -> Ring:
     raise ValueError(f"unknown ring descriptor type {kind!r}")
 
 
-def ring_pow(ring: Ring, a: int, e: int) -> int:
-    """a**e by binary exponentiation, e >= 0."""
-    result = ring.one
-    base = a
-    while e:
-        if e & 1:
-            result = ring.mul(result, base)
-        base = ring.mul(base, base)
-        e >>= 1
-    return result
-
-
 def starter_reps(ring: Ring) -> list[int]:
     """One representative per pair {h, -h} of nonzero elements.
 

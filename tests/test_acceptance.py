@@ -16,22 +16,31 @@ from time import perf_counter
 
 import pytest
 
-from pdfam.catalog import (catalog_family, certify_catalog, order32_family,
-                           order32_certified_conventions)
+from pdfam.catalog import catalog_family, certify_catalog, order32_family
 from pdfam.constructions import (complement_pdf, double_sdf,
                                  expand_from_hds, expand_nonabelian32,
                                  paley_double_sdf)
 from pdfam.groups import (CyclicGroup, DiffConvention, ProductGroup,
                           Semidirect32)
 from pdfam.multisets import (DIFFERENCE_MULTISET, DS, PDF, SDF, Multiset,
-                             delta_block, is_hadamard_pdf, make_family,
-                             verify)
+                             delta_block, make_family, verify)
 from pdfam.rings import (GaloisField, ProductRing, Zmod, check_y_condition,
                          starter_reps)
 from pdfam.search import (SearchBounds, abelian_groups_order16,
                           max_unit_y_search, search_hds)
 
 AC4_MODULI = tuple(m for m in range(7, 101, 2) if gcd(m, 15) == 1)
+
+
+def is_hadamard_pdf(rep):
+    """The Hadamard condition on a PDF report: v = 2 * lambda."""
+    return rep.kind == PDF and rep.v == 2 * rep.lambda_or_mu
+
+
+def order32_certified_conventions():
+    """Conventions under which the order-32 catalog entry certifies."""
+    return tuple(c.convention for c in certify_catalog()
+                 if c.name == "order-32" and c.certified)
 
 
 def report(tag, ok, detail=""):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import pdfam
-from pdfam.cli import main
+from pdfam.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -291,6 +291,22 @@ def test_search_refuses_empty_bounds_exits_1(capsys, argv, says):
 def test_construct_malformed_block_item_exits_1(capsys, block, says):
     _exits_1_with_one_line(capsys, ["construct", "complement", "--group",
                                     "Z4", "--block", block], says)
+
+
+def test_construct_complement_repeated_element_exits_1(capsys):
+    # the repeat used to be dropped, and {0} certified with exit 0
+    _exits_1_with_one_line(capsys, ["construct", "complement", "--group",
+                                    "Z4", "--block", "0,0"],
+                           "element 0 is repeated")
+
+
+def test_parser_is_built_once_and_left_unchanged(capsys):
+    assert build_parser() is build_parser()
+    code, doc = run_json(capsys, "construct", "paley", "--q", "7",
+                         "--convention", "left")
+    assert code == 0 and doc["convention"] == "left"
+    code, doc = run_json(capsys, "construct", "paley", "--q", "7")
+    assert code == 0 and doc["convention"] == "right"
 
 
 def test_search_y_cli(capsys):

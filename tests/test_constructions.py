@@ -373,6 +373,15 @@ def test_complement_pdf_refuses_float_and_bool_elements():
             cons.complement_pdf(CyclicGroup(4), block)
 
 
+@pytest.mark.parametrize("block,repeated", [
+    ([0, 0], 0), ([3, 1, 3, 1], 1), ([2, 0, 2], 2)])
+def test_complement_pdf_refuses_repeated_elements(block, repeated):
+    # sorted(set(...)) used to drop the repeat and certify the set
+    with pytest.raises(cons.NotADifferenceSetError,
+                       match=rf"^element {repeated} is repeated$"):
+        cons.complement_pdf(CyclicGroup(4), block)
+
+
 def test_make_recipe_refuses_non_integer_y():
     for y in ([3.9, 2.2, 6.5], [3, 2, True]):
         with pytest.raises(ValueError, match=r"^element \S+ is not an integer$"):

@@ -7,11 +7,23 @@ from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
                           FiniteGroup, NoIdentityError, NonAssociativeError,
                           ProductGroup, Semidirect32, TableGroup,
                           convention_from_name,
-                          endomorphism_mask, is_subgroup, make_group,
-                          subgroup_closure)
+                          endomorphism_mask, is_subgroup, make_group)
 from pdfam.multisets import DS, INVALID, make_family, verify
 from pdfam.rings import GaloisField
 from pdfam.search import search_hds
+
+
+def subgroup_closure(group, generators):
+    """Oracle: the smallest set holding the identity and the generators
+    and closed under a + (-b), grown one difference at a time."""
+    closure = {group.identity, *generators}
+    grown = True
+    while grown:
+        new = {group.difference(a, b) for a in closure for b in closure}
+        grown = not new <= closure
+        closure |= new
+    return closure
+
 
 # Z4 with element a renamed a + 2 mod 4: the identity is label 2
 Z4_IDENTITY_AT_2 = [[(x + y + 2) % 4 for y in range(4)] for x in range(4)]

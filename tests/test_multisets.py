@@ -10,10 +10,15 @@ from pdfam.constructions import _fiber_matrix
 from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
                           ProductGroup, Semidirect32, TableGroup)
 from pdfam.multisets import (DF, DIFFERENCE_MULTISET, DS, INVALID, PDF,
-                             RELATIVE_PDF, SDF, Multiset, NotAPdfError,
-                             delta_block, delta_family, is_hadamard_pdf,
-                             make_family, multiset_sum, verify)
+                             RELATIVE_PDF, SDF, Multiset, delta_block,
+                             delta_family, make_family, verify)
 from pdfam.rings import GaloisField
+
+
+def multiset_sum(a, b):
+    """Oracle: the multiset with both operands' positions."""
+    assert a.group == b.group
+    return Multiset(a.group, list(a) + list(b))
 
 
 def brute_delta(group, positions, convention=DiffConvention.RIGHT_INVERSE):
@@ -143,6 +148,57 @@ def test_multiset_basics():
     assert multiset_sum(x, y).counts == {1: 3, 5: 1}
 
 
+def _assert_block_format(ms):
+    e = ms.elements
+    assert e.dtype == np.int64 and not e.flags.writeable
+    assert (np.diff(e) >= 0).all()
+    with pytest.raises(ValueError):
+        e[0] = 0
+
+
+def test_elements_are_sorted_read_only_int64():
+    g = CyclicGroup(9)
+    built = [Multiset(g, elements=[7, 2, 2, 0]),
+             Multiset(g, [8, 1], counts={5: 2, 0: 1}),
+             Multiset(g, elements=np.array([4, 3, 4])),
+             Multiset(g, elements=[3, 1]).scaled(3),
+             delta_block(Multiset(g, elements=[6, 0, 2])),
+             *make_family(g, [[8, 3, 3], {4: 2, 1: 1}, np.array([5, 0])],
+                          forbidden=[0, 3, 6]).blocks]
+    for ms in built:
+        _assert_block_format(ms)
+    assert built[1].positions() == [0, 1, 5, 5, 8]
+    assert repr(built[1]) == "Multiset{0, 1, 5x2, 8}"
+    counts = built[1].counts
+    counts[0] += 5  # a fresh Counter: the multiset stays as it was
+    assert built[1].counts == {0: 1, 1: 1, 5: 2, 8: 1}
+
+
+@pytest.mark.parametrize("convention", list(DiffConvention),
+                         ids=lambda c: c.value)
+def test_block_sources_give_equal_families_and_reports(convention):
+    g = Semidirect32()
+    want = [[3, 3, 9, 30], [0, 17, 17, 17], [5]]
+    sources = {
+        "unsorted lists": [[30, 3, 9, 3], [17, 0, 17, 17], [5]],
+        "count dicts": [{3: 2, 30: 1, 9: 1}, {17: 3, 0: 1}, {5: 1}],
+        "multisets": [Multiset(g, b) for b in want],
+        "numpy rows": [np.array(b[::-1]) for b in want],
+        "mixed": [Multiset(g, counts={9: 1, 3: 2}, elements=[30]),
+                  np.array([17, 17, 0, 17]), {5: 1}],
+    }
+    families = {name: make_family(g, blocks, convention=convention)
+                for name, blocks in sources.items()}
+    first = families["unsorted lists"]
+    assert [b.positions() for b in first.blocks] == want
+    reports = {verify(f) for f in families.values()}
+    assert len(reports) == 1  # the same report, witness included
+    for fam in families.values():
+        assert fam == first
+        for b in fam.blocks:
+            _assert_block_format(b)
+
+
 # -- classifier ------------------------------------------------------------
 
 def test_verify_trivial_hadamard_pdf():
@@ -150,7 +206,7 @@ def test_verify_trivial_hadamard_pdf():
     rep = verify(make_family(g, [[0], [1, 2, 3]]))
     assert rep.kind == PDF
     assert (rep.v, tuple(rep.K), rep.lambda_or_mu) == (4, (1, 3), 2)
-    assert is_hadamard_pdf(rep)
+    assert rep.v == 2 * rep.lambda_or_mu  # Hadamard
 
 
 def test_verify_overlapping_blocks_invalid_partition_witness():
@@ -216,13 +272,6 @@ def test_verify_invalid_difference_count_witness_order():
     assert rep.kind == INVALID
     assert rep.witness.context == "difference-count"
     assert rep.witness.element == 2  # first element violating uniformity
-
-
-def test_is_hadamard_pdf_requires_pdf_kind():
-    g = CyclicGroup(7)
-    rep = verify(make_family(g, [[1, 2, 4]]))
-    with pytest.raises(NotAPdfError):
-        is_hadamard_pdf(rep)
 
 
 def test_family_validation():
@@ -308,7 +357,6 @@ def test_verify_order32_catalog_blocks_inline():
         rep = verify(make_family(g, blocks + [rest], convention=conv))
         assert rep.kind == PDF
         assert (rep.v, tuple(rep.K), rep.lambda_or_mu) == (32, (2, 2, 6, 22), 16)
-        assert is_hadamard_pdf(rep)
 
 
 @settings(max_examples=60, deadline=None)

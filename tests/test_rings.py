@@ -12,7 +12,18 @@ from pdfam.groups import CyclicGroup, ElementOutOfRangeError, ProductGroup
 from pdfam.rings import (EvenOrderError, GaloisField, NotPrimeError,
                          ProductRing, Zmod, build_y_powers, check_y_condition,
                          factorize, is_prime, make_ring,
-                         maximal_prime_power_divisors, ring_pow, starter_reps)
+                         maximal_prime_power_divisors, starter_reps)
+
+
+def ring_pow(ring, a, e):
+    """a**e by binary exponentiation, e >= 0: an oracle built on mul."""
+    result = ring.one
+    while e:
+        if e & 1:
+            result = ring.mul(result, a)
+        a = ring.mul(a, a)
+        e >>= 1
+    return result
 
 
 def test_factorize_and_divisors():
