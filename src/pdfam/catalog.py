@@ -9,8 +9,7 @@ from functools import lru_cache
 
 from .constructions import ConstructionResult, hadamard_pdf_from_hds
 from .groups import DEFAULT_CONVENTION, DiffConvention, Semidirect32
-from .multisets import (PDF, DesignFamily, VerificationReport, make_family,
-                        verify)
+from .multisets import DesignFamily, VerificationReport, make_family, verify
 
 # blocks of the order-32 family, as (x, y) pairs under the twisted law
 ORDER32_BLOCKS_XY = (
@@ -71,11 +70,10 @@ class CatalogCertification:
     name: str
     convention: DiffConvention
     report: VerificationReport
-    hadamard: bool
 
     @property
     def certified(self) -> bool:
-        return self.report.kind == PDF and self.hadamard
+        return self.report.hadamard
 
 
 def _certify(name: str, convention: DiffConvention) -> CatalogCertification:
@@ -84,8 +82,7 @@ def _certify(name: str, convention: DiffConvention) -> CatalogCertification:
         rep = _hds_pair(_HDS_ENTRIES[name]).report
     else:
         rep = verify(replace(catalog_family(name), convention=convention))
-    hadamard = rep.kind == PDF and rep.v == 2 * rep.lambda_or_mu
-    return CatalogCertification(name, convention, rep, hadamard)
+    return CatalogCertification(name, convention, rep)
 
 
 def certify_catalog() -> list[CatalogCertification]:

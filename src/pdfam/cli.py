@@ -243,7 +243,7 @@ def cmd_catalog(args) -> int:
                       if r.ok else "invalid")
             lines.append(f"{cert.name} [{cert.convention.value}]: "
                          f"{r.kind} {params}"
-                         f"{' Hadamard' if cert.hadamard else ''}")
+                         f"{' Hadamard' if cert.report.hadamard else ''}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     if not args.name:
@@ -337,6 +337,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, ElementOutOfRangeError, KeyError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # Python's own has no message, numpy's has
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -16,8 +16,8 @@ from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup, _indices, _is_int,
                      endomorphism_mask)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
-                        DesignFamily, Multiset, _blocks_of,
-                        _difference_counts, make_family, verify)
+                        DesignFamily, Multiset, VerificationReport,
+                        _blocks_of, _difference_counts, make_family, verify)
 from .rings import (EvenOrderError, GaloisField, ProductRing, Ring,
                     build_y_powers, check_y_condition, factorize, is_prime,
                     maximal_prime_power_divisors, starter_reps)
@@ -149,6 +149,16 @@ def complement_pdf(group: FiniteGroup, block,
     return ConstructionResult(fam, verify(fam), pred)
 
 
+def _hadamard_report(pdf: DesignFamily) -> VerificationReport:
+    """The report of a family that certifies as a Hadamard PDF."""
+    rep = verify(pdf)
+    if not rep.hadamard:
+        raise NotHadamardError(
+            f"input does not certify as a Hadamard PDF (kind {rep.kind}, "
+            f"v={rep.v}, lambda={rep.lambda_or_mu})")
+    return rep
+
+
 def double_sdf(pdf: DesignFamily) -> ConstructionResult:
     """Double every block of a Hadamard PDF into a strong difference family.
 
@@ -156,13 +166,7 @@ def double_sdf(pdf: DesignFamily) -> ConstructionResult:
     and contributes 2|X| identity differences, so a (2*lam,K,lam)-PDF
     doubles to a (2*lam, 2K, 4*lam)-SDF.
     """
-    rep = verify(pdf)
-    if rep.kind != PDF:
-        raise NotHadamardError(
-            f"input does not certify as an ordinary PDF (got {rep.kind})")
-    if rep.v != 2 * rep.lambda_or_mu:
-        raise NotHadamardError(
-            f"PDF is not Hadamard: v={rep.v}, lambda={rep.lambda_or_mu}")
+    rep = _hadamard_report(pdf)
     doubled = make_family(pdf.group, [b.scaled(2) for b in pdf.blocks],
                           convention=pdf.convention)
     pred = Prediction(SDF, rep.v, tuple(sorted(2 * k for k in rep.K)),
@@ -304,7 +308,11 @@ def _lift(ambient: ProductGroup, gs, lengths, images, lam: int,
 @dataclass(frozen=True)
 class ExpansionRecipe:
     """Everything needed to replay one ring expansion of a Hadamard PDF,
-    whose differences are read under the convention of the family pdf."""
+    whose differences are read under the convention of the family pdf.
+
+    However it is built, a recipe checks every invariant that does not need
+    its base certified; validate_recipe certifies the base.
+    """
 
     pdf: DesignFamily
     ring: Ring
@@ -313,91 +321,78 @@ class ExpansionRecipe:
     starters: tuple[int, ...]
     completion: str
 
+    def __post_init__(self):
+        if self.completion not in COMPLETIONS:
+            raise RecipeInvariantError(
+                f"completion must be one of {COMPLETIONS}")
+        ring = self.ring
+        if ring.order % 2 == 0:
+            raise EvenOrderError("expansion ring must have odd order")
+        kmax = max(self.pdf.block_sizes)
+        if len(self.y) != kmax:
+            raise NoValidYError(
+                f"need a unit set of size {kmax}, got {len(self.y)}")
+        chk = check_y_condition(ring, self.y)
+        if not chk.ok:
+            raise NoValidYError(
+                f"unit-difference condition fails: {chk.reason}"
+                + ("" if chk.witness is None else f", pair {chk.witness}"))
+        if len(self.f_map) != self.pdf.group.order:
+            raise RecipeInvariantError("f must be defined on the whole group")
+        yset = set(self.y)
+        for block in self.pdf.blocks:
+            seen = set()
+            for d in block.positions():
+                fd = self.f_map[d]
+                if fd not in yset:
+                    raise RecipeInvariantError(f"f({d}) = {fd} is outside Y")
+                if fd in seen:
+                    raise RecipeInvariantError(
+                        f"f repeats the value {fd} inside one block")
+                seen.add(fd)
+        n = (ring.order - 1) // 2
+        if len(self.starters) != n or len(set(self.starters)) != n:
+            raise RecipeInvariantError(f"need {n} distinct starters")
+        starters = _indices(ring.additive, list(self.starters))
+        if 0 in starters:
+            raise RecipeInvariantError("0 is not a starter")
+        if np.isin(ring.neg(np.array(starters)), starters).any():
+            raise RecipeInvariantError(
+                "starters must pick one element per {h,-h} pair")
+
 
 def make_recipe(pdf: DesignFamily, ring: Ring,
                 completion: str = COMPLETION_SINGLE, y=None
                 ) -> ExpansionRecipe:
-    """Canonical recipe: power-built Y, block-position f, canonical starters.
+    """Canonical recipe over a Hadamard PDF: power-built Y, block-position
+    f, canonical starters.
 
     f sends the j-th element of each block (canonical element order) to the
     j-th element of Y; Y defaults to the diagonal powers of the canonical
     primitive elements when the ring is a field or a product of fields.
+    The base is certified here and the recipe checks the rest.
     """
-    if completion not in COMPLETIONS:
-        raise ValueError(f"completion must be one of {COMPLETIONS}")
-    rep = verify(pdf)
-    if rep.kind != PDF or rep.v != 2 * rep.lambda_or_mu:
-        raise NotHadamardError(
-            f"input does not certify as a Hadamard PDF (kind {rep.kind}, "
-            f"v={rep.v}, lambda={rep.lambda_or_mu})")
-    if ring.order % 2 == 0:
-        raise EvenOrderError("expansion ring must have odd order")
-    kmax = max(rep.K)
+    _hadamard_report(pdf)
+    starters = tuple(starter_reps(ring))  # refuses an even ring
     if y is None:
         try:
-            y = build_y_powers(ring, kmax)
+            y = build_y_powers(ring, max(pdf.block_sizes))
         except TypeError as exc:
             raise NoValidYError(
                 f"no canonical unit set for this ring ({exc}); pass one") from exc
     y = _indices(ring.additive, list(y))
-    if len(y) != kmax:
-        raise NoValidYError(f"need a unit set of size {kmax}, got {len(y)}")
-    chk = check_y_condition(ring, y)
-    if not chk.ok:
-        raise NoValidYError(
-            f"unit-difference condition fails: {chk.reason}, pair {chk.witness}")
     f_map = np.full(pdf.group.order, -1)
     for block in pdf.blocks:
-        f_map[block.elements] = y[:block.size]
+        # a Y shorter than the block leaves a -1; the recipe refuses |Y|
+        f_map[block.elements[:len(y)]] = y[:block.size]
     return ExpansionRecipe(pdf, ring, tuple(y), tuple(f_map.tolist()),
-                           tuple(starter_reps(ring)), completion)
+                           starters, completion)
 
 
-def validate_recipe(recipe: ExpansionRecipe) -> dict:
-    """Recheck every recipe invariant; returns basic parameters."""
-    rep = verify(recipe.pdf)
-    if rep.kind != PDF or rep.v != 2 * rep.lambda_or_mu:
-        raise RecipeInvariantError("base family is not a Hadamard PDF")
-    ring = recipe.ring
-    if ring.order % 2 == 0:
-        raise RecipeInvariantError("ring order must be odd and at least 3")
-    kmax = max(rep.K)
-    if len(recipe.y) != kmax:
-        raise RecipeInvariantError(
-            f"|Y| = {len(recipe.y)} but the largest block has {kmax} elements")
-    chk = check_y_condition(ring, recipe.y)
-    if not chk.ok:
-        raise RecipeInvariantError(
-            f"unit-difference condition fails: {chk.reason}")
-    if len(recipe.f_map) != recipe.pdf.group.order:
-        raise RecipeInvariantError("f must be defined on the whole group")
-    yset = set(recipe.y)
-    for block in recipe.pdf.blocks:
-        seen = set()
-        for d in block.positions():
-            fd = recipe.f_map[d]
-            if fd not in yset:
-                raise RecipeInvariantError(f"f({d}) = {fd} is outside Y")
-            if fd in seen:
-                raise RecipeInvariantError(
-                    f"f repeats the value {fd} inside one block")
-            seen.add(fd)
-    n = (ring.order - 1) // 2
-    starters = recipe.starters
-    if len(starters) != n or len(set(starters)) != n:
-        raise RecipeInvariantError(f"need {n} distinct starters")
-    seen = set()
-    for s in starters:
-        if s == 0:
-            raise RecipeInvariantError("0 is not a starter")
-        if ring.neg(s) in seen or s in seen:
-            raise RecipeInvariantError(
-                "starters must pick one element per {h,-h} pair")
-        seen.add(s)
-    if recipe.completion not in COMPLETIONS:
-        raise RecipeInvariantError(
-            f"completion must be one of {COMPLETIONS}")
-    return {"lam": rep.lambda_or_mu, "kmax": kmax, "n": n, "K": rep.K}
+def validate_recipe(recipe: ExpansionRecipe) -> VerificationReport:
+    """Certify the recipe's base as a Hadamard PDF and return its report;
+    the recipe checked everything else when it was built."""
+    return _hadamard_report(recipe.pdf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,13 +412,15 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     whole zero fiber as one block, "per-block" appends one zero-fiber copy
     of each original block.
 
-    Only the recipe and the fiber conditions (each difference fiber of the
-    lifts holds 4*lam units, closed under negation) are checked: covering,
-    collapse-freeness and the sweep follow, and starter tables are additive
-    by distributivity.  sdf_lift's core (_lift) and the final verify certify.
+    The recipe checked itself when it was built; only its base
+    (validate_recipe) and the fiber conditions (each difference fiber of the
+    lifts holds 4*lam units, closed under negation) are checked here:
+    covering, collapse-freeness and the sweep follow, and starter tables are
+    additive by distributivity.  sdf_lift's core (_lift) and the final
+    verify certify.
     """
-    params = validate_recipe(recipe)
-    lam, n = params["lam"], params["n"]
+    base = validate_recipe(recipe)
+    lam, n = base.lambda_or_mu, len(recipe.starters)
     g_group, conv = recipe.pdf.group, recipe.pdf.convention
     ring, h_group = recipe.ring, recipe.ring.additive
     ambient = ProductGroup([g_group, h_group])
@@ -468,7 +465,7 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     final = DesignFamily(ambient, relative.family.blocks + tuple(_blocks_of(
         ambient, ambient.join((np.concatenate(zero_fiber), h_group.identity)),
         list(map(len, zero_fiber)))), convention=conv)
-    sizes = [2 * k for k in params["K"] for _ in range(n)]
+    sizes = [2 * k for k in base.K for _ in range(n)]
     sizes += map(len, zero_fiber)
     pred = Prediction(PDF, ambient.order, tuple(sorted(sizes)), 2 * lam)
     return ExpansionResult(final, verify(final), pred, recipe=recipe,

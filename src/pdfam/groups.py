@@ -274,8 +274,12 @@ class TableGroup(FiniteGroup):
     """Group given by an explicit operation table, validated eagerly."""
 
     def __init__(self, table):
-        t = np.asarray(table, dtype=np.int64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
+        try:
+            t = np.asarray(table, dtype=np.int64)
+            square = t.ndim == 2 and t.shape[0] == t.shape[1] > 0
+        except ValueError:  # ragged rows
+            square = False
+        if not square:
             raise ValueError("table must be a nonempty square matrix")
         n = t.shape[0]
         if t.min() < 0 or t.max() >= n:

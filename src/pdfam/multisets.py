@@ -53,6 +53,8 @@ class Multiset:
                     raise ValueError(f"multiplicity {m!r} is not an integer")
                 if m < 0:
                     raise ValueError("negative multiplicity")
+                if m > np.iinfo(np.int64).max:
+                    raise ValueError(f"multiplicity {m} does not fit in int64")
         positions = np.sort(np.concatenate((
             np.repeat(np.array(keys, dtype=np.int64),
                       np.array(mult, dtype=np.int64)),
@@ -260,6 +262,11 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return self.kind != INVALID
+
+    @property
+    def hadamard(self) -> bool:
+        """An ordinary PDF whose order is twice its index."""
+        return self.kind == PDF and self.v == 2 * self.lambda_or_mu
 
 
 def verify(family: DesignFamily) -> VerificationReport:

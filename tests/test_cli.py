@@ -142,6 +142,45 @@ def test_corollary_sporadic_left_output_bytes_are_pinned(capsys, completion):
             == _SPORADIC_LEFT_SHA256[completion])
 
 
+# sha256 of the stdout of `recipe --family FILE --m M --completion C
+# --convention V`, FILE the output of `catalog emit NAME`, taken while
+# make_recipe and validate_recipe each still checked every recipe invariant
+_RECIPE_SHA256 = {
+    ("trivial-hds", 7, "single", "right"):
+        "17272cc3f94b977dd2a4bd735d1d705267de15557a7be2f63d0f3a07fa9c08eb",
+    ("trivial-hds", 7, "single", "left"):
+        "5e52bc3cdb78f0ce7989fd02cbdd86a9a285d340984a53579ad402055739aff7",
+    ("trivial-hds", 7, "per-block", "right"):
+        "474454fe3215aa4a03af31a571d7c4f842eab5edfe78b8a32e4e7ee5e2e0663d",
+    ("hds16", 121, "single", "right"):
+        "b9d0f7844260443ba08380bc7784e3c1b1167570578801d5c434f27b3b56fa5d",
+    ("hds16", 121, "single", "left"):
+        "65ac1035b2dfdb8c4bec46a2fb8479bc27f90fb448731f6c2ccd60ebd91be753",
+    ("hds16", 121, "per-block", "right"):
+        "1c8b91c0f05d794a3f82a0ca5bba1cf58454c66ad5ca1589a02459be7bfb88ba",
+    ("order-32", 47, "single", "right"):
+        "fb67ac1488b91c2b847adbd1f0c25d4a28523c775459b87d90f0b666413f290a",
+    ("order-32", 47, "single", "left"):
+        "b4d787c50d0068688d20f4844b5028cd00e72b6fa87b9212c98ea447b80b04c9",
+    ("order-32", 47, "per-block", "right"):
+        "6ca15d86fa1d0dfd6e4dfca0f4903623cf91413704089c734c96133dea2facaa",
+}
+
+
+@pytest.mark.parametrize(
+    "name,m,completion,convention", sorted(_RECIPE_SHA256),
+    ids=["-".join(map(str, key)) for key in sorted(_RECIPE_SHA256)])
+def test_recipe_output_bytes_are_pinned(tmp_path, capsys, name, m,
+                                        completion, convention):
+    fpath = tmp_path / "family.json"
+    assert main(["catalog", "emit", name, "--out", str(fpath)]) == 0
+    code, out = run(capsys, "recipe", "--family", str(fpath), "--m", str(m),
+                    "--completion", completion, "--convention", convention)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == _RECIPE_SHA256[name, m, completion, convention])
+
+
 def test_left_recipe_replays_to_the_direct_bytes(tmp_path, capsys):
     fpath = tmp_path / "order32.json"
     assert main(["catalog", "emit", "order-32", "--out", str(fpath)]) == 0
@@ -538,6 +577,37 @@ def test_verify_table_group_entries_not_integers_exits_1(tmp_path, capsys):
         "group": {"type": "table", "table": [[0, 1], [1, 0.0]]},
         "blocks": [[0], [1]]}))
     _exits_1_with_one_line(capsys, ["verify", str(path)], "table")
+
+
+def test_verify_ragged_table_group_exits_1(tmp_path, capsys):
+    # numpy's "inhomogeneous shape" message used to reach the user
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "group": {"type": "table", "table": [[0, 1], [1]]},
+        "blocks": [[0], [1]]}))
+    _exits_1_with_one_line(capsys, ["verify", str(path)],
+                           "table must be a nonempty square matrix")
+
+
+def test_out_of_memory_exits_1_with_one_line():
+    """A group too large to tally exhausts a 2 GiB address space, which
+    used to end in numpy's traceback."""
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(pdfam.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "pdfam", "construct", "complement",
+         "--group", "Z100000000000", "--block", "0"],
+        capture_output=True, text=True, preexec_fn=cap_address_space,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -1,5 +1,8 @@
 import hashlib
+import json
+import re
 from collections import Counter
+from dataclasses import fields as fields_of
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +17,7 @@ from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup
 from pdfam.multisets import (DF, DS, INVALID, PDF, RELATIVE_PDF, SDF,
                              Multiset, delta_block, delta_family,
                              make_family, verify)
-from pdfam.rings import GaloisField, ProductRing, Zmod
+from pdfam.rings import EvenOrderError, GaloisField, ProductRing, Zmod
 from pdfam.serialize import (canonical_dumps, recipe_from_json,
                              recipe_to_json, result_to_json)
 
@@ -206,15 +209,67 @@ def test_make_recipe_explicit_y_checked():
 
 
 def test_validate_recipe_catches_tampering():
+    # the recipe refuses itself as it is built, before validate_recipe runs
     rec = cons.make_recipe(trivial_hds_family(), GaloisField(7, 1))
-    bad = cons.ExpansionRecipe(rec.pdf, rec.ring, rec.y,
-                               (3, 3, 3, 6), rec.starters, rec.completion)
     with pytest.raises(cons.RecipeInvariantError):
-        cons.validate_recipe(bad)
-    bad = cons.ExpansionRecipe(rec.pdf, rec.ring, rec.y, rec.f_map,
-                               (1, 2, 6), rec.completion)
+        cons.validate_recipe(cons.ExpansionRecipe(
+            rec.pdf, rec.ring, rec.y, (3, 3, 3, 6), rec.starters,
+            rec.completion))
     with pytest.raises(cons.RecipeInvariantError):
-        cons.validate_recipe(bad)
+        cons.validate_recipe(cons.ExpansionRecipe(
+            rec.pdf, rec.ring, rec.y, rec.f_map, (1, 2, 6), rec.completion))
+
+
+def test_validate_recipe_returns_the_base_report():
+    rec = cons.make_recipe(trivial_hds_family(), GaloisField(7, 1))
+    rep = cons.validate_recipe(rec)
+    assert rep == verify(rec.pdf) and rep.hadamard
+
+
+# one broken invariant of the canonical trivial-HDS recipe over F7 (Y = 3, 2,
+# 6; f = 3, 3, 2, 6; starters 1, 2, 3), the error it raises and its message
+_BROKEN_RECIPES = {
+    "completion": ({"completion": "both"}, cons.RecipeInvariantError,
+                   "completion must be one of"),
+    "even-zmod": ({"ring": Zmod(8)}, EvenOrderError, "odd order"),
+    "even-field": ({"ring": GaloisField(2, 3)}, EvenOrderError, "odd order"),
+    "y-size": ({"y": (3, 2)}, cons.NoValidYError,
+               "need a unit set of size 3, got 2"),
+    "y-meets-minus-y": ({"y": (1, 2, 6)}, cons.NoValidYError,
+                        "Y meets -Y, pair (1, 6)"),
+    "y-non-unit": ({"ring": Zmod(9)}, cons.NoValidYError,
+                   "element 3 is not a unit"),
+    "f-short": ({"f_map": (3, 3, 2)}, cons.RecipeInvariantError,
+                "f must be defined on the whole group"),
+    "f-outside-y": ({"f_map": (1, 3, 2, 6)}, cons.RecipeInvariantError,
+                    "f(0) = 1 is outside Y"),
+    "f-repeats": ({"f_map": (3, 3, 3, 6)}, cons.RecipeInvariantError,
+                  "f repeats the value 3 inside one block"),
+    "starters-short": ({"starters": (1, 2)}, cons.RecipeInvariantError,
+                       "need 3 distinct starters"),
+    "starters-repeat": ({"starters": (1, 2, 2)}, cons.RecipeInvariantError,
+                        "need 3 distinct starters"),
+    "starters-zero": ({"starters": (0, 1, 2)}, cons.RecipeInvariantError,
+                      "0 is not a starter"),
+    "starters-pair": ({"starters": (1, 2, 6)}, cons.RecipeInvariantError,
+                      "one element per {h,-h} pair"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_RECIPES))
+def test_recipe_refuses_a_broken_invariant_however_built(case):
+    change, error, says = _BROKEN_RECIPES[case]
+    rec = cons.make_recipe(trivial_hds_family(), GaloisField(7, 1))
+    fields = {f.name: getattr(rec, f.name) for f in fields_of(rec)}
+    with pytest.raises(error, match=re.escape(says)):
+        cons.ExpansionRecipe(**{**fields, **change})
+    with pytest.raises(error, match=re.escape(says)):
+        replace(rec, **change)
+    doc = recipe_to_json(rec)
+    for key, value in change.items():
+        doc[key] = value.descriptor() if key == "ring" else value
+    with pytest.raises(error, match=re.escape(says)):
+        recipe_from_json(json.loads(json.dumps(doc)))  # tuples to arrays
 
 
 def test_expand_single_completion_28():

@@ -208,6 +208,16 @@ def test_table_group_rejects_magma_without_identity():
         TableGroup([[1, 0], [1, 0]])
 
 
+@pytest.mark.parametrize("table", [[[0, 1], [1]], [[0], [1, 0]], [],
+                                   [[0, 1]]],
+                         ids=["ragged", "ragged-first", "empty", "wide"])
+def test_table_group_rejects_a_non_square_table(table):
+    # a ragged table used to reach the user as numpy's "inhomogeneous shape"
+    with pytest.raises(ValueError,
+                       match="^table must be a nonempty square matrix$"):
+        TableGroup(table)
+
+
 def test_range_guard():
     g = CyclicGroup(5)
     with pytest.raises(ElementOutOfRangeError):

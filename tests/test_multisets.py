@@ -304,13 +304,16 @@ def test_multiset_refuses_float_and_bool_elements():
         make_family(CyclicGroup(7), [[0]], forbidden=[0.0])
 
 
-@pytest.mark.parametrize("m", [2.7, 2.0, True, np.float64(2.0),
-                               np.bool_(True)],
-                         ids=["float", "whole-float", "bool", "numpy-float",
-                              "numpy-bool"])
-def test_multiset_refuses_float_and_bool_multiplicities(m):
-    with pytest.raises(ValueError,
-                       match=r"^multiplicity \S+ is not an integer$"):
+@pytest.mark.parametrize("m,says", [
+    (2.7, "is not an integer"), (2.0, "is not an integer"),
+    (True, "is not an integer"), (np.float64(2.0), "is not an integer"),
+    (np.bool_(True), "is not an integer"),
+    # int64 conversion used to raise a bare OverflowError
+    (2 ** 70, "does not fit in int64"),
+], ids=["float", "whole-float", "bool", "numpy-float", "numpy-bool",
+        "beyond-int64"])
+def test_multiset_refuses_float_and_bool_multiplicities(m, says):
+    with pytest.raises(ValueError, match=rf"^multiplicity \S+ {says}$"):
         Multiset(CyclicGroup(7), counts={1: m})
 
 
