@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Exhaustive (4u^2, 2u^2-u, u^2-u) difference-set search, order-16 sweep
-by default; each group's line gives its search nodes and nodes per second.
+"""Exhaustive (4u^2, 2u^2-u, u^2-u) difference-set search, over the abelian
+groups of order 16 by default (u = 2; any other u needs --group); each
+group's line gives its search nodes and nodes per second.
 
     PYTHONPATH=src python3 scripts/hds_landscape.py
     PYTHONPATH=src python3 scripts/hds_landscape.py --u 3 --group Z6xZ6 --max-results 1
 """
 
 import argparse
+import sys
 
 from pdfam.cli import parse_group_spec
 from pdfam.search import (SearchBounds, abelian_groups_order16,
@@ -35,6 +37,9 @@ def main():
     ap.add_argument("--max-results", type=int, default=None)
     ap.add_argument("--time-budget", type=float, default=None)
     args = ap.parse_args()
+    if args.group is None and args.u != 2:
+        sys.exit(f"error: --u {args.u} needs --group: the default sweep "
+                 "covers only the abelian groups of order 16 (u = 2)")
 
     v, k, lam = hds_parameters(args.u)
     print(f"target parameters: ({v}, {k}, {lam})")

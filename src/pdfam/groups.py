@@ -275,12 +275,13 @@ class TableGroup(FiniteGroup):
 
     def __init__(self, table):
         try:
-            t = np.asarray(table, dtype=np.int64)
+            t = np.asarray(table)
             square = t.ndim == 2 and t.shape[0] == t.shape[1] > 0
         except ValueError:  # ragged rows
             square = False
         if not square:
             raise ValueError("table must be a nonempty square matrix")
+        t = _int_matrix(table, t, "table")
         n = t.shape[0]
         if t.min() < 0 or t.max() >= n:
             raise ValueError("table entries must lie in 0..n-1")
@@ -473,6 +474,19 @@ def make_group(descriptor: dict) -> FiniteGroup:
 def _is_int(x) -> bool:
     """A Python or numpy integer; booleans and floats are not integers."""
     return type(x) is int or isinstance(x, np.integer)
+
+
+def _int_matrix(raw, matrix: np.ndarray, what: str) -> np.ndarray:
+    """matrix, the np.asarray of raw, as int64 when every entry of raw is
+    an integer.  asarray reads a bool among integers as 0 or 1, so the
+    entries that read 0 or 1 have their types checked; an integer ndarray
+    needs no scan."""
+    if matrix.dtype.kind not in "iu" or not (
+            isinstance(raw, np.ndarray) or all(
+                _is_int(raw[r][c])
+                for r, c in np.argwhere(matrix <= 1).tolist())):
+        raise ValueError(f"{what} entries must be integers")
+    return matrix.astype(np.int64)
 
 
 def _coordinate(c) -> int:

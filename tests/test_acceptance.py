@@ -19,7 +19,7 @@ import pytest
 from pdfam.catalog import catalog_family, certify_catalog, order32_family
 from pdfam.constructions import (complement_pdf, double_sdf,
                                  expand_from_hds, expand_nonabelian32,
-                                 paley_double_sdf)
+                                 make_recipe, paley_double_sdf)
 from pdfam.groups import (CyclicGroup, DiffConvention, ProductGroup,
                           Semidirect32)
 from pdfam.multisets import (DIFFERENCE_MULTISET, DS, PDF, SDF, Multiset,
@@ -343,14 +343,28 @@ def test_ac10_starter_partition_all_odd_rings():
            "negation pairs for every odd ring up to order 200]", True)
 
 
-def test_ac10_lg_invariants_on_every_expansion(ac4_sweep, ac6_pair):
+def test_ac10_lg_invariants_on_every_expansion(ac4_sweep, ac6_pair,
+                                               lift_fiber_defects):
     expansions = [res for pair in ac4_sweep[0].values() for res in pair]
     expansions += list(ac6_pair[0])
     single400, per400 = expand_from_hds(2, 25)
     expansions += [single400, per400]
     for res in expansions:
-        assert res.lg_checks and all(res.lg_checks.values())
+        rec = res.recipe
+        assert lift_fiber_defects(rec.pdf, rec.ring, rec.f_map) == []
         assert res.relative.certified
     report("AC10[every expansion's difference fibers have 4*lambda "
            "entries, are negation-closed, and sit in the units]", True,
            f"{len(expansions)} expansions")
+
+
+def test_ac10_fiber_oracle_flags_a_repeated_f_value(lift_fiber_defects):
+    pdf, ring = catalog_family("trivial-hds"), GaloisField(7, 1)
+    rec = make_recipe(pdf, ring)
+    assert lift_fiber_defects(pdf, ring, rec.f_map) == []
+    # f(1) = f(2) inside the block {1, 2, 3}: the recipe refuses this f,
+    # and the fiber of 1 - 2 holds the non-unit f(1) - f(2) = 0
+    f_map = list(rec.f_map)
+    f_map[2] = f_map[1]
+    g = pdf.group.op(1, pdf.group.neg(2))
+    assert (g, "units") in lift_fiber_defects(pdf, ring, f_map)

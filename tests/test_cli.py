@@ -422,8 +422,11 @@ _Z7 = {"type": "cyclic", "n": 7}
       "declared": {"kind": "Bogus", "v": 4, "K": [1, 3], "lambda_or_mu": 2}},
      "'Bogus'"),
     ({"group": _Z7, "blocks": [[0, 99], [1, 2]]}, "99"),
+    ({"group": _Z7, "blocks": [[0], [1, 2]], "forbidden": [0.5]},
+     "forbidden must be null or an array of integers"),
 ], ids=["blocks-not-list", "top-level-array", "float-element",
-        "descriptor-without-n", "unknown-declared-kind", "out-of-range"])
+        "descriptor-without-n", "unknown-declared-kind", "out-of-range",
+        "forbidden-not-integers"])
 def test_verify_malformed_family_exits_1_with_one_line(tmp_path, capsys,
                                                        doc, says):
     path = tmp_path / "bad.json"
@@ -449,6 +452,48 @@ def _exits_1_with_one_line(capsys, argv, says):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert says in err
+
+
+def _table(table, **extra):
+    return json.dumps({"type": "table", "table": table, **extra})
+
+
+@pytest.mark.parametrize("argv,says", [
+    (["construct", "double-sdf"], "double-sdf needs --family FILE"),
+    (["construct", "paley"], "paley needs --q PRIME"),
+    (["construct", "expand"], "expand needs --recipe, --family, or --u"),
+    (["construct", "expand", "--u", "1"], "expand needs --ring or --m"),
+    (["construct", "corollary-hds", "--u", "1"],
+     "corollary-hds needs --u and --m"),
+    (["construct", "corollary-sporadic"], "corollary-sporadic needs --m"),
+    (["catalog", "emit"], "catalog emit needs a NAME"),
+    (["construct", "expand", "--u", "1", "--ring", "Q7"],
+     "cannot parse ring spec 'Q7'"),
+    (["construct", "expand", "--u", "1", "--ring", "Fx"],
+     "cannot parse ring spec 'Fx'"),
+    (["construct", "complement", "--block", "0", "--group",
+      '{"type": "product", "factors": [5]}'],
+     "group descriptor 5 is not an object"),
+    (["construct", "expand", "--u", "1", "--ring",
+      '{"type": "product", "factors": [5]}'],
+     "ring descriptor 5 is not an object"),
+    (["construct", "expand", "--u", "1", "--ring", '{"type": "foo"}'],
+     "unknown ring descriptor type 'foo'"),
+    (["construct", "complement", "--block", "0", "--group",
+      _table([[0, 2], [2, 0]])], "table entries must lie in 0..n-1"),
+    (["construct", "complement", "--block", "0", "--group",
+      _table([[0, 1], [1, 1]])], "element 1 has no two-sided inverse"),
+    (["construct", "complement", "--block", "0", "--group",
+      _table([[0, 1], [1, 0]], n=3)],
+     "declared order does not match table size"),
+], ids=["double-sdf-no-family", "paley-no-q", "expand-no-source",
+        "expand-no-ring", "corollary-hds-no-m", "corollary-sporadic-no-m",
+        "catalog-emit-no-name", "ring-spec-Q7", "ring-spec-Fx",
+        "group-factor-not-object", "ring-factor-not-object",
+        "ring-type-foo", "table-entry-out-of-range", "table-no-inverse",
+        "table-n-mismatch"])
+def test_refused_input_exits_1_with_one_line(capsys, argv, says):
+    _exits_1_with_one_line(capsys, argv, says)
 
 
 def test_verify_group_factors_not_array_exits_1(tmp_path, capsys):

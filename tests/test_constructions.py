@@ -180,6 +180,31 @@ def test_sdf_lift_rejects_malformed_tables(bad, says):
         cons.sdf_lift(sdf, ring.additive, lifts, bad(endos), lam=4)
 
 
+@pytest.mark.parametrize("bad,error,says", [
+    (lambda sdf, lifts, endos: (sdf, lifts, [t[:-1] for t in endos]),
+     ValueError, "endomorphism table has wrong length"),
+    (lambda sdf, lifts, endos: (sdf, lifts, [(0,) * 6 + (7,)] + endos[1:]),
+     ValueError, "endomorphism table value out of range"),
+    (lambda sdf, lifts, endos: (sdf, lifts[:1], endos),
+     cons.ProjectionMismatchError, "one lift block per strong block"),
+    (lambda sdf, lifts, endos: (sdf, [lifts[0][:1] * 2] + lifts[1:], endos),
+     cons.ProjectionMismatchError, "lift block 0 has repeats"),
+    (lambda sdf, lifts, endos: (trivial_hds_family(), lifts, endos),
+     cons.ParameterMismatchError,
+     "does not certify as a strong difference family"),
+    # the zero map collapses every block: (d, h) and (d, -h) both go to
+    # (d, 0), and the covering check meets the 0 it sends h - (-h) to
+    (lambda sdf, lifts, endos: (sdf, lifts, [(0,) * 7] + endos[1:]),
+     cons.ConditionFailsError, "endomorphism covering fails"),
+], ids=["narrow-tables", "entry-equals-order", "lift-block-missing",
+        "repeated-pair", "not-strong", "zero-map"])
+def test_sdf_lift_refuses_a_bad_input(bad, error, says):
+    sdf, ring, lifts, endos = _lift_fixture()
+    sdf, lifts, endos = bad(sdf, lifts, endos)
+    with pytest.raises(error, match=re.escape(says)):
+        cons.sdf_lift(sdf, ring.additive, lifts, endos, lam=4)
+
+
 # -- recipes and full expansions -------------------------------------------
 
 def test_make_recipe_canonical_f7():
@@ -272,7 +297,7 @@ def test_recipe_refuses_a_broken_invariant_however_built(case):
         recipe_from_json(json.loads(json.dumps(doc)))  # tuples to arrays
 
 
-def test_expand_single_completion_28():
+def test_expand_single_completion_28(lift_fiber_defects):
     rec = cons.make_recipe(trivial_hds_family(), GaloisField(7, 1))
     res = cons.expand_hadamard_pdf(rec)
     assert res.certified
@@ -280,8 +305,8 @@ def test_expand_single_completion_28():
     assert (r.v, r.lambda_or_mu) == (28, 4)
     assert tuple(r.K) == (2, 2, 2, 4, 6, 6, 6)
     assert res.relative.certified
-    assert res.lg_checks == {"size": True, "negation_closed": True,
-                             "units": True}
+    rec = res.recipe
+    assert lift_fiber_defects(rec.pdf, rec.ring, rec.f_map) == []
 
 
 def test_expand_per_block_completion_fails_certification():

@@ -218,6 +218,16 @@ def test_table_group_rejects_a_non_square_table(table):
         TableGroup(table)
 
 
+@pytest.mark.parametrize("table", [
+    [[0, 1.5], [1.5, 0]], [[False, True], [True, False]],
+    np.array([[0, 1], [1, 0]], dtype=float),
+], ids=["float-entries", "bool-entries", "float-ndarray"])
+def test_table_group_refuses_non_integer_entries(table):
+    # each used to build Z2 through a silent int64 cast
+    with pytest.raises(ValueError, match="^table entries must be integers$"):
+        TableGroup(table)
+
+
 def test_range_guard():
     g = CyclicGroup(5)
     with pytest.raises(ElementOutOfRangeError):
