@@ -12,28 +12,25 @@ for the base is reported as skipped.
     PYTHONPATH=src python3 scripts/expansion_sweep.py --base order32 --max-m 99
 """
 
-import argparse
-from math import gcd
+import sys
 from resource import RUSAGE_SELF, getrusage
 from time import perf_counter
 
+from pdfam.cli import Parser, run_guarded
 from pdfam.constructions import (COMPLETIONS, DivisorTooSmallError,
                                  expand_from_hds, expand_nonabelian32)
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+def main(argv=None):
+    ap = Parser(description=__doc__)
     ap.add_argument("--base", choices=["hds", "order32"], default="hds")
     ap.add_argument("--u", type=int, default=1)
     ap.add_argument("--max-m", type=int, default=100)
-    ap.add_argument("--coprime-to", type=int, default=15)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     total = 0
     t0 = perf_counter()
     for m in range(3, args.max_m + 1, 2):
-        if gcd(m, args.coprime_to) != 1:
-            continue
         t_m = perf_counter()
         try:
             pair = (expand_nonabelian32(m) if args.base == "order32"
@@ -55,4 +52,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_guarded(main))

@@ -7,10 +7,9 @@ group's line gives its search nodes and nodes per second.
     PYTHONPATH=src python3 scripts/hds_landscape.py --u 3 --group Z6xZ6 --max-results 1
 """
 
-import argparse
 import sys
 
-from pdfam.cli import parse_group_spec
+from pdfam.cli import Parser, UsageError, parse_group_spec, run_guarded
 from pdfam.search import (SearchBounds, abelian_groups_order16,
                           hds_parameters, search_hds)
 
@@ -28,29 +27,27 @@ def sweep_group(name, group, u, bounds):
         print(f"    ... {len(res.results) - 3} more")
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+def main(argv=None):
+    ap = Parser(description=__doc__)
     ap.add_argument("--u", type=int, default=2)
     ap.add_argument("--group", default=None,
                     help="single group spec, e.g. Z4xZ4 (default: all "
                          "abelian groups of order 16)")
     ap.add_argument("--max-results", type=int, default=None)
     ap.add_argument("--time-budget", type=float, default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     if args.group is None and args.u != 2:
-        sys.exit(f"error: --u {args.u} needs --group: the default sweep "
-                 "covers only the abelian groups of order 16 (u = 2)")
-
+        raise UsageError(f"--u {args.u} needs --group: the default sweep "
+                         "covers only the abelian groups of order 16 (u = 2)")
+    groups = ([(args.group, parse_group_spec(args.group))] if args.group
+              else abelian_groups_order16())
     v, k, lam = hds_parameters(args.u)
-    print(f"target parameters: ({v}, {k}, {lam})")
     bounds = SearchBounds(max_results=args.max_results,
                           time_budget_s=args.time_budget)
-    if args.group:
-        sweep_group(args.group, parse_group_spec(args.group), args.u, bounds)
-    else:
-        for name, g in abelian_groups_order16():
-            sweep_group(name, g, args.u, bounds)
+    print(f"target parameters: ({v}, {k}, {lam})")
+    for name, g in groups:
+        sweep_group(name, g, args.u, bounds)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_guarded(main))

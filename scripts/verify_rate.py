@@ -11,9 +11,10 @@ calls to fill about --round-s seconds.
     PYTHONPATH=src python3 scripts/verify_rate.py
 """
 
-import argparse
+import sys
 from time import perf_counter
 
+from pdfam.cli import Parser, UsageError, run_guarded
 from pdfam.constructions import (expand_from_hds, expand_nonabelian32,
                                  hadamard_pdf_from_hds)
 from pdfam.multisets import make_family, verify
@@ -40,11 +41,13 @@ def best_call_s(family, repeats: int, round_s: float) -> float:
     return best
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def main(argv=None):
+    ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--round-s", type=float, default=0.2)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if args.repeats < 1:  # no timed round would leave every figure inf
+        raise UsageError(f"--repeats {args.repeats} is not >= 1")
     print(f"{'family':<22} {'v':>6} {'pairs':>8} {'us/call':>10} "
           f"{'pairs/s':>10}")
     for name, family in families():
@@ -55,4 +58,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_guarded(main))

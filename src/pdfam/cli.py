@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested object certifies, 1 on bad input or a
 construction-level error, 2 when an object was built but failed its
-certification check.
+certification check.  The scripts under scripts/ build their parsers from
+Parser and run under run_guarded, so they share this policy.
 
 The difference convention is settled in _conv (--convention, else the input
 file's, else right) and given to a family as _load_family decodes it.
@@ -37,9 +38,28 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # bad input is exit 1, not argparse's 2
+class Parser(argparse.ArgumentParser):
+    """The parser of pdfam and of every script: a bad argument raises
+    UsageError, so run_guarded turns it into exit 1, not argparse's 2."""
+
+    def error(self, message):
         raise UsageError(message)
+
+
+def run_guarded(entry, argv=None) -> int:
+    """Exit code of entry(argv), the body of pdfam or of a script; bad input
+    and construction errors become exit 1 with one 'error:' line on
+    stderr."""
+    try:
+        return entry(argv) or 0
+    # construction, search and ring errors are all ValueErrors
+    except (UsageError, ValueError, ElementOutOfRangeError, KeyError,
+            OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # Python's own has no message, numpy's has
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 def parse_group_spec(text: str):
@@ -265,10 +285,10 @@ def cmd_recipe(args) -> int:
 
 
 @cache  # parse_args leaves the parser as it was
-def build_parser() -> _Parser:
-    parser = _Parser(prog="pdfam",
-                     description="Construct, verify, and search partitioned "
-                                 "difference families.")
+def build_parser() -> Parser:
+    parser = Parser(prog="pdfam",
+                    description="Construct, verify, and search partitioned "
+                                "difference families.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -328,19 +348,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _dispatch(argv) -> int:
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    # construction, search and ring errors are all ValueErrors
-    except (UsageError, ValueError, ElementOutOfRangeError, KeyError,
-            OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # Python's own has no message, numpy's has
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 1
+    return run_guarded(_dispatch, argv)
 
 
 if __name__ == "__main__":

@@ -72,7 +72,6 @@ class Ring:
     and answers with a bool or a bool array.  mul stays scalar.
     """
 
-    zero: int = 0
     one: int
 
     def __init__(self, additive: FiniteGroup):
@@ -362,14 +361,11 @@ def build_y_powers(ring: Ring, m: int) -> list[int]:
     canonical ordering of Y.
     """
     fields = _field_factors(ring)
-    rhos = [f.primitive for f in fields]
-    powers = [list(rhos)]
-    for _ in range(m - 1):
-        powers.append([f.mul(prev, r)
-                       for f, prev, r in zip(fields, powers[-1], rhos)])
+    powers = [[f._exp[j % (f.order - 1)] for f in fields]
+              for j in range(1, m + 1)]
     if isinstance(ring, ProductRing):
-        return [ring.additive.join(vec) for vec in powers[:m]]
-    return [vec[0] for vec in powers[:m]]
+        return [ring.additive.join(vec) for vec in powers]
+    return [vec[0] for vec in powers]
 
 
 @dataclass(frozen=True)
