@@ -17,7 +17,7 @@ from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      endomorphism_mask)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
                         DesignFamily, Multiset, VerificationReport,
-                        _blocks_of, _difference_counts, make_family, verify)
+                        _blocks_of, make_family, verify)
 from .rings import (EvenOrderError, GaloisField, ProductRing, Ring,
                     build_y_powers, check_y_condition, factorize, is_prime,
                     maximal_prime_power_divisors, starter_reps)
@@ -195,14 +195,6 @@ def paley_double_sdf(q: int,
     return ConstructionResult(fam, verify(fam), pred)
 
 
-def _fiber_matrix(ambient: ProductGroup, flat: np.ndarray, lengths,
-                  convention: DiffConvention) -> np.ndarray:
-    """Row g, column h: how often (g, h), of index g*|H| + h, is a
-    difference inside one lifted block of G x H, laid end to end in flat."""
-    return _difference_counts(ambient, flat, lengths, convention).reshape(
-        -1, ambient.factors[1].order)
-
-
 def _check_strong(sdf: DesignFamily, e: int, lam_h: int) -> None:
     """Certify the strong family and check mu * e = lam * (|H|-1) = lam_h."""
     rep = verify(sdf)
@@ -226,14 +218,13 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
     lifts under all (g,h)->(g,e(h)) form a (|G||H|, G x {0}, ^e K, lam)
     difference family in G x H, read under the strong family's convention.
 
-    This public entry checks every input (strong family, identity, table
-    shape, type, range and endomorphism_mask, lifts, covering), then runs
-    the core shared with expand_hadamard_pdf (_lift), whose verify certifies.
+    This public entry checks its inputs (strong family, identity, table
+    shape, type, range and endomorphism_mask, lifts), then runs the core
+    shared with expand_hadamard_pdf (_lift), whose certificate decides.
     """
-    g_group = sdf.group
-    _check_strong(sdf, len(endos), lam * (h_group.order - 1))
+    g_group, hn = sdf.group, h_group.order
+    _check_strong(sdf, len(endos), lam * (hn - 1))
 
-    hn = h_group.order
     try:
         tables = np.asarray(endos)
     except ValueError:  # ragged
@@ -261,29 +252,22 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
         pairs += zip(gs, hs)
         lengths.append(len(gs))
     gs, hs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-
-    # sends[h, h'] counts the tables sending h to h'; the images of fiber
-    # L_g under all tables must be lam copies of H minus zero
-    ambient = ProductGroup([g_group, h_group])
-    sends = np.bincount((np.arange(hn) * hn + tables).ravel(),
-                        minlength=hn * hn).reshape(hn, hn)
-    covered = _fiber_matrix(ambient, ambient.join((gs, hs)), lengths,
-                            sdf.convention) @ sends
-    want = lam * (np.arange(hn) != h_group.identity)
-    bad = (covered != want).any(axis=1)
-    if bad.any():
-        raise ConditionFailsError("endomorphism covering fails at g = "
-                                  f"{g_group.coords(int(bad.argmax()))}")
-    return _lift(ambient, gs, lengths, tables[:, hs], lam, sdf.convention)
+    result = _lift(ProductGroup([g_group, h_group]), gs, lengths,
+                   tables[:, hs], lam, sdf.convention)
+    if not result.certified:  # after _check_strong, it has a witness
+        g = result.report.witness.element // hn
+        raise ConditionFailsError(
+            f"endomorphism covering fails at g = {g_group.coords(g)}")
+    return result
 
 
 def _lift(ambient: ProductGroup, gs, lengths, images, lam: int,
           convention: DiffConvention) -> ConstructionResult:
     """The verified relative family of the blocks {(gs[j], images[t, j])},
     one per lifted block (the next lengths[i] positions) and table t.  A
-    table that collapses a block sends some h - h' in the fiber at the
-    identity of G to zero, which sdf_lift's covering check refuses; in the
-    expansion that h - h' is the unit 2f(d), and no starter is zero."""
+    table that collapses a block repeats an element of it, whose identity
+    difference on G x {0} fails certification; in the expansion no starter
+    sends the h-difference 2f(d) of a lifted pair to zero."""
     g_group, h_group = ambient.factors
     rows = [np.sort(r, axis=1) for r in np.split(
         ambient.join((gs, images)), np.cumsum(lengths)[:-1], axis=1)]

@@ -117,14 +117,20 @@ class FiniteGroup:
         return coords
 
     def _check(self, a):
-        """a unchanged when every entry lies in 0..order-1, as an int when
-        it is a scalar; otherwise the first offending entry is named."""
+        """a unchanged when all its entries are integers in 0..order-1, an
+        int when it is a scalar; else the first offending entry is named."""
         if isinstance(a, np.ndarray):
+            if a.dtype.kind not in "iu":
+                first = (a.ravel().tolist() or [a])[0]
+                raise ValueError(f"element {first!r} is not an integer")
             bad = (a < 0) | (a >= self.order)
             if not bad.any():
                 return a
             a = a[bad][0]
-        a = operator.index(a)
+        if type(a) is not int:  # bools and floats fail, as in _indices
+            if not _is_int(a):
+                raise ValueError(f"element {a!r} is not an integer")
+            a = int(a)
         if not 0 <= a < self.order:
             raise ElementOutOfRangeError(
                 f"element {a} outside 0..{self.order - 1}")
@@ -285,6 +291,7 @@ class TableGroup(FiniteGroup):
         n = t.shape[0]
         if t.min() < 0 or t.max() >= n:
             raise ValueError("table entries must lie in 0..n-1")
+        t.flags.writeable = False  # a decoded group is shared
         self.order = n
         self.arity = 1
         self.table = t
@@ -557,10 +564,9 @@ def _factors(descriptor: dict) -> list:
 
 def is_subgroup(group: FiniteGroup, subset) -> bool:
     """True when the subset is closed under the group operations."""
-    s = np.array([int(x) for x in subset], dtype=np.int64)
+    s = np.array(_indices(group, list(subset)), dtype=np.int64)
     if group.identity not in s:
         return False
-    group._check(s)
     member = np.zeros(group.order, dtype=bool)
     member[s] = True
     if group.order % member.sum():  # Lagrange: no difference is formed

@@ -112,9 +112,7 @@ class Ring:
         return (isinstance(other, Ring)
                 and self.descriptor() == other.descriptor())
 
-    def __hash__(self):
-        import json
-        return hash(json.dumps(self.descriptor(), sort_keys=True))
+    __hash__ = FiniteGroup.__hash__
 
     def __repr__(self):
         return f"{type(self).__name__}(order={self.order})"

@@ -40,6 +40,12 @@ def _int_array(data: dict, key: str) -> list[int]:
     return _field(data, key, _ints, "an array of integers")
 
 
+@functools.lru_cache(maxsize=64)
+def _group_of(text: str):
+    """One group per canonical descriptor text, sharing its plans."""
+    return make_group(json.loads(text))
+
+
 def family_to_json(family: DesignFamily) -> dict:
     return {
         "group": family.group.descriptor(),
@@ -55,7 +61,12 @@ def family_from_json(data: dict,
                      ) -> DesignFamily:
     """A family read under the given convention, which its JSON does not
     hold."""
-    group = make_group(data["group"])
+    try:
+        text = json.dumps(data["group"], sort_keys=True)
+    except TypeError:  # numpy integers from Python have no JSON text
+        group = make_group(data["group"])
+    else:
+        group = _group_of(text)
     blocks, forbidden = data["blocks"], data.get("forbidden")
     if not (isinstance(blocks, list) and all(map(_ints, blocks))):
         raise ValueError("blocks must be arrays of integers")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import pdfam
+from pdfam import groups, serialize
 from pdfam.cli import build_parser, main
 
 
@@ -214,6 +215,27 @@ def test_verify_reads_flag_then_file_convention_then_right(tmp_path, capsys):
         assert code == 2 and rep["kind"] == "Invalid"
         assert (rep["witness"]["element"], rep["witness"]["actual"]) == (
             9, actual[conv])
+
+
+def test_verify_builds_one_plan_per_group_descriptor(tmp_path, capsys,
+                                                     monkeypatch):
+    planned, real_plan = [], groups.DifferencePlan
+
+    def plan(group, convention):
+        planned.append(group.order)
+        return real_plan(group, convention)
+
+    monkeypatch.setattr(groups, "DifferencePlan", plan)
+    serialize._group_of.cache_clear()
+    group = {"type": "product",
+             "factors": [{"type": "cyclic", "n": 5}, {"type": "semidirect32"}]}
+    for i, blocks in enumerate(([[1, 10]], [[3, 12, 21], [0, 7]])):
+        path = tmp_path / f"family{i}.json"
+        path.write_text(json.dumps({"group": group, "blocks": blocks,
+                                    "forbidden": None}))
+        code, rep = run_json(capsys, "verify", str(path))
+        assert code == 2 and rep["kind"] == "Invalid"
+    assert planned == [160]
 
 
 def test_verify_round_trip(tmp_path, capsys):

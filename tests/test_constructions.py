@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 from collections import Counter
@@ -149,6 +150,27 @@ def test_sdf_lift_covering_check():
         cons.sdf_lift(sdf, ring.additive, lifts, bad_endos, lam=4)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=3, max_size=3))
+def test_sdf_lift_refuses_exactly_the_failing_coverings(starters):
+    """Brute force over the fixture's lifts: the tables h -> s*h must send
+    every fiber L_g onto F7 minus zero 4 times and never onto 0."""
+    sdf, ring, lifts, _ = _lift_fixture()
+    count = np.zeros((4, 7), dtype=np.int64)
+    for block in lifts:
+        for (g, h), (g2, h2) in itertools.permutations(block, 2):
+            for s in starters:
+                count[(g - g2) % 4, s * (h - h2) % 7] += 1
+    failing = np.flatnonzero((count != [0] + [4] * 6).any(axis=1))
+    endos = [[s * h % 7 for h in range(7)] for s in starters]
+    if not len(failing):
+        assert cons.sdf_lift(sdf, ring.additive, lifts, endos, lam=4).certified
+        return
+    with pytest.raises(cons.ConditionFailsError,
+                       match=re.escape(f"fails at g = ({failing[0]},)")):
+        cons.sdf_lift(sdf, ring.additive, lifts, endos, lam=4)
+
+
 def test_sdf_lift_accepts_any_complete_starter_set():
     sdf, ring, lifts, endos = _lift_fixture()
     # {1,2,4} is a non-canonical but complete set of pair representatives
@@ -193,7 +215,7 @@ def test_sdf_lift_rejects_malformed_tables(bad, says):
      cons.ParameterMismatchError,
      "does not certify as a strong difference family"),
     # the zero map collapses every block: (d, h) and (d, -h) both go to
-    # (d, 0), and the covering check meets the 0 it sends h - (-h) to
+    # (d, 0), whose repeat puts an identity difference on G x {0}
     (lambda sdf, lifts, endos: (sdf, lifts, [(0,) * 7] + endos[1:]),
      cons.ConditionFailsError, "endomorphism covering fails"),
 ], ids=["narrow-tables", "entry-equals-order", "lift-block-missing",
@@ -203,6 +225,18 @@ def test_sdf_lift_refuses_a_bad_input(bad, error, says):
     sdf, lifts, endos = bad(sdf, lifts, endos)
     with pytest.raises(error, match=re.escape(says)):
         cons.sdf_lift(sdf, ring.additive, lifts, endos, lam=4)
+
+
+@pytest.mark.parametrize("build,says", [
+    (lambda: cons.hadamard_pdf_from_hds(3),
+     "no default group for u = 3; pass one"),
+    # no (16, 6, 2) difference set in a cyclic group
+    (lambda: cons.hadamard_pdf_from_hds(2, CyclicGroup(16)),
+     "no Hadamard difference set found in Z16"),
+], ids=["u3-no-default-group", "u2-in-Z16"])
+def test_hadamard_pdf_from_hds_refuses_without_a_set(build, says):
+    with pytest.raises(cons.NoHdsError, match=f"^{re.escape(says)}$"):
+        build()
 
 
 # -- recipes and full expansions -------------------------------------------

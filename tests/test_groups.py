@@ -9,7 +9,7 @@ from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
                           convention_from_name,
                           endomorphism_mask, is_subgroup, make_group)
 from pdfam.multisets import DS, INVALID, make_family, verify
-from pdfam.rings import GaloisField
+from pdfam.rings import GaloisField, ProductRing, Zmod
 from pdfam.search import search_hds
 
 
@@ -113,6 +113,41 @@ def test_index_of_accepts_numpy_integers():
     assert Semidirect32().index_of(np.array([1, 2])) == 10
     assert all(type(g.index_of(c)) is int for g, c in (
         (CyclicGroup(7), (np.int64(2),)), (Semidirect32(), np.array([1, 2]))))
+
+
+_GUARDED = {
+    "cyclic": lambda a: CyclicGroup(7).op(a, 2),
+    "product": lambda a: ProductGroup([CyclicGroup(3), CyclicGroup(5)]).op(
+        a, 1),
+    "semidirect32": lambda a: Semidirect32().op(a, 1),
+    "table": lambda a: TableGroup(Z4_IDENTITY_AT_2).op(a, 1),
+    "ring-add": lambda a: GaloisField(3, 2).add(a, 1),
+    "ring-is_unit": lambda a: ProductRing([GaloisField(5), Zmod(9)]).is_unit(a),
+}
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([1.5]), np.array([0, 4.5]), np.array([True, False]),
+    np.array([], dtype=float), 1.5, True, np.bool_(True),
+], ids=["float-array", "float-entry", "bool-array", "empty-float-array",
+        "float", "bool", "numpy-bool"])
+@pytest.mark.parametrize("kind", sorted(_GUARDED))
+def test_element_guard_refuses_floats_and_bools(kind, bad):
+    # a float array was added as floats, and True read as 1
+    with pytest.raises(ValueError, match=r"^element .+ is not an integer$"):
+        _GUARDED[kind](bad)
+
+
+@pytest.mark.parametrize("build,error,says", [
+    (lambda: CyclicGroup(0), ValueError, "order must be positive"),
+    (lambda: ProductGroup([]), ValueError,
+     "product needs at least one factor"),
+    (lambda: Semidirect32().index_of((4, 0)), ElementOutOfRangeError,
+     r"bad coordinates \(4,0\)"),
+], ids=["Z0", "empty-product", "semidirect32-x-4"])
+def test_groups_refuse_bad_input(build, error, says):
+    with pytest.raises(error, match=f"^{says}$"):
+        build()
 
 
 @pytest.mark.parametrize("g,coords,arity", [
@@ -260,6 +295,8 @@ def test_subgroup_closure_and_check():
     assert subgroup_closure(s, [s.index_of((0, 1))]) == set(range(8))
     assert subgroup_closure(s, [8, 1]) == set(s.elements())
     assert is_subgroup(s, range(8)) and not is_subgroup(s, range(9))
+    with pytest.raises(ValueError, match="is not an integer"):
+        is_subgroup(CyclicGroup(4), [0, 2.5])  # int() read 2.5 as 2
 
 
 def test_product_identity_joins_factor_identities():

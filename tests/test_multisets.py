@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdfam.constructions import _fiber_matrix
 from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
                           ProductGroup, Semidirect32, TableGroup)
 from pdfam.multisets import (DF, DIFFERENCE_MULTISET, DS, INVALID, PDF,
-                             RELATIVE_PDF, SDF, Multiset, delta_block,
+                             RELATIVE_PDF, SDF, DesignFamily,
+                             GroupMismatchError, Multiset, delta_block,
                              delta_family, make_family, verify)
 from pdfam.rings import GaloisField
 
@@ -71,6 +71,9 @@ group_strategy = st.sampled_from([
                                 _relabeled_table(Semidirect32(), 5)]),
                   CyclicGroup(5)]),
     _relabeled_table(Semidirect32(), 5),
+    # the shape of a lift's ambient group: a table times a field's Zp^k
+    ProductGroup([_relabeled_table(Semidirect32(), 5),
+                  GaloisField(3, 2).additive]),
 ])
 
 
@@ -101,29 +104,6 @@ def test_delta_family_matches_oracle_property(g, convention, data):
     assert delta_family(fam).counts == want
     rep = verify(fam)
     assert rep.K == tuple(sorted(map(len, blocks)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([CyclicGroup(4), Semidirect32(),
-                        _relabeled_table(Semidirect32(), 5)]),
-       st.sampled_from([CyclicGroup(7), GaloisField(3, 2).additive,
-                        _relabeled_table(CyclicGroup(4), 2)]),
-       st.sampled_from(list(DiffConvention)), st.data())
-def test_fiber_matrix_matches_oracle(g, h, convention, data):
-    pair = st.tuples(st.integers(0, g.order - 1), st.integers(0, h.order - 1))
-    lifts = data.draw(st.lists(st.lists(pair, min_size=1, max_size=6),
-                               min_size=1, max_size=4))
-    base = make_family(g, [[x for x, _ in pairs] for pairs in lifts],
-                       convention=convention)
-    ambient = ProductGroup([g, h])
-    want = np.zeros((g.order, h.order), dtype=np.int64)
-    for pairs in lifts:
-        for e, m in brute_delta(ambient, [ambient.join(p) for p in pairs],
-                                convention).items():
-            want[e // h.order, e % h.order] += m
-    assert np.array_equal(_fiber_matrix(
-        ambient, np.array([ambient.join(p) for pairs in lifts for p in pairs]),
-        list(map(len, lifts)), base.convention), want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -282,6 +262,21 @@ def test_family_validation():
         make_family(g, [[0, 1]], forbidden={1, 2})  # not a subgroup
 
 
+@pytest.mark.parametrize("build,error,says", [
+    (lambda g: Multiset(g, counts={1: -1}), ValueError,
+     "negative multiplicity"),
+    (lambda g: Multiset(g, [1, 2]).scaled(-1), ValueError, "negative scale"),
+    (lambda g: DesignFamily(g, (Multiset(CyclicGroup(5), [1]),)),
+     GroupMismatchError, "block over a different group"),
+    (lambda g: DesignFamily(g, (Multiset(g, [1]), Multiset(g))), ValueError,
+     "empty block"),
+], ids=["negative-multiplicity", "negative-scale", "foreign-block",
+        "empty-block"])
+def test_multisets_refuse_bad_input(build, error, says):
+    with pytest.raises(error, match=f"^{says}$"):
+        build(CyclicGroup(7))
+
+
 @pytest.mark.parametrize("blocks", [
     [[0.5, 1.9, 3]],          # int() made this {0, 1, 3}
     [[True, 3]],              # and this {1, 3}
@@ -302,6 +297,10 @@ def test_multiset_refuses_float_and_bool_elements():
         Multiset(CyclicGroup(7), counts={True: 2})
     with pytest.raises(ValueError, match="is not an integer"):
         make_family(CyclicGroup(7), [[0]], forbidden=[0.0])
+    with pytest.raises(ValueError, match="is not an integer"):
+        # accepted, and then verify ended in a bare IndexError
+        DesignFamily(CyclicGroup(4), make_family(CyclicGroup(4), [[1]]).blocks,
+                     frozenset({0, 2.0}))
 
 
 @pytest.mark.parametrize("m,says", [

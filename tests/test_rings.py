@@ -26,6 +26,18 @@ def ring_pow(ring, a, e):
     return result
 
 
+@pytest.mark.parametrize("build,error,says", [
+    (lambda: GaloisField(7, 0), ValueError,
+     "extension degree must be positive"),
+    (lambda: factorize(0), ValueError, "positive integers only"),
+    (lambda: build_y_powers(ProductRing([GaloisField(7), Zmod(9)]), 2),
+     TypeError, "all factors must be fields"),
+], ids=["GF7-degree-0", "factorize-0", "y-powers-zmod-factor"])
+def test_rings_refuse_bad_input(build, error, says):
+    with pytest.raises(error, match=f"^{says}$"):
+        build()
+
+
 def test_factorize_and_divisors():
     assert factorize(45) == {3: 2, 5: 1}
     assert factorize(47) == {47: 1}

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pdfam.catalog import order32_family
@@ -108,3 +109,16 @@ def test_result_to_json_carries_certification():
 def test_family_from_json_rejects_garbage():
     with pytest.raises((KeyError, TypeError, ValueError)):
         family_from_json({"group": {"type": "nope"}, "blocks": []})
+
+
+def test_family_decode_shares_one_group_per_descriptor():
+    data = {"group": {"type": "table", "n": 2, "table": [[0, 1], [1, 0]]},
+            "blocks": [[1]], "forbidden": None}
+    first = family_from_json(data)
+    again = family_from_json(json.loads(json.dumps(data, indent=2)))
+    assert again.group is first.group
+    assert not first.group.table.flags.writeable  # shared, so read-only
+    # numpy integers have no JSON text: built afresh, not a crash
+    numpy_n = family_from_json({"group": {"type": "cyclic", "n": np.int64(5)},
+                                "blocks": [[1]], "forbidden": None})
+    assert numpy_n.group == CyclicGroup(5)
