@@ -4,9 +4,9 @@ certifying both completions of each result; each modulus's line ends with
 its elapsed seconds and the process's peak RSS so far (ru_maxrss).
 
 The base is the complement pair of a searched (4u^2, 2u^2-u, u^2-u)
-difference set (--base hds, the default), or the order-32 family
-(--base order32).  A modulus with a maximal prime power divisor too small
-for the base is reported as skipped.
+difference set (--base hds, the default, with --u 1 by default), or the
+order-32 family (--base order32, which refuses --u).  A modulus with a
+maximal prime power divisor too small for the base is reported as skipped.
 
     PYTHONPATH=src python3 scripts/expansion_sweep.py --u 1 --max-m 100
     PYTHONPATH=src python3 scripts/expansion_sweep.py --base order32 --max-m 99
@@ -24,9 +24,12 @@ from pdfam.constructions import (COMPLETIONS, DivisorTooSmallError,
 def main(argv=None):
     ap = Parser(description=__doc__)
     ap.add_argument("--base", choices=["hds", "order32"], default="hds")
-    ap.add_argument("--u", type=int, default=1)
+    ap.add_argument("--u", type=int, default=None,
+                    help="the difference set's u, for --base hds (default 1)")
     ap.add_argument("--max-m", type=int, default=100)
     args = ap.parse_args(argv)
+    if args.base == "order32" and args.u is not None:
+        ap.error("--u applies only to --base hds")
 
     total = 0
     t0 = perf_counter()
@@ -34,7 +37,7 @@ def main(argv=None):
         t_m = perf_counter()
         try:
             pair = (expand_nonabelian32(m) if args.base == "order32"
-                    else expand_from_hds(args.u, m))
+                    else expand_from_hds(1 if args.u is None else args.u, m))
         except DivisorTooSmallError as exc:
             print(f"m={m:3d}  skipped: {exc}")
             continue

@@ -147,11 +147,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _finish(result, out: str | None) -> int:
-    _emit(canonical_dumps(result_to_json(result)), out)
-    return 0 if result.certified else 2
-
-
 def _conv(args, file_conv: str | None = None):
     """Explicit flag wins, then the input file's convention, then default;
     a file's convention is checked even when the flag wins."""
@@ -162,57 +157,65 @@ def _conv(args, file_conv: str | None = None):
     return file_conv or DEFAULT_CONVENTION
 
 
-def _ring(args, command: str) -> Ring:
-    """The ring of --ring, else the ring of the modulus --m."""
-    if args.ring:
+def _ring(args) -> Ring:
+    """The ring of --ring or of the modulus --m; the parser allows one."""
+    if args.ring is not None:
         return parse_ring_spec(args.ring)
-    if args.m is not None:
-        return ring_for_modulus(args.m)
-    raise UsageError(f"{command} needs --ring or --m")
+    if args.m is None:
+        raise UsageError("one of the arguments --ring --m is required")
+    return ring_for_modulus(args.m)
+
+
+def _expand(args):
+    """Expand the --recipe file, else --family or --u by --ring or --m."""
+    if args.recipe is not None:
+        fixed = [name for name in ("ring", "m", "completion", "convention")
+                 if getattr(args, name) is not None]
+        if fixed:  # the recipe file records all four
+            raise UsageError(
+                f"argument --{fixed[0]}: not allowed with argument --recipe")
+        return expand_hadamard_pdf(recipe_from_json(_read_json(args.recipe)))
+    fam = (_load_family(args.family, args)[0] if args.family is not None
+           else hadamard_pdf_from_hds(args.u, convention=_conv(args)).family)
+    return expand_hadamard_pdf(make_recipe(
+        fam, _ring(args), args.completion or COMPLETION_SINGLE))
+
+
+# construct kind: (builder, the flags it needs, the other flags it reads);
+# expand also reads --recipe | --family | --u, --ring | --m and a
+# --completion with no default, so that --recipe can refuse it
+_KINDS = {
+    "complement": (lambda a: complement_pdf(
+        parse_group_spec(a.group), _parse_block(a.block), _conv(a)),
+        ["--group", "--block"], []),
+    "double-sdf": (lambda a: double_sdf(_load_family(a.family, a)[0]),
+                   ["--family"], []),
+    "paley": (lambda a: paley_double_sdf(a.q, _conv(a)), ["--q"], []),
+    "expand": (_expand, [], []),
+    "corollary-hds": (lambda a: expand_from_hds(
+        a.u, a.m, None if a.group is None else parse_group_spec(a.group),
+        _conv(a)), ["--u", "--m"], ["--group", "--completion"]),
+    "corollary-sporadic": (lambda a: expand_nonabelian32(a.m, _conv(a)),
+                           ["--m"], ["--completion"]),
+}
+# add_argument keywords of each flag that a sub-parser declares by flags()
+_FLAGS = {
+    "--group": {}, "--ring": {}, "--q": {"type": int}, "--u": {"type": int},
+    "--block": {"help": "difference-set elements, comma separated"},
+    "--family": {"help": "input family JSON file"},
+    "--recipe": {"help": "expansion recipe file"},
+    "--m": {"type": int, "help": "odd modulus 2n+1"},
+    "--completion": {"choices": COMPLETIONS, "default": COMPLETION_SINGLE},
+    "--convention": {"choices": ["right", "left"]}, "--out": {},
+}
 
 
 def cmd_construct(args) -> int:
-    completion = args.completion or COMPLETION_SINGLE
-    kind = args.kind
-    if kind == "complement":
-        if not args.group or args.block is None:
-            raise UsageError("complement needs --group and --block")
-        return _finish(
-            complement_pdf(parse_group_spec(args.group),
-                           _parse_block(args.block), _conv(args)), args.out)
-    if kind == "double-sdf":
-        if not args.family:
-            raise UsageError("double-sdf needs --family FILE")
-        fam, _ = _load_family(args.family, args)
-        return _finish(double_sdf(fam), args.out)
-    if kind == "paley":
-        if args.q is None:
-            raise UsageError("paley needs --q PRIME")
-        return _finish(paley_double_sdf(args.q, _conv(args)), args.out)
-    if kind == "expand":
-        if args.recipe:
-            return _finish(expand_hadamard_pdf(recipe_from_json(
-                _read_json(args.recipe))), args.out)
-        if args.family:
-            fam, _ = _load_family(args.family, args)
-        elif args.u is not None:
-            fam = hadamard_pdf_from_hds(args.u, convention=_conv(args)).family
-        else:
-            raise UsageError("expand needs --recipe, --family, or --u")
-        rec = make_recipe(fam, _ring(args, "expand"), completion)
-        return _finish(expand_hadamard_pdf(rec), args.out)
-    if kind == "corollary-hds":
-        if args.u is None or args.m is None:
-            raise UsageError("corollary-hds needs --u and --m")
-        group = parse_group_spec(args.group) if args.group else None
-        pair = expand_from_hds(args.u, args.m, group, _conv(args))
-        return _finish(pair[COMPLETIONS.index(completion)], args.out)
-    if kind == "corollary-sporadic":
-        if args.m is None:
-            raise UsageError("corollary-sporadic needs --m")
-        pair = expand_nonabelian32(args.m, _conv(args))
-        return _finish(pair[COMPLETIONS.index(completion)], args.out)
-    raise UsageError(f"unknown construct kind {kind!r}")
+    result = args.build(args)
+    if isinstance(result, tuple):  # the corollaries build both completions
+        result = result[COMPLETIONS.index(args.completion)]
+    _emit(canonical_dumps(result_to_json(result)), args.out)
+    return 0 if result.certified else 2
 
 
 def cmd_verify(args) -> int:
@@ -254,20 +257,18 @@ def cmd_search_y(args) -> int:
     return 0
 
 
-def cmd_catalog(args) -> int:
-    if args.action == "list":
-        lines = []
-        for cert in certify_catalog():
-            r = cert.report
-            params = (f"({r.v},{list(r.K)},{r.lambda_or_mu})"
-                      if r.ok else "invalid")
-            lines.append(f"{cert.name} [{cert.convention.value}]: "
-                         f"{r.kind} {params}"
-                         f"{' Hadamard' if cert.report.hadamard else ''}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    if not args.name:
-        raise UsageError("catalog emit needs a NAME")
+def cmd_catalog_list(args) -> int:
+    lines = []
+    for cert in certify_catalog():
+        r = cert.report
+        params = f"({r.v},{list(r.K)},{r.lambda_or_mu})" if r.ok else "invalid"
+        lines.append(f"{cert.name} [{cert.convention.value}]: {r.kind} "
+                     f"{params}{' Hadamard' if r.hadamard else ''}")
+    _emit("\n".join(lines) + "\n", args.out)
+    return 0
+
+
+def cmd_catalog_emit(args) -> int:
     try:
         fam = catalog_family(args.name)
     except KeyError as exc:
@@ -278,72 +279,69 @@ def cmd_catalog(args) -> int:
 
 def cmd_recipe(args) -> int:
     fam, _ = _load_family(args.family, args)
-    rec = make_recipe(fam, _ring(args, "recipe"),
-                      args.completion or COMPLETION_SINGLE)
+    rec = make_recipe(fam, _ring(args), args.completion)
     _emit(canonical_dumps(recipe_to_json(rec)), args.out)
     return 0
 
 
 @cache  # parse_args leaves the parser as it was
 def build_parser() -> Parser:
+    """One sub-parser per command, construct kind and catalog action, each
+    declaring only the flags it reads."""
     parser = Parser(prog="pdfam",
                     description="Construct, verify, and search partitioned "
                                 "difference families.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--convention", choices=["right", "left"],
-                       default=None)
-        p.add_argument("--out", default=None)
+    def flags(p, *names, required=False):
+        for name in names:
+            p.add_argument(name, required=required, **_FLAGS[name])
 
-    p = sub.add_parser("construct", help="build a family and certify it")
-    p.add_argument("kind", choices=["complement", "double-sdf", "paley",
-                                    "expand", "corollary-hds",
-                                    "corollary-sporadic"])
-    p.add_argument("--group", default=None)
-    p.add_argument("--ring", default=None)
-    p.add_argument("--block", default=None,
-                   help="difference-set elements, comma separated")
-    p.add_argument("--family", default=None, help="input family JSON file")
-    p.add_argument("--recipe", default=None, help="expansion recipe file")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--u", type=int, default=None)
-    p.add_argument("--m", type=int, default=None, help="odd modulus 2n+1")
-    p.add_argument("--completion", choices=list(COMPLETIONS), default=None)
-    common(p)
-    p.set_defaults(func=cmd_construct)
+    kinds = sub.add_parser("construct", help="build a family and certify it"
+                           ).add_subparsers(dest="kind", required=True)
+    for kind, (build, needs, reads) in _KINDS.items():
+        p = kinds.add_parser(kind)
+        flags(p, *needs, required=True)
+        flags(p, *reads, "--convention", "--out")
+        p.set_defaults(func=cmd_construct, build=build)
+    expand = kinds.choices["expand"]
+    flags(expand.add_mutually_exclusive_group(required=True),
+          "--recipe", "--family", "--u")
+    flags(expand.add_mutually_exclusive_group(), "--ring", "--m")
+    expand.add_argument("--completion", choices=COMPLETIONS)
 
     p = sub.add_parser("verify", help="re-certify a family file")
     p.add_argument("file")
-    common(p)
+    flags(p, "--convention", "--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search-hds", help="exhaustive difference-set search")
-    p.add_argument("--group", required=True)
-    p.add_argument("--u", type=int, required=True)
+    flags(p, "--group", "--u", required=True)
     p.add_argument("--max-results", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None)
-    common(p)
+    flags(p, "--convention", "--out")
     p.set_defaults(func=cmd_search_hds)
 
     p = sub.add_parser("search-y", help="maximum unit-set search")
-    p.add_argument("--ring", required=True)
+    flags(p, "--ring", required=True)
     p.add_argument("--time-budget", type=float, default=None)
-    p.add_argument("--out", default=None)
+    flags(p, "--out")
     p.set_defaults(func=cmd_search_y)
 
-    p = sub.add_parser("catalog", help="list or emit built-in families")
-    p.add_argument("action", choices=["list", "emit"])
-    p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_catalog)
+    actions = sub.add_parser("catalog", help="list or emit built-in families"
+                             ).add_subparsers(dest="action", required=True)
+    p = actions.add_parser("list")
+    flags(p, "--out")
+    p.set_defaults(func=cmd_catalog_list)
+    p = actions.add_parser("emit")
+    p.add_argument("name")
+    flags(p, "--out")
+    p.set_defaults(func=cmd_catalog_emit)
 
     p = sub.add_parser("recipe", help="build a canonical expansion recipe")
-    p.add_argument("--family", required=True)
-    p.add_argument("--ring", default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--completion", choices=list(COMPLETIONS), default=None)
-    common(p)
+    flags(p, "--family", required=True)
+    flags(p.add_mutually_exclusive_group(required=True), "--ring", "--m")
+    flags(p, "--completion", "--convention", "--out")
     p.set_defaults(func=cmd_recipe)
     return parser
 

@@ -118,11 +118,15 @@ class FiniteGroup:
 
     def _check(self, a):
         """a unchanged when all its entries are integers in 0..order-1, an
-        int when it is a scalar; else the first offending entry is named."""
+        int when it is a scalar; else the first offending entry is named,
+        or the dtype of an array whose first entry is an integer or which
+        is empty."""
         if isinstance(a, np.ndarray):
             if a.dtype.kind not in "iu":
-                first = (a.ravel().tolist() or [a])[0]
-                raise ValueError(f"element {first!r} is not an integer")
+                first = a.ravel().tolist()[:1]
+                named = (repr(first[0]) if first and not _is_int(first[0])
+                         else f"of dtype {a.dtype}")
+                raise ValueError(f"element {named} is not an integer")
             bad = (a < 0) | (a >= self.order)
             if not bad.any():
                 return a

@@ -14,6 +14,7 @@ from itertools import combinations
 from math import gcd
 from time import perf_counter
 
+import numpy as np
 import pytest
 
 from pdfam.catalog import catalog_family, certify_catalog, order32_family
@@ -23,7 +24,8 @@ from pdfam.constructions import (complement_pdf, double_sdf,
 from pdfam.groups import (CyclicGroup, DiffConvention, ProductGroup,
                           Semidirect32)
 from pdfam.multisets import (DIFFERENCE_MULTISET, DS, PDF, SDF, Multiset,
-                             delta_block, make_family, verify)
+                             delta_block, delta_family, make_family,
+                             verify)
 from pdfam.rings import (GaloisField, ProductRing, Zmod, check_y_condition,
                          starter_reps)
 from pdfam.search import (SearchBounds, abelian_groups_order16,
@@ -220,6 +222,52 @@ def test_ac06_sporadic_per_block(ac6_pair):
         "the per-block completion has the declared block sizes but cannot "
         "certify; its zero-fiber difference count is short by lambda on "
         "every nonzero zero-fiber element")
+
+
+# -- README caveats 1 and 3, checked as data ---------------------------------
+
+def off_index_elements(result):
+    """The non-identity elements whose difference count in the result's
+    family differs from its declared index, and those counts."""
+    fam = result.family
+    counts = np.bincount(delta_family(fam).elements,
+                         minlength=fam.group.order)
+    off = np.flatnonzero(counts != result.predicted.lambda_or_mu)
+    off = off[off != fam.group.identity]
+    return off, counts[off]
+
+
+def test_caveat1_per_block_is_short_exactly_on_the_zero_fiber(ac4_sweep,
+                                                              ac6_pair):
+    """Caveat 1: the per-block completion of a (2lam, K, lam) base counts
+    lam, not the declared 2lam, at the |G| - 1 nonzero elements of G x {0}
+    and nowhere else."""
+    pairs, _ = ac4_sweep
+    (_, sporadic), _ = ac6_pair
+    for per_block in [pb for _, pb in pairs.values()] + [sporadic]:
+        ambient = per_block.family.group
+        g_group, h_group = ambient.factors
+        g, h = ambient.split(np.arange(ambient.order))
+        zero_fiber = np.flatnonzero((h == h_group.identity)
+                                    & (g != g_group.identity))
+        off, counts = off_index_elements(per_block)
+        assert len(zero_fiber) == g_group.order - 1
+        assert np.array_equal(off, zero_fiber)
+        assert (counts == per_block.predicted.lambda_or_mu // 2).all()
+
+
+def test_caveat3_order32_blocks_are_convention_invariant():
+    """Caveat 3: each order-32 block has the same differences under both
+    conventions, which a Semidirect32 block such as {1, 8} need not."""
+    conventions = (DiffConvention.RIGHT_INVERSE, DiffConvention.LEFT_INVERSE)
+    blocks = order32_family().blocks
+    assert len(blocks) == 4
+    for block in blocks:
+        right, left = (delta_block(block, c) for c in conventions)
+        assert right == left
+    right, left = (delta_block(Multiset(Semidirect32(), [1, 8]), c)
+                   for c in conventions)
+    assert right != left
 
 
 # -- AC7: maximum admissible unit set in Z25 ---------------------------------

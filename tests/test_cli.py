@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,9 @@ import pytest
 import pdfam
 from pdfam import groups, serialize
 from pdfam.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(Path(pdfam.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -481,14 +485,18 @@ def _table(table, **extra):
 
 
 @pytest.mark.parametrize("argv,says", [
-    (["construct", "double-sdf"], "double-sdf needs --family FILE"),
-    (["construct", "paley"], "paley needs --q PRIME"),
-    (["construct", "expand"], "expand needs --recipe, --family, or --u"),
-    (["construct", "expand", "--u", "1"], "expand needs --ring or --m"),
+    (["construct", "double-sdf"],
+     "the following arguments are required: --family"),
+    (["construct", "paley"], "the following arguments are required: --q"),
+    (["construct", "expand"],
+     "one of the arguments --recipe --family --u is required"),
+    (["construct", "expand", "--u", "1"],
+     "one of the arguments --ring --m is required"),
     (["construct", "corollary-hds", "--u", "1"],
-     "corollary-hds needs --u and --m"),
-    (["construct", "corollary-sporadic"], "corollary-sporadic needs --m"),
-    (["catalog", "emit"], "catalog emit needs a NAME"),
+     "the following arguments are required: --m"),
+    (["construct", "corollary-sporadic"],
+     "the following arguments are required: --m"),
+    (["catalog", "emit"], "the following arguments are required: name"),
     (["construct", "expand", "--u", "1", "--ring", "Q7"],
      "cannot parse ring spec 'Q7'"),
     (["construct", "expand", "--u", "1", "--ring", "Fx"],
@@ -665,12 +673,11 @@ def test_out_of_memory_exits_1_with_one_line():
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    src = str(Path(pdfam.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-m", "pdfam", "construct", "complement",
          "--group", "Z100000000000", "--block", "0"],
         capture_output=True, text=True, preexec_fn=cap_address_space,
-        env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.startswith("error: ")
@@ -680,9 +687,111 @@ def test_out_of_memory_exits_1_with_one_line():
 def test_python_dash_m_runs_the_cli(capsys):
     assert main(["catalog", "list"]) == 0
     want = capsys.readouterr().out
-    src = str(Path(pdfam.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-m", "pdfam", "catalog", "list"],
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert done.returncode == 0 and done.stdout == want
+
+
+# every construct flag, and the ones each kind reads; the rest are stray
+_CONSTRUCT_FLAGS = ("--group", "--ring", "--block", "--family", "--recipe",
+                    "--q", "--u", "--m", "--completion", "--convention",
+                    "--out")
+_KIND_READS = {
+    "complement": {"--group", "--block", "--convention", "--out"},
+    "double-sdf": {"--family", "--convention", "--out"},
+    "paley": {"--q", "--convention", "--out"},
+    "expand": {"--recipe", "--family", "--u", "--ring", "--m",
+               "--completion", "--convention", "--out"},
+    "corollary-hds": {"--u", "--m", "--group", "--completion",
+                      "--convention", "--out"},
+    "corollary-sporadic": {"--m", "--completion", "--convention", "--out"},
+}
+# a valid invocation of each kind, FAMILY and RECIPE standing for files
+_KIND_BASE = {
+    "complement": ["--group", "Z4", "--block", "0"],
+    "double-sdf": ["--family", "FAMILY"],
+    "paley": ["--q", "7"],
+    "expand": ["--family", "FAMILY", "--m", "7"],
+    "corollary-hds": ["--u", "1", "--m", "7"],
+    "corollary-sporadic": ["--m", "47"],
+}
+_FLAG_VALUE = {"--group": "Z4", "--ring": "F7", "--block": "0",
+               "--family": "FAMILY", "--recipe": "RECIPE", "--q": "7",
+               "--u": "1", "--m": "7", "--completion": "single",
+               "--convention": "right", "--out": "OUT"}
+
+
+@pytest.fixture
+def files(tmp_path):
+    """argv with FAMILY, RECIPE and OUT replaced by the trivial Hadamard
+    PDF's family file, its recipe over F7 and an output path."""
+    family, recipe = tmp_path / "family.json", tmp_path / "recipe.json"
+    assert main(["catalog", "emit", "trivial-hds", "--out", str(family)]) == 0
+    assert main(["recipe", "--family", str(family), "--m", "7",
+                 "--out", str(recipe)]) == 0
+    names = {"FAMILY": str(family), "RECIPE": str(recipe),
+             "OUT": str(tmp_path / "out.json")}
+    return lambda *argv: [names.get(a, a) for a in argv]
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_BASE))
+def test_each_kind_base_invocation_certifies(files, capsys, kind):
+    assert main(files("construct", kind, *_KIND_BASE[kind])) == 0
+
+
+@pytest.mark.parametrize("kind,flag", [
+    (kind, flag) for kind in sorted(_KIND_READS)
+    for flag in _CONSTRUCT_FLAGS if flag not in _KIND_READS[kind]])
+def test_construct_refuses_a_flag_its_kind_does_not_read(files, capsys,
+                                                          kind, flag):
+    # each kind used to drop the flags it did not read and exit 0
+    argv = files("construct", kind, *_KIND_BASE[kind], flag,
+                 _FLAG_VALUE[flag])
+    _exits_1_with_one_line(capsys, argv, f"unrecognized arguments: {flag}")
+
+
+def test_catalog_list_refuses_a_name(capsys):
+    _exits_1_with_one_line(capsys, ["catalog", "list", "order-32"],
+                           "unrecognized arguments: order-32")
+
+
+_CONFLICTS = [
+    *[(["construct", "expand", "--recipe", "RECIPE", flag, _FLAG_VALUE[flag]],
+       f"argument {flag}: not allowed with argument --recipe")
+      for flag in ("--ring", "--m", "--completion", "--convention",
+                   "--family", "--u")],
+    (["construct", "expand", "--family", "FAMILY", "--u", "1", "--m", "7"],
+     "argument --u: not allowed with argument --family"),
+    (["construct", "expand", "--u", "1", "--ring", "F7", "--m", "7"],
+     "argument --m: not allowed with argument --ring"),
+    (["recipe", "--family", "FAMILY", "--ring", "F7", "--m", "7"],
+     "argument --m: not allowed with argument --ring"),
+]
+
+
+@pytest.mark.parametrize("argv,says", _CONFLICTS,
+                         ids=[" ".join(argv) for argv, _ in _CONFLICTS])
+def test_conflicting_flags_exit_1(files, capsys, argv, says):
+    # the recipe's own ring, completion and convention used to win silently
+    _exits_1_with_one_line(capsys, files(*argv), says)
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """The pdfam command lines of the README's CLI example block."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    return [shlex.split(line)[1:] for line in block.split("```", 1)[0]
+            .splitlines() if line.startswith("pdfam ")]
+
+
+def test_readme_cli_examples_run(tmp_path):
+    commands = _readme_cli_commands()
+    assert len(commands) >= 10
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-m", "pdfam", *argv],
+                              cwd=tmp_path, capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, (argv, done.stderr)

@@ -129,13 +129,27 @@ _GUARDED = {
 @pytest.mark.parametrize("bad", [
     np.array([1.5]), np.array([0, 4.5]), np.array([True, False]),
     np.array([], dtype=float), 1.5, True, np.bool_(True),
+    np.array([1], dtype=object),
 ], ids=["float-array", "float-entry", "bool-array", "empty-float-array",
-        "float", "bool", "numpy-bool"])
+        "float", "bool", "numpy-bool", "object-array"])
 @pytest.mark.parametrize("kind", sorted(_GUARDED))
 def test_element_guard_refuses_floats_and_bools(kind, bad):
     # a float array was added as floats, and True read as 1
     with pytest.raises(ValueError, match=r"^element .+ is not an integer$"):
         _GUARDED[kind](bad)
+
+
+@pytest.mark.parametrize("bad,named", [
+    (np.array([1], dtype=object), "of dtype object"),
+    (np.array([], dtype=float), "of dtype float64"),
+    (np.array([2.5, 1], dtype=object), "2.5"),
+    (np.array([True]), "True"),
+], ids=["object-int-entry", "empty-float", "object-float-entry", "bool"])
+def test_element_guard_names_the_entry_or_the_dtype(bad, named):
+    # an integer first entry of an object array used to be named itself
+    with pytest.raises(ValueError,
+                       match=rf"^element {named} is not an integer$"):
+        CyclicGroup(4).op(bad, 1)
 
 
 @pytest.mark.parametrize("build,error,says", [

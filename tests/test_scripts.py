@@ -25,6 +25,8 @@ SMOKE = [
 ]
 MALFORMED = [
     ("expansion_sweep.py", "--u", "0"),
+    # the order-32 base has no u; the flag used to be ignored
+    ("expansion_sweep.py", "--base", "order32", "--u", "2"),
     # the default sweep covers the order-16 groups, so only u = 2
     ("hds_landscape.py", "--u", "1"),
     ("hds_landscape.py", "--u", "0", "--group", "Z4"),
