@@ -1,22 +1,25 @@
 #!/usr/bin/env python3
-"""Time the certifier on four fixed families: microseconds per `verify`
-call and ordered pairs of distinct positions tallied per second.
+"""Time the certifier on five fixed families: microseconds per `verify`
+call, ordered pairs of distinct positions tallied per second, and the
+process's peak RSS (ru_maxrss) after each family.
 
 The families are an order-16 search leaf (the first (16,6,2) difference
-set in Z4 x Z4, one block), and the single-completion final families of
-the u=1, m=499 expansion, the order-32, m=71 expansion and the u=2, m=41
-expansion.  Each figure is the best of --repeats timed rounds of enough
-calls to fill about --round-s seconds.
+set in Z4 x Z4, one block), the single-completion final families of the
+u=1, m=499 expansion, the order-32, m=71 expansion and the u=2, m=41
+expansion, and the Paley q=6007 doubled complement (one block of 6008
+positions, 36M pairs).  Each figure is the best of --repeats timed rounds
+of enough calls to fill about --round-s seconds.
 
     PYTHONPATH=src python3 scripts/verify_rate.py
 """
 
 import sys
+from resource import RUSAGE_SELF, getrusage
 from time import perf_counter
 
 from pdfam.cli import Parser, UsageError, run_guarded
 from pdfam.constructions import (expand_from_hds, expand_nonabelian32,
-                                 hadamard_pdf_from_hds)
+                                 hadamard_pdf_from_hds, paley_double_sdf)
 from pdfam.multisets import make_family, verify
 
 
@@ -26,6 +29,7 @@ def families():
     yield "u=1, m=499 final", expand_from_hds(1, 499)[0].family
     yield "order-32, m=71 final", expand_nonabelian32(71)[0].family
     yield "u=2, m=41 final", expand_from_hds(2, 41)[0].family
+    yield "Paley q=6007", paley_double_sdf(6007).family
 
 
 def best_call_s(family, repeats: int, round_s: float) -> float:
@@ -49,12 +53,13 @@ def main(argv=None):
     if args.repeats < 1:  # no timed round would leave every figure inf
         raise UsageError(f"--repeats {args.repeats} is not >= 1")
     print(f"{'family':<22} {'v':>6} {'pairs':>8} {'us/call':>10} "
-          f"{'pairs/s':>10}")
+          f"{'pairs/s':>10} {'peak MB':>8}")
     for name, family in families():
         pairs = sum(b.size * (b.size - 1) for b in family.blocks)
         call_s = best_call_s(family, args.repeats, args.round_s)
         print(f"{name:<22} {family.group.order:>6} {pairs:>8} "
-              f"{call_s * 1e6:>10.1f} {pairs / call_s:>10.3g}")
+              f"{call_s * 1e6:>10.1f} {pairs / call_s:>10.3g} "
+              f"{getrusage(RUSAGE_SELF).ru_maxrss / 1024:>8.0f}")
 
 
 if __name__ == "__main__":

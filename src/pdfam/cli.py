@@ -40,7 +40,13 @@ class UsageError(Exception):
 
 class Parser(argparse.ArgumentParser):
     """The parser of pdfam and of every script: a bad argument raises
-    UsageError, so run_guarded turns it into exit 1, not argparse's 2."""
+    UsageError, so run_guarded turns it into exit 1, not argparse's 2.  A
+    flag is never read from a prefix (allow_abbrev=False, inherited by every
+    sub-parser), so a misspelt or foreign flag is refused rather than taken
+    for another."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)

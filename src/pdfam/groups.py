@@ -373,12 +373,16 @@ class DifferencePlan:
         self.right = reduce(np.add.outer, right).ravel()
         self.fold = reduce(np.add.outer, fold).ravel()
 
-    def codes(self, x: np.ndarray) -> np.ndarray:
-        """Entry [i, j, k]: the grid cell of x[i, j] - x[i, k], for a stack
-        x of equal-length rows; the diagonal j = k is included."""
-        code = self.left[x][:, :, None] + self.right[x][:, None, :]
+    def codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Entry [i, j, k]: the grid cell of a[i, j] - b[i, k], for left
+        operands a and right operands b taken from the same rows of a stack
+        of equal-length rows.  codes(x, x) holds every pair of each row of
+        x, diagonal included; a slice of x's rows or columns as a, against
+        its rows of x as b, holds a share of them, so a stack can be tallied
+        in chunks whose temporaries stay small."""
+        code = self.left[a][:, :, None] + self.right[b][:, None, :]
         for row, col, table in self.tables:
-            code += table[row[x][:, :, None] + col[x][:, None, :]]
+            code += table[row[a][:, :, None] + col[b][:, None, :]]
         return code
 
     def to_elements(self, tally: np.ndarray) -> np.ndarray:

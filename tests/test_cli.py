@@ -684,6 +684,31 @@ def test_out_of_memory_exits_1_with_one_line():
     assert done.stderr.count("\n") == 1
 
 
+def test_paley_6007_certifies_under_100_mb():
+    """One block of 6008 positions: its 36M pairs used to be tallied as
+    one int64 stack, a 305 MB peak; chunks keep the peak flat.
+
+    The child reads its peak from VmHWM: on Linux an exec'd child's
+    ru_maxrss starts at the peak of the process that spawned it, here
+    pytest's."""
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs /proc/self/status")
+    child = ("import sys\n"
+             "from pdfam.cli import main\n"
+             "code = main(['construct', 'paley', '--q', '6007'])\n"
+             f"status = open({str(status)!r}).read()\n"
+             "print(status.split('VmHWM:')[1].split()[0])\n"
+             "sys.exit(code)\n")
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC),
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    *out, peak_kb = done.stdout.splitlines()
+    assert json.loads("\n".join(out))["certified"] is True
+    assert int(peak_kb) < 100 * 1024
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     assert main(["catalog", "list"]) == 0
     want = capsys.readouterr().out
@@ -776,6 +801,22 @@ _CONFLICTS = [
 def test_conflicting_flags_exit_1(files, capsys, argv, says):
     # the recipe's own ring, completion and convention used to win silently
     _exits_1_with_one_line(capsys, files(*argv), says)
+
+
+_ABBREVIATED = [
+    # --m used to be read as --max-results 1: exit 0, "complete": false
+    (["search-hds", "--group", "Z4xZ4", "--u", "2", "--m", "1"], "--m 1"),
+    (["verify", "FAMILY", "--conv", "left"], "--conv left"),
+    (["construct", "expand", "--family", "FAMILY", "--m", "7",
+      "--comp", "per-block"], "--comp per-block"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", _ABBREVIATED,
+                         ids=[" ".join(argv) for argv, _ in _ABBREVIATED])
+def test_abbreviated_flag_exits_1(files, capsys, argv, flag):
+    _exits_1_with_one_line(capsys, files(*argv),
+                           f"unrecognized arguments: {flag}")
 
 
 def _readme_cli_commands() -> list[list[str]]:

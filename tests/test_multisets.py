@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdfam import multisets
 from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
                           ProductGroup, Semidirect32, TableGroup)
 from pdfam.multisets import (DF, DIFFERENCE_MULTISET, DS, INVALID, PDF,
@@ -104,6 +105,75 @@ def test_delta_family_matches_oracle_property(g, convention, data):
     assert delta_family(fam).counts == want
     rep = verify(fam)
     assert rep.K == tuple(sorted(map(len, blocks)))
+
+
+def pairwise_counts(group, rows, convention):
+    """Oracle: per element, the ordered pairs of distinct positions of one
+    row whose difference it is, counted from group.difference."""
+    out = np.zeros(group.order, dtype=np.int64)
+    for row in rows:
+        r = np.array(row, dtype=np.int64)
+        d = group.difference(r[:, None], r[None, :], convention)
+        np.add.at(out, d[~np.eye(len(r), dtype=bool)], 1)
+    return out
+
+
+def _counts(group, rows, convention):
+    flat = np.array([e for row in rows for e in row], dtype=np.int64)
+    return multisets._difference_counts(group, flat, list(map(len, rows)),
+                                        convention)
+
+
+# grids of 13, 15, 32 and 160 cells: with a chunk size below the grid, the
+# grid is the chunk, so a row with k * k above it is cut into column slices
+# and a longer stack of shorter rows into whole-row chunks
+chunk_groups = st.sampled_from([
+    CyclicGroup(7), ProductGroup([CyclicGroup(2), CyclicGroup(3)]),
+    _relabeled_table(Semidirect32(), 5),
+    ProductGroup([Semidirect32(), CyclicGroup(3)]),
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunk_groups, st.sampled_from(list(DiffConvention)),
+       st.sampled_from([1, 40, 300, multisets.CHUNK_CELLS]), st.data())
+def test_chunked_tally_matches_pairwise_count(g, convention, chunk, data):
+    """Stacks of equal-length rows (lengths repeat often) of 0 to 30
+    positions, repeats allowed, tallied in chunks of every shape."""
+    lengths = data.draw(st.lists(st.sampled_from([0, 1, 2, 3, 5, 13, 30]),
+                                 min_size=1, max_size=7))
+    rows = [data.draw(st.lists(st.integers(0, g.order - 1), min_size=k,
+                               max_size=k)) for k in lengths]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multisets, "CHUNK_CELLS", chunk)
+        got = _counts(g, rows, convention)
+    assert np.array_equal(got, pairwise_counts(g, rows, convention))
+
+
+@pytest.mark.parametrize("convention", list(DiffConvention))
+@pytest.mark.parametrize("g", [
+    CyclicGroup(7), _relabeled_table(Semidirect32(), 5),
+    ProductGroup([Semidirect32(), CyclicGroup(3)])], ids=repr)
+@pytest.mark.parametrize("shape", [
+    [(1, 40)],  # one row with k * k above the grid: column slices
+    [(20, 3), (2, 40)],  # whole-row chunks next to column slices
+    [(3, 0), (4, 1), (50, 2)],  # k in {0, 1} next to whole-row chunks
+], ids=["one-long-row", "row-and-column-chunks", "k0-k1"])
+def test_chunked_tally_spans_several_chunks(g, convention, shape):
+    rng = np.random.default_rng(0)
+    # a third of the group as elements, so long rows repeat them
+    pool = rng.choice(g.order, size=max(2, g.order // 3), replace=False)
+    rows = [rng.choice(pool, size=k).tolist()
+            for count, k in shape for _ in range(count)]
+    grid = g.difference_plan(convention).grid
+    # chunks of one grid each: every stack of k >= 2 spans several
+    for count, k in shape:
+        chunks = list(multisets._chunks(np.zeros((count, k), np.int64), grid))
+        assert len(chunks) > 1 or k < 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multisets, "CHUNK_CELLS", 1)
+        got = _counts(g, rows, convention)
+    assert np.array_equal(got, pairwise_counts(g, rows, convention))
 
 
 @settings(max_examples=100, deadline=None)

@@ -35,6 +35,8 @@ MALFORMED = [
     ("hds_landscape.py", "--max-results", "0"),
     ("verify_rate.py", "--repeats", "x"),
     ("verify_rate.py", "--repeats", "0"),
+    # a prefix of --repeats used to be taken for it
+    ("verify_rate.py", "--rep", "1"),
 ]
 
 
@@ -76,3 +78,18 @@ def test_expansion_sweep_covers_every_admissible_modulus():
         assert "single: certified" in lines[m]
     assert lines["15"] == ("skipped: maximal prime power divisor 5 "
                            "does not exceed 6")
+
+
+def test_verify_rate_reports_each_family_with_its_peak_rss():
+    done = run_script("verify_rate.py", "--repeats", "1", "--round-s", "0.01")
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split()[-2:] == ["peak", "MB"]
+    assert [row[:22].strip() for row in rows] == [
+        "order-16 search leaf", "u=1, m=499 final", "order-32, m=71 final",
+        "u=2, m=41 final", "Paley q=6007"]
+    v, pairs = rows[-1][22:].split()[:2]
+    assert (v, pairs) == ("6007", str(6008 * 6007))
+    # the process's peak so far (tests/test_cli.py bounds the Paley peak)
+    peaks = [float(row.split()[-1]) for row in rows]
+    assert peaks == sorted(peaks)
