@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Expand a Hadamard PDF by every admissible odd modulus in a range,
 certifying both completions of each result; each modulus's line ends with
-its elapsed seconds and the process's peak RSS so far (ru_maxrss).
+its elapsed seconds and the process's peak RSS so far (VmHWM in
+/proc/self/status, n/a where there is none).
 
 The base is the complement pair of a searched (4u^2, 2u^2-u, u^2-u)
 difference set (--base hds, the default, with --u 1 by default), or the
@@ -13,10 +14,9 @@ maximal prime power divisor too small for the base is reported as skipped.
 """
 
 import sys
-from resource import RUSAGE_SELF, getrusage
 from time import perf_counter
 
-from pdfam.cli import Parser, run_guarded
+from pdfam.cli import Parser, peak_rss_mb, run_guarded
 from pdfam.constructions import (COMPLETIONS, DivisorTooSmallError,
                                  expand_from_hds, expand_nonabelian32)
 
@@ -50,7 +50,7 @@ def main(argv=None):
                             else f"INVALID at {rep.witness}"))
         print(f"m={m:3d}  v={pair[0].report.v:4d}  " + "  |  ".join(cells)
               + f"  ({perf_counter() - t_m:.2f}s, "
-              f"{getrusage(RUSAGE_SELF).ru_maxrss / 1024:.0f} MB)")
+              f"{peak_rss_mb()} MB)")
     print(f"{total} moduli expanded in {perf_counter() - t0:.2f}s")
 
 

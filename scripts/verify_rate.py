@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the certifier on five fixed families: microseconds per `verify`
 call, ordered pairs of distinct positions tallied per second, and the
-process's peak RSS (ru_maxrss) after each family.
+process's peak RSS after each family (VmHWM in /proc/self/status, n/a
+where there is none).
 
 The families are an order-16 search leaf (the first (16,6,2) difference
 set in Z4 x Z4, one block), the single-completion final families of the
@@ -14,10 +15,9 @@ of enough calls to fill about --round-s seconds.
 """
 
 import sys
-from resource import RUSAGE_SELF, getrusage
 from time import perf_counter
 
-from pdfam.cli import Parser, UsageError, run_guarded
+from pdfam.cli import Parser, UsageError, peak_rss_mb, run_guarded
 from pdfam.constructions import (expand_from_hds, expand_nonabelian32,
                                  hadamard_pdf_from_hds, paley_double_sdf)
 from pdfam.multisets import make_family, verify
@@ -59,7 +59,7 @@ def main(argv=None):
         call_s = best_call_s(family, args.repeats, args.round_s)
         print(f"{name:<22} {family.group.order:>6} {pairs:>8} "
               f"{call_s * 1e6:>10.1f} {pairs / call_s:>10.3g} "
-              f"{getrusage(RUSAGE_SELF).ru_maxrss / 1024:>8.0f}")
+              f"{peak_rss_mb():>8}")
 
 
 if __name__ == "__main__":

@@ -68,6 +68,19 @@ def run_guarded(entry, argv=None) -> int:
         return 1
 
 
+def peak_rss_mb() -> str:
+    """This process's own peak RSS in whole MB, from VmHWM, or 'n/a'
+    without /proc.  A script reports it rather than ru_maxrss, which on
+    Linux an exec'd process inherits from the process that spawned it."""
+    try:
+        with open("/proc/self/status") as status:
+            kb = next(line.split()[1] for line in status
+                      if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return "n/a"
+    return f"{int(kb) / 1024:.0f}"
+
+
 def parse_group_spec(text: str):
     """'Z4', 'Z2xZ8', 'semidirect32', or a JSON group descriptor."""
     t = text.strip()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add
 
 import numpy as np
@@ -76,6 +77,17 @@ def search_hds(group: FiniteGroup, u: int,
     exceeds u^2-u.  Hits are returned sorted; every hit is re-certified by
     the verifier before being returned, with its report.
 
+    The walk also prunes every set that cannot be canonical (the least of
+    its identity-containing translates, as `_canonical_translate` tests
+    at the leaf).  Let e0 be the identity and d1 = min(D - {e0}), the
+    element chosen at depth 1.  A canonical D has no non-identity
+    difference g = diff[e][x] below d1, for g lies in the translate D - x:
+    if e0 < g, sorted(D - x) has a second entry <= g < d1 where sorted(D)
+    starts (e0, d1); if g < e0, min(D - x) <= g < min(e0, d1) = min(D);
+    either way D - x < D.  So choosing d1 puts a floor under the counts:
+    it adds lambda to the count of every label below d1 other than e0, and
+    a difference landing there then exceeds lambda like any other.
+
     The difference counts are packed into one int, a ``width``-bit field
     per element, each starting at 2^(width-1) - 1 - lambda so that a count
     above lambda sets the field's top bit.  Every walk position carries
@@ -84,7 +96,12 @@ def search_hds(group: FiniteGroup, u: int,
     Before a candidate is added every count is at most lambda, and a
     candidate e adds at most 2 to the count of g (e - d = g and d - e = g
     each have one solution d), so 2^(width-1) >= max(lambda + 1, 2) keeps
-    every field below 2^width: no field carries into the next.
+    every field below 2^width: no field carries into the next.  The floor
+    leaves a field at 2^(width-1) - 1 at most in any set that passed the
+    test, so the next candidate still lifts it to 2^(width-1) + 1 at most.
+    Each depth-1 candidate carries its own floor in the list it is tested
+    from, beside a floor-free list its subtree builds on, so deeper nodes
+    do no extra work.
     """
     v, k, lam = hds_parameters(u)
     if group.order != v:
@@ -104,6 +121,9 @@ def search_hds(group: FiniteGroup, u: int,
     # pair[e][j]: the packed differences e and walk[j] make with each other
     pair = [[unit[diff[e][d]] + unit[diff[d][e]] for d in walk]
             for e in range(v)]
+    # floor[j]: lambda at every label below walk[j + 1] but the identity,
+    # which are walk[1:j + 1] since the walk ascends after the identity
+    floor = list(accumulate((lam * unit[x] for x in walk[1:-1]), initial=0))
     chosen = [group.identity]
     results: list[tuple[int, ...]] = []
     reports: list[VerificationReport] = []
@@ -124,9 +144,11 @@ def search_hds(group: FiniteGroup, u: int,
                 return False
         return True
 
-    def extend(start: int, counts: int, adds: list[int]) -> bool:
+    def extend(start: int, counts: int, adds: list[int],
+               base: list[int]) -> bool:
         """counts: the chosen set's packed difference counts; adds[j]:
-        those walk[start + j] would add to them."""
+        those walk[start + j] would add to them, with its floor at depth
+        1; base[j]: the same without the floor, for its subtree."""
         nonlocal nodes, truncated
         if len(chosen) == k:
             return emit()
@@ -140,14 +162,15 @@ def search_hds(group: FiniteGroup, u: int,
                 continue
             e = walk[i]
             chosen.append(e)
-            ok = extend(i + 1, grown, list(map(
-                add, adds[i + 1 - start:], pair[e][i + 1:])))
+            below = list(map(add, base[i + 1 - start:], pair[e][i + 1:]))
+            ok = extend(i + 1, grown, below, below)
             chosen.pop()
             if not ok:
                 return False
         return True
 
-    exhausted = extend(1, bias, pair[group.identity][1:])
+    first = pair[group.identity][1:]
+    exhausted = extend(1, bias, list(map(add, first, floor)), first)
     complete = exhausted and not truncated
     return HdsSearchResult(tuple(results), complete, nodes,
                            time.monotonic() - started, tuple(reports))

@@ -691,22 +691,20 @@ def test_paley_6007_certifies_under_100_mb():
     The child reads its peak from VmHWM: on Linux an exec'd child's
     ru_maxrss starts at the peak of the process that spawned it, here
     pytest's."""
-    status = Path("/proc/self/status")
-    if not status.exists():
+    if not Path("/proc/self/status").exists():
         pytest.skip("needs /proc/self/status")
     child = ("import sys\n"
-             "from pdfam.cli import main\n"
+             "from pdfam.cli import main, peak_rss_mb\n"
              "code = main(['construct', 'paley', '--q', '6007'])\n"
-             f"status = open({str(status)!r}).read()\n"
-             "print(status.split('VmHWM:')[1].split()[0])\n"
+             "print(peak_rss_mb())\n"
              "sys.exit(code)\n")
     done = subprocess.run([sys.executable, "-c", child], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=SRC),
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    *out, peak_kb = done.stdout.splitlines()
+    *out, peak_mb = done.stdout.splitlines()
     assert json.loads("\n".join(out))["certified"] is True
-    assert int(peak_kb) < 100 * 1024
+    assert int(peak_mb) < 100
 
 
 def test_python_dash_m_runs_the_cli(capsys):

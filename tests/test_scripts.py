@@ -80,6 +80,16 @@ def test_expansion_sweep_covers_every_admissible_modulus():
                            "does not exceed 6")
 
 
+def test_hds_landscape_default_sweep_counts_the_known_sets():
+    done = run_script("hds_landscape.py")
+    assert done.returncode == 0, done.stderr
+    counts = re.findall(r"^(\S+)\s+(\d+) normalized sets \(complete, "
+                        r"\d+ nodes, .* nodes/s, .* sets/s\)$",
+                        done.stdout, re.M)
+    assert counts == [("Z16", "0"), ("Z2xZ8", "12"), ("Z4xZ4", "12"),
+                      ("Z2xZ2xZ4", "28"), ("Z2xZ2xZ2xZ2", "28")]
+
+
 def test_verify_rate_reports_each_family_with_its_peak_rss():
     done = run_script("verify_rate.py", "--repeats", "1", "--round-s", "0.01")
     assert done.returncode == 0, done.stderr
@@ -90,6 +100,12 @@ def test_verify_rate_reports_each_family_with_its_peak_rss():
         "u=2, m=41 final", "Paley q=6007"]
     v, pairs = rows[-1][22:].split()[:2]
     assert (v, pairs) == ("6007", str(6008 * 6007))
-    # the process's peak so far (tests/test_cli.py bounds the Paley peak)
-    peaks = [float(row.split()[-1]) for row in rows]
+    # the process's own peak so far; its ru_maxrss would start at the
+    # peak of this suite's process, which spawned it
+    peaks = [row.split()[-1] for row in rows]
+    if not Path("/proc/self/status").exists():
+        assert peaks == ["n/a"] * len(rows)
+        return
+    peaks = [float(peak) for peak in peaks]
     assert peaks == sorted(peaks)
+    assert peaks[-1] < 100

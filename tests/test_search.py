@@ -217,13 +217,17 @@ def _order16_groups():
 
 ORDER16_GROUPS = _order16_groups()
 
-# (nodes, hits) of the exhaustive u=2 search, taken from the per-element
-# search loop that kept a list of counts and undid every increment; every
-# search is complete and the same under both conventions and labelings
+# (nodes, hits) of the exhaustive u=2 search, per group and labeling; every
+# search is complete and the same under both conventions.  The walk order
+# and the difference floor at d1 both follow the labels, so a relabeling
+# that reorders the elements can change the node count
 ORDER16_GOLDEN = {
-    "Z16": (2881, 0), "Z2xZ8": (2843, 12), "Z4xZ4": (3090, 12),
-    "Z2xZ2xZ4": (3052, 28), "Z2xZ2xZ2xZ2": (3052, 28),
-    "Q8xZ2": (3454, 44), "D16": (2446, 0),
+    "Z16": (1180, 0), "Z2xZ8": (1031, 12), "Z4xZ4": (1186, 12),
+    "Z2xZ2xZ4": (1171, 28), "Z2xZ2xZ2xZ2": (1527, 28),
+    "Z16@table": (1180, 0), "Z2xZ8@table": (1031, 12),
+    "Z4xZ4@table": (1186, 12), "Z2xZ2xZ4@table": (1171, 28),
+    "Z2xZ2xZ2xZ2@table": (1527, 28),
+    "Q8xZ2": (1558, 44), "D16": (908, 0), "Z4xZ4@5": (1186, 12),
 }
 
 
@@ -232,14 +236,18 @@ ORDER16_GOLDEN = {
 @pytest.mark.parametrize("name", list(ORDER16_GROUPS))
 def test_search_hds_order16_nodes_and_hits_are_pinned(name, convention):
     res = search_hds(ORDER16_GROUPS[name], 2, convention=convention)
-    nodes, hits = ORDER16_GOLDEN[name.split("@")[0]]
+    nodes, hits = ORDER16_GOLDEN[name]
     assert (res.nodes, len(res.results), res.complete) == (nodes, hits, True)
 
 
 def _reference_search_hds(group, u, max_results=None,
-                          convention=DiffConvention.RIGHT_INVERSE):
+                          convention=DiffConvention.RIGHT_INVERSE,
+                          floor=True):
     """Oracle: the search with one list of difference counts, each
     candidate's differences added one at a time and all undone after.
+    With the floor, a candidate is refused when one of its new
+    differences is a non-identity label below d1, the set's least
+    non-identity element (the candidate itself at depth 1).
     Returns (results, complete, nodes)."""
     v, k, lam = hds_parameters(u)
     idx = np.arange(v)
@@ -270,6 +278,9 @@ def _reference_search_hds(group, u, max_results=None,
             e = walk[i]
             nodes += 1
             new = [g for d in chosen for g in (diff[e][d], diff[d][e])]
+            d1 = chosen[1] if len(chosen) > 1 else e
+            if floor and any(g != group.identity and g < d1 for g in new):
+                continue
             bad_at = len(new)
             for j, g in enumerate(new):
                 counts[g] += 1
@@ -311,6 +322,19 @@ def test_search_hds_matches_the_per_element_oracle(convention, max_results):
         res = search_hds(g, 2, bounds, convention)
         assert (res.results, res.complete, res.nodes) == \
             _reference_search_hds(g, 2, max_results, convention)
+
+
+@pytest.mark.parametrize("convention", list(DiffConvention),
+                         ids=lambda c: c.value)
+def test_search_hds_floor_keeps_results_and_never_adds_nodes(convention):
+    groups = [g for g in _random_relabelings(19, 30) if g.identity != 0]
+    assert len(groups) >= 20
+    for g in groups:
+        res = search_hds(g, 2, convention=convention)
+        results, complete, nodes = _reference_search_hds(
+            g, 2, convention=convention, floor=False)
+        assert (res.results, res.complete) == (results, complete)
+        assert res.nodes <= nodes
 
 
 def test_search_hds_first_z6xz6_set_is_pinned():
