@@ -3,15 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pdfam import multisets
+from pdfam.catalog import order32_family
 from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
                           ProductGroup, Semidirect32, TableGroup)
 from pdfam.multisets import (DF, DIFFERENCE_MULTISET, DS, INVALID, PDF,
                              RELATIVE_PDF, SDF, DesignFamily,
-                             GroupMismatchError, Multiset, delta_block,
+                             GroupMismatchError, Multiset,
+                             VerificationReport, Witness, delta_block,
                              delta_family, make_family, verify)
 from pdfam.rings import GaloisField
 
@@ -322,6 +324,150 @@ def test_verify_invalid_difference_count_witness_order():
     assert rep.kind == INVALID
     assert rep.witness.context == "difference-count"
     assert rep.witness.element == 2  # first element violating uniformity
+
+
+def reference_judge(family):
+    """Oracle: verify's report, read off its docstring and counted in
+    Counters.  H is the forbidden subgroup when one is declared; else the
+    identity difference, when it occurs, makes a strong family, uniform
+    everywhere; else H is the set of elements with no difference when that
+    is a proper subgroup other than {identity}, and {identity} otherwise.
+    Off H every count is lambda, the count of the least element off H, on
+    H it is 0; an ordinary PDF's blocks cover every element once, a
+    relative one's every element off H once and none on H.  The witness
+    is the first element whose count is wrong, unless an element covered
+    twice comes before it."""
+    g, v, ident = family.group, family.group.order, family.group.identity
+    delta, cover = Counter(), Counter()
+    for b in family.blocks:
+        r = b.elements
+        d = g.difference(r[:, None], r[None, :], family.convention)
+        delta.update(d[~np.eye(len(r), dtype=bool)].tolist())
+        cover.update(r.tolist())
+    sizes = tuple(sorted(b.size for b in family.blocks))
+    single = len(family.blocks) == 1
+
+    def invalid(e, want):
+        over = [x for x in range(v) if cover[x] > 1]
+        if over and over[0] < e:
+            wit = Witness(over[0], g.coords(over[0]), 1, cover[over[0]],
+                          "partition")
+        else:
+            wit = Witness(e, g.coords(e), want, delta[e], "difference-count")
+        return VerificationReport(INVALID, v, 1, sizes, None, wit)
+
+    if family.forbidden is None and delta[ident]:
+        mu = delta[ident]
+        wrong = [e for e in range(v) if delta[e] != mu]
+        if wrong:
+            return invalid(wrong[0], mu)
+        return VerificationReport(DIFFERENCE_MULTISET if single else SDF,
+                                  v, 1, sizes, mu)
+    if family.forbidden is not None:
+        h_set = set(family.forbidden)
+    else:
+        zeros = [e for e in range(v) if delta[e] == 0]
+        z = np.array(zeros)
+        closed = np.isin(g.difference(z[:, None], z[None, :]), z).all()
+        h_set = set(zeros) if 1 < len(zeros) < v and closed else {ident}
+    outside = [e for e in range(v) if e not in h_set]
+    lam = delta[outside[0]] if outside else 0
+    for e in range(v):
+        want = 0 if e in h_set else lam
+        if delta[e] != want:
+            return invalid(e, want)
+    h = len(h_set)
+    target = [0 if e in h_set and h > 1 else 1 for e in range(v)]
+    if single:
+        kind = DS
+    elif all(cover[e] == target[e] for e in range(v)):
+        kind = PDF if h == 1 else RELATIVE_PDF
+    else:
+        kind = DF
+    partition = None
+    if kind in (PDF, RELATIVE_PDF):
+        partition = "group" if h == 1 else "group-minus-forbidden"
+    return VerificationReport(kind, v, h, sizes, lam,
+                              partition_target=partition)
+
+
+def _cyclic_subgroup(g, x):
+    members, y = [g.identity], x
+    while y != g.identity:
+        members.append(y)
+        y = g.op(y, x)
+    return members
+
+
+# (v, 2 lambda, lambda) difference multisets: (3, 2, 1) and (11, 6, 3)
+# difference sets with every element doubled
+DOUBLED_DS = {3: [0, 0, 2, 2], 11: [x for x in (0, 2, 6, 7, 8, 10)
+                                    for _ in (0, 1)]}
+
+
+@st.composite
+def judged_families(draw):
+    """A family over a group_strategy group, under either convention: a
+    random one, or one of a few shapes that certify (under the right
+    convention at least), with its blocks doubled or not, a forbidden
+    subgroup S declared or not, and one element moved to another block or
+    replaced or not."""
+    g = draw(group_strategy)
+    convention = draw(st.sampled_from(list(DiffConvention)))
+    v, element = g.order, st.integers(0, g.order - 1)
+    sub = _cyclic_subgroup(g, draw(element))
+    off_sub = [x for x in range(v) if x not in sub]
+    shapes = ["random", "pdf", "ds", "singletons off S"]
+    if v <= 32:
+        shapes += ["pairs off S"] * bool(off_sub) + ["sdf"] * (v % 2 == 0)
+    if g == Semidirect32():
+        shapes.append("order-32 pdf")
+    if g in map(CyclicGroup, DOUBLED_DS):
+        shapes.append("dm")
+    shape = draw(st.sampled_from(shapes))
+    e = draw(element)
+    if shape == "random":
+        blocks = draw(st.lists(st.lists(element, min_size=1, max_size=8),
+                               min_size=1, max_size=5))
+    elif shape == "pdf":  # {e} and its complement
+        blocks = [[e], [x for x in range(v) if x != e]]
+    elif shape == "ds":  # the complement of {e}, a (v, v-1, v-2) set
+        blocks = [[x for x in range(v) if x != e]]
+    elif shape == "singletons off S":  # no difference, S uncovered
+        blocks = [[x] for x in off_sub] or [[e]]
+    elif shape == "pairs off S":  # v of every difference off S
+        blocks = [[x, y] for x in range(v) for y in range(x + 1, v)
+                  if g.difference(x, y) not in sub]
+    elif shape == "sdf":  # every pair, and v identity differences
+        blocks = [[x, y] for x in range(v) for y in range(x + 1, v)]
+        blocks += [[x, x] for x in range(v // 2)]
+    elif shape == "order-32 pdf":
+        blocks = [b.positions() for b in order32_family().blocks]
+    else:
+        blocks = [DOUBLED_DS[v]]
+    if draw(st.integers(0, 3)) == 0:  # every element repeated
+        blocks = [b * 2 for b in blocks]
+    declared = shape in ("singletons off S", "pairs off S")
+    forbidden = sub if draw(st.integers(0, 3)) < 1 + declared else None
+    mutation = draw(st.sampled_from(["none", "none", "move", "replace"]))
+    i = draw(st.integers(0, len(blocks) - 1))
+    j = draw(st.integers(0, len(blocks[i]) - 1))
+    if mutation == "replace":
+        blocks[i] = blocks[i][:j] + [draw(element)] + blocks[i][j + 1:]
+    elif mutation == "move" and len(blocks) > 1 and len(blocks[i]) > 1:
+        to = draw(st.integers(0, len(blocks) - 2))
+        to += to >= i
+        blocks[to] = blocks[to] + [blocks[i][j]]
+        blocks[i] = blocks[i][:j] + blocks[i][j + 1:]
+    return make_family(g, blocks, forbidden, convention)
+
+
+@settings(max_examples=300, deadline=None)
+@given(judged_families())
+def test_verify_report_matches_reference_judge(family):
+    rep = verify(family)
+    event(rep.kind if rep.ok else rep.witness.context)
+    assert rep == reference_judge(family)
 
 
 def test_family_validation():
