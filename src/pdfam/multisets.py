@@ -7,13 +7,20 @@ its differences are read under (right by default; the CLI settles it as it
 decodes a family file), and delta_family and verify read it from the
 family.  verify() recomputes everything from the blocks and classifies the
 family; it never trusts declared parameters.
+
+verify is two private parts.  _tally counts, for rows of elements, the
+differences, the cover (positions per element) and the sorted row
+lengths; all three add up over rows, and delta_block and delta_family read
+their counts from the same tally.  _judge reads only a tally and the
+family's group and forbidden set, and settles H, lambda, the kind, the
+partition target and the first witness.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby
 
 import numpy as np
 
@@ -147,37 +154,42 @@ def _chunks(x: np.ndarray, cells: int):
             for i in range(rows) for j in range(0, k, step))
 
 
-def _difference_counts(group: FiniteGroup, flat: np.ndarray, lengths,
-                       convention: DiffConvention) -> np.ndarray:
-    """Entry e: how many ordered pairs of distinct positions of the same row
-    have difference e, for rows laid end to end in flat with the given
-    lengths.
+def _tally(group: FiniteGroup, rows, convention: DiffConvention
+           ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The difference counts, the cover and the sorted lengths of rows of
+    group elements (int64 arrays).  Entry e of the counts is how many
+    ordered pairs of distinct positions of the same row have difference e,
+    and entry e of the cover how many positions hold e; all three add up
+    over rows.
 
-    Rows of equal length are stacked, and each stack is tallied in chunks
-    (_chunks) of about CHUNK_CELLS pairs, or of the plan's grid when that
-    is larger, so that each bincount's zeroing of the grid stays amortised.
-    A chunk costs one add, one gather per non-cyclic leaf and one bincount
-    onto the grid of the group's difference plan, diagonal included, and
-    its int64 temporaries stay in cache: memory no longer grows with the
-    sum of the squared row lengths, and a stack that fits in one chunk
-    makes the same calls as an unchunked tally.  The grid is folded onto
-    the elements once, and the diagonal, one identity difference per
-    position, is taken back off.
+    The rows are laid end to end shortest first, so the rows of each length
+    are one contiguous stack, a view of the laid-out positions, whatever
+    the family's shape.  Each stack is tallied in chunks (_chunks) of about
+    CHUNK_CELLS pairs, or of the plan's grid when that is larger, so that
+    each bincount's zeroing of the grid stays amortised.  A chunk costs one
+    add, one gather per non-cyclic leaf and one bincount onto the grid of
+    the group's difference plan, diagonal included, and its int64
+    temporaries stay in cache: memory does not grow with the sum of the
+    squared row lengths, and a stack that fits in one chunk is tallied in
+    one piece.  The grid is folded onto the elements once, and the
+    diagonal, one identity difference per position, is taken back off.
     """
+    rows = sorted(rows, key=len)
+    sizes = tuple(map(len, rows))
+    flat = np.concatenate(rows)
     plan = group.difference_plan(convention)
     cells = max(CHUNK_CELLS, plan.grid)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    tally = 0
-    for k in set(lengths.tolist()):
-        first = ends[lengths == k] - k
-        x = flat[first[:, None] + np.arange(k)]
+    tally, at = 0, 0
+    for k, same in groupby(sizes):
+        n = len(list(same))
+        x = flat[at:at + n * k].reshape(n, k)
+        at += n * k
         for a, b in _chunks(x, cells):
             tally += np.bincount(plan.codes(a, b).ravel(),
                                  minlength=plan.grid)
-    out = plan.to_elements(tally)
-    out[group.identity] -= len(flat)
-    return out
+    counts = plan.to_elements(tally)
+    counts[group.identity] -= len(flat)
+    return counts, np.bincount(flat, minlength=group.order), sizes
 
 
 def _from_dense(group: FiniteGroup, dense: np.ndarray) -> Multiset:
@@ -188,8 +200,8 @@ def _from_dense(group: FiniteGroup, dense: np.ndarray) -> Multiset:
 def delta_block(block: Multiset,
                 convention: DiffConvention = DEFAULT_CONVENTION) -> Multiset:
     """Differences over all ordered pairs of distinct positions of a block."""
-    return _from_dense(block.group, _difference_counts(
-        block.group, block.elements, [block.size], convention))
+    return _from_dense(block.group, _tally(
+        block.group, [block.elements], convention)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,15 +270,10 @@ def make_family(group: FiniteGroup, blocks, forbidden=None,
     return DesignFamily(group, ms, forb, convention)
 
 
-def _laid_end_to_end(blocks) -> tuple[np.ndarray, list[int]]:
-    """The blocks' positions laid end to end, with the block sizes."""
-    elements = [b.elements for b in blocks]
-    return np.concatenate(elements), list(map(len, elements))
-
-
 def delta_family(family: DesignFamily) -> Multiset:
-    return _from_dense(family.group, _difference_counts(
-        family.group, *_laid_end_to_end(family.blocks), family.convention))
+    return _from_dense(family.group, _tally(
+        family.group, [b.elements for b in family.blocks],
+        family.convention)[0])
 
 
 @dataclass(frozen=True)
@@ -304,72 +311,82 @@ def verify(family: DesignFamily) -> VerificationReport:
     """Classify a family by recomputing its full difference multiset, read
     under the family's convention.
 
-    Single-block families classify as DS / DifferenceMultiset, multi-block
-    ones as PDF / RelativePDF / DF / SDF.  An ordinary PDF requires the
-    blocks to partition the whole group; a relative one, the complement of
-    the forbidden subgroup.  Anything else is Invalid with the first failing
-    element in canonical order as witness.
+    H is the forbidden subgroup when the family declares one.  Otherwise,
+    when the identity difference occurs, the family is strong: every count,
+    the identity's included, must equal the identity's count mu, and a
+    single block is a DifferenceMultiset, several an SDF.  Otherwise H is
+    the set of elements with no difference when that set is a proper
+    subgroup other than {identity}, and {identity} when it is not.  Off H
+    every count must be lambda, the count of the least element off H (0
+    when H is the group), and on H every count must be 0.  A single block
+    is then a DS; several blocks are a PDF when they cover every element
+    once and H is {identity}, a RelativePDF when they cover every element
+    off H once and none on H, and a DF otherwise.  Anything else is
+    Invalid; its witness is the first element, in canonical order, whose
+    count is wrong, unless an element covered twice comes before it.
+
+    The tally (_tally) counts the differences, the cover and the block
+    sizes; the judge (_judge) reads only those.
     """
-    g = family.group
-    v = g.order
-    ident = g.identity
-    flat, lengths = _laid_end_to_end(family.blocks)
-    delta = _difference_counts(g, flat, lengths, family.convention)
-    cover = np.bincount(flat, minlength=v)
-    sizes = tuple(sorted(lengths))
-    single = len(family.blocks) == 1
+    return _judge(family, *_tally(
+        family.group, [b.elements for b in family.blocks], family.convention))
 
-    def report_invalid(mismatch_elem: int, expected: int) -> VerificationReport:
-        # a doubly covered element earlier in canonical order outranks
-        # a difference-count mismatch
-        over = np.flatnonzero(cover > 1)
-        if len(over) and over[0] < mismatch_elem:
-            e0 = int(over[0])
-            wit = Witness(e0, g.coords(e0), 1, int(cover[e0]), "partition")
-        else:
-            wit = Witness(mismatch_elem, g.coords(mismatch_elem),
-                          expected, int(delta[mismatch_elem]),
-                          "difference-count")
-        return VerificationReport(INVALID, v, 1, sizes, None, wit)
 
-    # H: the forbidden subgroup, else the zero-difference elements when a
-    # proper nontrivial subgroup (all of G: no differences, degenerate), else
-    # {identity}; empty when the identity difference occurs.
-    in_h = np.zeros(v, dtype=bool)
-    if family.forbidden is not None:
-        in_h[list(family.forbidden)] = True
-    elif delta[ident] == 0:
-        zeros = np.flatnonzero(delta == 0)
-        in_h[zeros if 1 < len(zeros) < v and is_subgroup(g, zeros)
-             else ident] = True
-
-    if in_h.any():
-        outside = np.flatnonzero(~in_h)
-        lam = int(delta[outside[0]]) if len(outside) else 0
-        expected = np.where(in_h, 0, lam)
-        bad = np.flatnonzero(delta != expected)
-        if len(bad):
-            return report_invalid(int(bad[0]), int(expected[bad[0]]))
-        h = int(in_h.sum())
-        target = np.where(in_h, 0, 1) if h > 1 else np.ones(v, dtype=np.int64)
-        target_name = "group" if h == 1 else "group-minus-forbidden"
-        # cover counts every position, so a block that repeats an
-        # element covers it twice
-        partitioned = np.array_equal(cover, target)
-        if single:
-            kind = DS
-        elif partitioned:
-            kind = PDF if h == 1 else RELATIVE_PDF
-        else:
-            kind = DF
-        return VerificationReport(
-            kind, v, h, sizes, lam,
-            partition_target=target_name if kind in (PDF, RELATIVE_PDF) else None)
-
-    # identity difference present: strong family, uniform everywhere
+def _judge(family: DesignFamily, delta: np.ndarray, cover: np.ndarray,
+           sizes: tuple[int, ...]) -> VerificationReport:
+    """verify's report from a family's difference counts delta, its cover
+    and its sorted block sizes, the family giving its group and forbidden
+    set only."""
+    g, forbidden = family.group, family.forbidden
+    v, ident = g.order, g.identity
     mu = int(delta[ident])
-    bad = np.flatnonzero(delta != mu)
-    if len(bad):
-        return report_invalid(int(bad[0]), mu)
-    kind = DIFFERENCE_MULTISET if single else SDF
-    return VerificationReport(kind, v, 1, sizes, mu)
+    if forbidden is None and mu:
+        hs, lam = [], mu  # strong: mu everywhere, the identity included
+    else:
+        hs = [ident] if forbidden is None else sorted(forbidden)
+        if forbidden is None and 1 < v - np.count_nonzero(delta) < v:
+            zeros = np.flatnonzero(delta == 0)
+            if is_subgroup(g, zeros):
+                hs = zeros.tolist()
+        off = 0  # the least element off H: the first gap in sorted H
+        for x in hs:
+            if x != off:
+                break
+            off += 1
+        lam = int(delta[off]) if off < v else 0
+    h = len(hs)
+    # delta is right when every count off H is lam and every count on H is
+    # 0, so it differs from lam exactly on H when lam != 0 and nowhere when
+    # lam == 0; only a declared H can hold a nonzero count
+    if (np.count_nonzero(delta != lam) != (h if lam else 0)
+            or forbidden is not None and delta[hs].any()):
+        wrong = delta != lam
+        wrong[hs] = delta[hs] != 0
+        e = int(np.flatnonzero(wrong)[0])
+        # an element covered twice before e outranks the count mismatch
+        over = np.flatnonzero(cover[:e] > 1)
+        if len(over):
+            e = int(over[0])
+            wit = Witness(e, g.coords(e), 1, int(cover[e]), "partition")
+        else:
+            wit = Witness(e, g.coords(e), 0 if e in hs else lam,
+                          int(delta[e]), "difference-count")
+        return VerificationReport(INVALID, v, 1, sizes, None, wit)
+    single = len(sizes) == 1
+    if not h:
+        return VerificationReport(DIFFERENCE_MULTISET if single else SDF,
+                                  v, 1, sizes, mu)
+    # cover counts every position, so a block that repeats an element
+    # covers it twice; the target is every element once when h == 1, and
+    # every element off H once and none on H when h > 1
+    partitioned = (not single
+                   and sum(sizes) == (v if h == 1 else v - h)
+                   and cover.max() == 1
+                   and not (h > 1 and cover[hs].any()))
+    if not partitioned:
+        return VerificationReport(DS if single else DF, v, h, sizes, lam)
+    if h == 1:
+        return VerificationReport(PDF, v, h, sizes, lam,
+                                  partition_target="group")
+    return VerificationReport(RELATIVE_PDF, v, h, sizes, lam,
+                              partition_target="group-minus-forbidden")

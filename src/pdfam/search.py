@@ -12,7 +12,8 @@ import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup)
-from .multisets import DS, VerificationReport, make_family, verify
+from .multisets import (DS, DesignFamily, VerificationReport, _blocks_of,
+                        verify)
 from .rings import Ring
 
 
@@ -58,10 +59,13 @@ def _canonical_translate(diff: list[list[int]], d: tuple[int, ...]) -> bool:
     Under the right convention these are the right translates d + (-x),
     under the left one the left translates (-x) + d, and each preserves the
     differences of its own convention, so a table of either convention's
-    differences normalizes under that convention.
+    differences normalizes under that convention.  The translate by the
+    identity is d itself under either convention, never smaller, so it is
+    skipped.
     """
+    ident = diff[d[0]][d[0]]  # x - x, for any x
     for x in d:
-        if tuple(sorted(diff[e][x] for e in d)) < d:
+        if x != ident and tuple(sorted(diff[e][x] for e in d)) < d:
             return False
     return True
 
@@ -134,7 +138,10 @@ def search_hds(group: FiniteGroup, u: int,
         d = tuple(sorted(chosen))
         if not _canonical_translate(diff, d):
             return True
-        rep = verify(make_family(group, [list(d)], convention=convention))
+        # the walk's indices are in range, distinct and now sorted: the
+        # block is laid out directly, without make_family's input checks
+        block = _blocks_of(group, np.array(d, dtype=np.int64), [k])
+        rep = verify(DesignFamily(group, tuple(block), None, convention))
         if (rep.kind == DS and rep.h == 1 and rep.v == v
                 and rep.lambda_or_mu == lam):
             results.append(d)

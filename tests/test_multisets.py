@@ -121,9 +121,8 @@ def pairwise_counts(group, rows, convention):
 
 
 def _counts(group, rows, convention):
-    flat = np.array([e for row in rows for e in row], dtype=np.int64)
-    return multisets._difference_counts(group, flat, list(map(len, rows)),
-                                        convention)
+    return multisets._tally(group, [np.array(row, dtype=np.int64)
+                                    for row in rows], convention)[0]
 
 
 # grids of 13, 15, 32 and 160 cells: with a chunk size below the grid, the

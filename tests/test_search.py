@@ -235,9 +235,15 @@ ORDER16_GOLDEN = {
                          ids=lambda c: c.value)
 @pytest.mark.parametrize("name", list(ORDER16_GROUPS))
 def test_search_hds_order16_nodes_and_hits_are_pinned(name, convention):
-    res = search_hds(ORDER16_GROUPS[name], 2, convention=convention)
+    group = ORDER16_GROUPS[name]
+    res = search_hds(group, 2, convention=convention)
     nodes, hits = ORDER16_GOLDEN[name]
     assert (res.nodes, len(res.results), res.complete) == (nodes, hits, True)
+    # the leaf family, laid out from the walk's indices, certifies as the
+    # public path does
+    assert list(res.reports) == [
+        verify(make_family(group, [list(d)], convention=convention))
+        for d in res.results]
 
 
 def _reference_search_hds(group, u, max_results=None,
