@@ -9,7 +9,9 @@ set in Z4 x Z4, one block), the single-completion final families of the
 u=1, m=499 expansion, the order-32, m=71 expansion and the u=2, m=41
 expansion, and the Paley q=6007 doubled complement (one block of 6008
 positions, 36M pairs).  Each figure is the best of --repeats timed rounds
-of enough calls to fill about --round-s seconds.
+of enough calls to fill about --round-s seconds.  verify keeps a family's
+tally on the family object, so each call verifies its own new
+DesignFamily over the same blocks, built before the round's timer starts.
 
     PYTHONPATH=src python3 scripts/verify_rate.py
 """
@@ -20,7 +22,7 @@ from time import perf_counter
 from pdfam.cli import Parser, UsageError, peak_rss_mb, run_guarded
 from pdfam.constructions import (expand_from_hds, expand_nonabelian32,
                                  hadamard_pdf_from_hds, paley_double_sdf)
-from pdfam.multisets import make_family, verify
+from pdfam.multisets import DesignFamily, make_family, verify
 
 
 def families():
@@ -32,15 +34,23 @@ def families():
     yield "Paley q=6007", paley_double_sdf(6007).family
 
 
+def copies(family, n: int) -> list:
+    """n new family objects over family's blocks, none yet tallied."""
+    return [DesignFamily(family.group, family.blocks, family.forbidden,
+                         family.convention) for _ in range(n)]
+
+
 def best_call_s(family, repeats: int, round_s: float) -> float:
+    (first,) = copies(family, 1)
     start = perf_counter()
-    verify(family)
+    verify(first)
     calls = max(1, int(round_s / max(perf_counter() - start, 1e-7)))
     best = float("inf")
     for _ in range(repeats):
+        fresh = copies(family, calls)
         start = perf_counter()
-        for _ in range(calls):
-            verify(family)
+        while fresh:  # each copy and its tally are freed as they are timed
+            verify(fresh.pop())
         best = min(best, (perf_counter() - start) / calls)
     return best
 

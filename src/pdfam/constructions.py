@@ -3,7 +3,10 @@
 Every construction returns a ConstructionResult carrying the built family,
 the parameters it should have, and the verifier's independent report; the
 `certified` flag compares the two.  Nothing is trusted: the verifier
-recounts every difference from scratch.
+counts every difference of the built blocks.  A family built as an
+extension of one already verified (the complement pair of a difference
+set, an expansion's completion of its relative family) is tallied as that
+family's kept tally plus its added blocks (multisets._extend).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      endomorphism_mask)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
                         DesignFamily, Multiset, VerificationReport,
-                        _blocks_of, make_family, verify)
+                        _blocks_of, _extend, make_family, verify)
 from .rings import (EvenOrderError, GaloisField, ProductRing, Ring,
                     build_y_powers, check_y_condition, factorize, is_prime,
                     maximal_prime_power_divisors, starter_reps)
@@ -136,15 +139,18 @@ def complement_pdf(group: FiniteGroup, block,
     v = group.order
     if not d or len(d) >= v:
         raise NotADifferenceSetError("need a nonempty proper subset")
-    ds_report = verify(make_family(group, [d], convention=convention))
+    ds = make_family(group, [d], convention=convention)
+    ds_report = verify(ds)
     if ds_report.kind != DS or ds_report.h != 1:
         raise NotADifferenceSetError(
             f"block does not certify as an ordinary difference set "
             f"(got {ds_report.kind}, witness {ds_report.witness})")
     k = len(d)
     lam = ds_report.lambda_or_mu
-    comp = sorted(set(range(v)) - set(d))
-    fam = make_family(group, [d, comp], convention=convention)
+    rest = np.ones(v, dtype=bool)
+    rest[ds.blocks[0].elements] = False
+    comp = np.flatnonzero(rest)
+    fam = _extend(ds, _blocks_of(group, comp, [len(comp)]))
     pred = Prediction(PDF, v, tuple(sorted((k, v - k))), v - 2 * k + 2 * lam)
     return ConstructionResult(fam, verify(fam), pred)
 
@@ -399,7 +405,9 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     from it; none sends the unit 2f(d) to zero, so no block collapses; the
     images keep g, so each block sweeps its own fiber once (the
     RELATIVE_PDF check below).  Starter tables are additive by
-    distributivity; _lift's verify and the final verify certify.
+    distributivity; _lift's verify and the final verify certify.  The
+    final family extends the relative one, so its verify counts only the
+    zero-fiber blocks' differences on top of the relative family's tally.
     """
     base = validate_recipe(recipe)
     lam, n = base.lambda_or_mu, len(recipe.starters)
@@ -428,9 +436,9 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     # sorted rows: joining a fixed h keeps the order of g
     zero_fiber = ([np.arange(g_group.order)]
                   if recipe.completion == COMPLETION_SINGLE else sources)
-    final = DesignFamily(ambient, relative.family.blocks + tuple(_blocks_of(
+    final = _extend(relative.family, _blocks_of(
         ambient, ambient.join((np.concatenate(zero_fiber), h_group.identity)),
-        list(map(len, zero_fiber)))), convention=conv)
+        list(map(len, zero_fiber))))
     sizes = [2 * k for k in base.K for _ in range(n)]
     sizes += map(len, zero_fiber)
     pred = Prediction(PDF, ambient.order, tuple(sorted(sizes)), 2 * lam)

@@ -102,10 +102,12 @@ class FiniteGroup:
                         ) -> "DifferencePlan":
         """The tally plan of this group's differences under the convention,
         built on first use and kept on the group."""
-        plans = self.__dict__.setdefault("_difference_plans", {})
-        if convention not in plans:
-            plans[convention] = DifferencePlan(self, convention)
-        return plans[convention]
+        plans = vars(self).get("_difference_plans")
+        plan = None if plans is None else plans.get(convention)
+        if plan is None:
+            plan = DifferencePlan(self, convention)
+            vars(self).setdefault("_difference_plans", {})[convention] = plan
+        return plan
 
     def _coordinates(self, coords) -> tuple[int, ...]:
         """coords as Python ints, refusing non-integers and a count other

@@ -14,6 +14,17 @@ lengths; all three add up over rows, and delta_block and delta_family read
 their counts from the same tally.  _judge reads only a tally and the
 family's group and forbidden set, and settles H, lambda, the kind, the
 partition target and the first witness.
+
+A family's tally is kept on the family object (_family_tally): it is
+counted on first use, stored read-only in the object's own __dict__ and
+read again by every later verify or delta_family of that object.  It is
+not a field, so equality, repr, dataclasses.replace and the JSON never see
+it, and a new family object, however equal, is tallied from its blocks.
+An extension (_extend) is a family whose leading blocks are another
+family's own block objects, over the same group and convention; since the
+tally adds up over rows, its tally is its prefix's kept tally plus the
+tally of the added blocks alone.  The judge always reads the extension's
+own forbidden set.
 """
 
 from __future__ import annotations
@@ -215,6 +226,8 @@ class DesignFamily:
     convention: DiffConvention = DEFAULT_CONVENTION
 
     def __post_init__(self):
+        if not isinstance(self.blocks, tuple):  # a caller's list stays theirs
+            object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise ValueError("family needs at least one block")
         for b in self.blocks:
@@ -270,10 +283,37 @@ def make_family(group: FiniteGroup, blocks, forbidden=None,
     return DesignFamily(group, ms, forb, convention)
 
 
+def _extend(family: DesignFamily, blocks, forbidden=None) -> DesignFamily:
+    """The family of family's blocks followed by blocks, with the given
+    forbidden set, whose tally is family's kept tally plus that of blocks."""
+    ext = DesignFamily(family.group, family.blocks + tuple(blocks), forbidden,
+                       family.convention)
+    vars(ext)["_prefix"] = family
+    return ext
+
+
+def _family_tally(family: DesignFamily
+                  ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """_tally of the family's blocks under its convention, counted on first
+    use and kept, read-only, on the family object; an extension adds the
+    tally of its own blocks to its prefix's."""
+    kept = vars(family).get("_kept_tally")
+    if kept is None:
+        prefix = vars(family).pop("_prefix", None)
+        start = 0 if prefix is None else len(prefix.blocks)
+        kept = _tally(family.group, [b.elements for b in family.blocks[start:]],
+                      family.convention)
+        if prefix is not None:
+            counts, cover, sizes = _family_tally(prefix)
+            kept = (counts + kept[0], cover + kept[1],
+                    tuple(sorted(sizes + kept[2])))
+        kept[0].flags.writeable = kept[1].flags.writeable = False
+        vars(family)["_kept_tally"] = kept
+    return kept
+
+
 def delta_family(family: DesignFamily) -> Multiset:
-    return _from_dense(family.group, _tally(
-        family.group, [b.elements for b in family.blocks],
-        family.convention)[0])
+    return _from_dense(family.group, _family_tally(family)[0])
 
 
 @dataclass(frozen=True)
@@ -326,10 +366,13 @@ def verify(family: DesignFamily) -> VerificationReport:
     count is wrong, unless an element covered twice comes before it.
 
     The tally (_tally) counts the differences, the cover and the block
-    sizes; the judge (_judge) reads only those.
+    sizes; the judge (_judge) reads only those.  The tally is kept on the
+    family object (_family_tally), so a second verify of the same object
+    judges again without recounting.  That is sound because nothing in a
+    family can change: the family is frozen, its blocks are a tuple, and
+    each block's elements are a read-only array.
     """
-    return _judge(family, *_tally(
-        family.group, [b.elements for b in family.blocks], family.convention))
+    return _judge(family, *_family_tally(family))
 
 
 def _judge(family: DesignFamily, delta: np.ndarray, cover: np.ndarray,

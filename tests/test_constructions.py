@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdfam import constructions as cons
-from pdfam import groups
+from pdfam import groups, multisets
 from pdfam.catalog import order32_family, trivial_hds_family
 from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup
 from pdfam.multisets import (DF, DS, INVALID, PDF, RELATIVE_PDF, SDF,
-                             Multiset, delta_block, delta_family,
-                             make_family, verify)
+                             DesignFamily, Multiset, delta_block,
+                             delta_family, make_family, verify)
 from pdfam.rings import EvenOrderError, GaloisField, ProductRing, Zmod
 from pdfam.serialize import (canonical_dumps, recipe_from_json,
                              recipe_to_json, result_to_json)
@@ -443,29 +443,31 @@ def test_prediction_refinement():
 
 # sha256 of canonical_dumps(result_to_json(r)) for the single and per-block
 # completions, taken from the scalar ring checks and family construction:
-# the array forms must reproduce them byte for byte
+# the array forms must reproduce them byte for byte.  Each build takes the
+# difference convention, the right one by default, which the digests pin.
+_RIGHT = DiffConvention.RIGHT_INVERSE
 _GOLDEN = {
     "expand_nonabelian32(47)": (
-        lambda: cons.expand_nonabelian32(47),
+        lambda conv=_RIGHT: cons.expand_nonabelian32(47, conv),
         "6e47202567e08b16b0310a338f0d6d282867d646859e8236b0e77ab1ee6369eb",
         "51e989f4647e8365d5f38dc25ecce4ccea852836c91e4cf66f5349ead46f7ab6"),
     "expand_from_hds(2, 25)": (
-        lambda: cons.expand_from_hds(2, 25),
+        lambda conv=_RIGHT: cons.expand_from_hds(2, 25, convention=conv),
         "de900f8dc82bf7b6c557ff2918f58245c3c34321b74af172f27398f0144fcb2f",
         "ea18d1c1ca23f9761902cc775c9eee728e8f07552a7db406961b2e5474d4d547"),
     "expand_from_hds(1, 97)": (
-        lambda: cons.expand_from_hds(1, 97),
+        lambda conv=_RIGHT: cons.expand_from_hds(1, 97, convention=conv),
         "4665dd96f4f02ec3d8a8eabc5e5d1b8c6e760cc8f7cb75170e494afe3b1626e3",
         "93cfca66545cd073996f01dcfdeaade7c096bed69ed8a5c15d3033a9d74089c8"),
     # F7 x F11 and F49 x F11: the nested additive-group descriptors reach
     # the output through the ambient group
     "expand_from_hds(1, 77)": (
-        lambda: cons.expand_from_hds(1, 77),
+        lambda conv=_RIGHT: cons.expand_from_hds(1, 77, convention=conv),
         "eef14b6b248282dab8cee6f73754503fb5e81ddb7b5b21852c7523d8c0e91855",
         "fcce8668ff6e351f7dd911092447f34df6b6905413baebb3455c40c361fe22e8"),
     "expand u=1 over F49xF11": (
-        lambda: [cons.expand_hadamard_pdf(cons.make_recipe(
-            cons.hadamard_pdf_from_hds(1).family,
+        lambda conv=_RIGHT: [cons.expand_hadamard_pdf(cons.make_recipe(
+            cons.hadamard_pdf_from_hds(1, convention=conv).family,
             ProductRing([GaloisField(7, 2), GaloisField(11)]), completion))
             for completion in cons.COMPLETIONS],
         "d2fd8434c1a8ed64ad54a75b906b2ef91d9fb491b90d4507565b7039f5efc8a2",
@@ -479,6 +481,55 @@ def test_expansion_output_bytes_are_pinned(name):
     got = [hashlib.sha256(canonical_dumps(result_to_json(r)).encode())
            .hexdigest() for r in build()]
     assert got == want
+
+
+def _fresh(family):
+    """A new family object over the same blocks, with no kept tally."""
+    return DesignFamily(family.group, family.blocks, family.forbidden,
+                        family.convention)
+
+
+@pytest.mark.parametrize("conv", list(DiffConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_extended_families_read_as_fresh_ones(name, conv):
+    # the final family extends the relative one, and the base complement
+    # pair extends its difference set: each kept tally must be the tally a
+    # new family object over the same blocks counts from scratch
+    for res in _GOLDEN[name][0](conv):
+        for fam in (res.family, res.relative.family, res.recipe.pdf):
+            assert verify(fam) == verify(_fresh(fam))
+            assert delta_family(fam) == delta_family(_fresh(fam))
+        assert res.report == verify(_fresh(res.family))
+
+
+def test_each_family_is_tallied_once(monkeypatch):
+    # _tally's calls and pairs, and verify's calls as _judge's (one each)
+    seen = Counter()
+    real_tally, real_judge = multisets._tally, multisets._judge
+
+    def tally(group, rows, convention):
+        rows = list(rows)
+        seen["tallies"] += 1
+        seen["pairs"] += sum(len(r) * (len(r) - 1) for r in rows)
+        return real_tally(group, rows, convention)
+
+    def judge(*args):
+        seen["verify"] += 1
+        return real_judge(*args)
+
+    monkeypatch.setattr(multisets, "_tally", tally)
+    monkeypatch.setattr(multisets, "_judge", judge)
+    cons.expand_from_hds(1, 7)
+    # 17 verify calls: the search leaf, the difference set and its pair,
+    # and per completion the pair (the base) three times, the doubled
+    # family twice, the relative family and the final one.  9 tallies: the
+    # leaf, the set, the pair's added block, and per completion the doubled
+    # family, the relative family and the final family's zero fiber
+    assert seen["verify"] == 17
+    assert seen["tallies"] <= 9
+    seen.clear()
+    cons.expand_nonabelian32(47)
+    assert seen["pairs"] <= 100_288  # 201,072 when every verify recounts
 
 
 def test_complement_pdf_refuses_float_and_bool_elements():

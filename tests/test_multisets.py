@@ -606,3 +606,30 @@ def test_family_equality_tells_conventions_apart():
     assert delta_family(left) == multiset_sum(
         *(delta_block(b, DiffConvention.LEFT_INVERSE) for b in left.blocks))
     assert delta_family(left) != delta_family(right)
+
+
+def test_a_family_cannot_change_under_its_kept_tally():
+    g = CyclicGroup(7)
+    blocks = [Multiset(g, [0, 1, 3])]
+    fam = DesignFamily(g, blocks)
+    first = verify(fam)
+    assert first.kind == DS
+    blocks.append(Multiset(g, [2, 4, 5, 6]))
+    assert isinstance(fam.blocks, tuple) and len(fam.blocks) == 1
+    assert verify(fam) == first == verify(DesignFamily(g, fam.blocks))
+    counts, cover, _ = multisets._family_tally(fam)
+    assert not counts.flags.writeable and not cover.flags.writeable
+    assert fam == DesignFamily(g, tuple(fam.blocks))
+    assert "kept" not in repr(fam)
+
+
+def test_replace_reads_the_new_convention_after_verify():
+    g, left = Semidirect32(), DiffConvention.LEFT_INVERSE
+    right_fam = make_family(g, [[1, 10], [3, 12, 21]])
+    right = verify(right_fam)
+    fresh = verify(make_family(g, [[1, 10], [3, 12, 21]], convention=left))
+    assert right != fresh  # the two conventions' reports differ
+    assert verify(replace(right_fam, convention=left)) == fresh
+    assert delta_family(replace(right_fam, convention=left)) == delta_family(
+        make_family(g, [[1, 10], [3, 12, 21]], convention=left))
+    assert verify(right_fam) == right
