@@ -619,17 +619,18 @@ def test_a_family_cannot_change_under_its_kept_tally():
     assert verify(fam) == first == verify(DesignFamily(g, fam.blocks))
     counts, cover, _ = multisets._family_tally(fam)
     assert not counts.flags.writeable and not cover.flags.writeable
-    assert fam == DesignFamily(g, tuple(fam.blocks))
+    assert fam == DesignFamily(g, fam.blocks)
     assert "kept" not in repr(fam)
 
 
 def test_replace_reads_the_new_convention_after_verify():
     g, left = Semidirect32(), DiffConvention.LEFT_INVERSE
-    right_fam = make_family(g, [[1, 10], [3, 12, 21]])
+    blocks = [[1, 10], [3, 12, 21]]
+    right_fam, left_fam = (make_family(g, blocks, convention=c)
+                           for c in (DiffConvention.RIGHT_INVERSE, left))
     right = verify(right_fam)
-    fresh = verify(make_family(g, [[1, 10], [3, 12, 21]], convention=left))
-    assert right != fresh  # the two conventions' reports differ
-    assert verify(replace(right_fam, convention=left)) == fresh
-    assert delta_family(replace(right_fam, convention=left)) == delta_family(
-        make_family(g, [[1, 10], [3, 12, 21]], convention=left))
+    assert right != verify(left_fam)  # the two conventions' reports differ
+    replaced = replace(right_fam, convention=left)
+    assert verify(replaced) == verify(left_fam)
+    assert delta_family(replaced) == delta_family(left_fam)
     assert verify(right_fam) == right
