@@ -5,8 +5,9 @@ of distinct positions of the multiset X (so a repeated element contributes
 identity differences).  A DesignFamily carries the difference convention
 its differences are read under (right by default; the CLI settles it as it
 decodes a family file), and delta_family and verify read it from the
-family.  verify() recomputes everything from the blocks and classifies the
-family; it never trusts declared parameters.
+family.  verify() counts the differences from the blocks, once per family
+object (its tally is then kept, below), and classifies the family; it
+never trusts declared parameters.
 
 verify is two private parts.  _tally counts, for rows of elements, the
 differences, the cover (positions per element) and the sorted row
@@ -21,10 +22,10 @@ read again by every later verify or delta_family of that object.  It is
 not a field, so equality, repr, dataclasses.replace and the JSON never see
 it, and a new family object, however equal, is tallied from its blocks.
 An extension (_extend) is a family whose leading blocks are another
-family's own block objects, over the same group and convention; since the
-tally adds up over rows, its tally is its prefix's kept tally plus the
-tally of the added blocks alone.  The judge always reads the extension's
-own forbidden set.
+family's own block objects, over the same group and convention, with no
+forbidden subgroup; since the tally adds up over rows, its tally is
+counted as it is built, as the other family's kept tally plus the tally
+of the added blocks alone.
 """
 
 from __future__ import annotations
@@ -240,9 +241,8 @@ class DesignFamily:
             if not is_subgroup(self.group, self.forbidden):
                 raise ValueError("forbidden set is not a subgroup")
 
-    # set on the instance, outside the fields: the tally _family_tally keeps
-    # and the family an extension (_extend) was built on
-    _kept_tally = _prefix = None
+    # set on the instance, outside the fields, by _keep
+    _kept_tally = None
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -287,31 +287,36 @@ def make_family(group: FiniteGroup, blocks, forbidden=None,
     return DesignFamily(group, ms, forb, convention)
 
 
-def _extend(family: DesignFamily, blocks, forbidden=None) -> DesignFamily:
-    """The family of family's blocks followed by blocks, with the given
-    forbidden set, whose tally is family's kept tally plus that of blocks."""
-    ext = DesignFamily(family.group, family.blocks + tuple(blocks), forbidden,
+def _extend(family: DesignFamily, blocks) -> DesignFamily:
+    """The family of family's blocks followed by blocks, with no forbidden
+    subgroup, kept with family's kept tally plus the tally of blocks."""
+    blocks = tuple(blocks)
+    ext = DesignFamily(family.group, family.blocks + blocks, None,
                        family.convention)
-    object.__setattr__(ext, "_prefix", family)
+    counts, cover, sizes = _tally(ext.group, [b.elements for b in blocks],
+                                  ext.convention)
+    before = _family_tally(family)
+    _keep(ext, counts + before[0], cover + before[1],
+          tuple(sorted(sizes + before[2])))
     return ext
 
 
 def _family_tally(family: DesignFamily
                   ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """_tally of the family's blocks under its convention, counted on first
-    use and kept, read-only, on the family object; an extension adds the
-    tally of its own blocks to its prefix's."""
-    kept, prefix = family._kept_tally, family._prefix
+    use and kept on the family object."""
+    kept = family._kept_tally
     if kept is not None:
         return kept
-    start = 0 if prefix is None else len(prefix.blocks)
-    counts, cover, sizes = _tally(
-        family.group, [b.elements for b in family.blocks[start:]],
-        family.convention)
-    if prefix is not None:
-        before = _family_tally(prefix)
-        counts, cover = counts + before[0], cover + before[1]
-        sizes = tuple(sorted(sizes + before[2]))
+    return _keep(family, *_tally(
+        family.group, [b.elements for b in family.blocks], family.convention))
+
+
+def _keep(family: DesignFamily, counts: np.ndarray, cover: np.ndarray,
+          sizes: tuple[int, ...]
+          ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Keep a tally of the family on the family object, its arrays
+    read-only."""
     # write=False, passed by position: the keyword form costs a one-block
     # search leaf's verify about 0.2 us more
     counts.setflags(False)
@@ -377,9 +382,14 @@ def verify(family: DesignFamily) -> VerificationReport:
     The tally (_tally) counts the differences, the cover and the block
     sizes; the judge (_judge) reads only those.  The tally is kept on the
     family object (_family_tally), so a second verify of the same object
-    judges again without recounting.  That is sound because nothing in a
-    family can change: the family is frozen, its blocks are a tuple, and
-    each block's elements are a read-only array.
+    judges again without recounting.  That is sound as long as the
+    family's blocks and their elements stay as built: the family is
+    frozen, its blocks are a tuple (a caller's list is copied), each
+    block's elements are a read-only array, and the library never rebinds
+    a block's elements or writes to them after construction.  A caller
+    that does either (both are possible: Multiset's slots are assignable,
+    and an array that owns its data can be made writeable again) must
+    build a new family to verify.
     """
     return _judge(family, *_family_tally(family))
 
