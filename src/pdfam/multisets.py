@@ -289,7 +289,8 @@ def make_family(group: FiniteGroup, blocks, forbidden=None,
 
 def _extend(family: DesignFamily, blocks) -> DesignFamily:
     """The family of family's blocks followed by blocks, with no forbidden
-    subgroup, kept with family's kept tally plus the tally of blocks."""
+    subgroup, whose kept tally is family's kept tally plus the tally of
+    blocks."""
     blocks = tuple(blocks)
     ext = DesignFamily(family.group, family.blocks + blocks, None,
                        family.convention)
