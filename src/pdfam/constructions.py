@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
-                     FiniteGroup, ProductGroup, _indices, _int_matrix,
+                     FiniteGroup, ProductGroup, _indices, _int_matrix, _is_int,
                      endomorphism_mask)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
                         DesignFamily, Multiset, VerificationReport,
@@ -132,23 +132,23 @@ def complement_pdf(group: FiniteGroup, block,
     A (v,k,lam) difference set yields a (v,[k,v-k],v-2k+2*lam) partitioned
     family; it is Hadamard exactly when v = 2(v-2k+2*lam).
     """
-    d = sorted(_indices(group, list(block)))
-    repeated = [a for a, b in zip(d, d[1:]) if a == b]
-    if repeated:
+    d = Multiset(group, block)
+    x = d.elements
+    repeated = x[1:][x[1:] == x[:-1]]
+    if len(repeated):
         raise NotADifferenceSetError(f"element {repeated[0]} is repeated")
-    v = group.order
-    if not d or len(d) >= v:
+    v, k = group.order, d.size
+    if not k or k >= v:
         raise NotADifferenceSetError("need a nonempty proper subset")
-    ds = make_family(group, [d], convention=convention)
+    ds = DesignFamily(group, (d,), convention=convention)
     ds_report = verify(ds)
     if ds_report.kind != DS or ds_report.h != 1:
         raise NotADifferenceSetError(
             f"block does not certify as an ordinary difference set "
             f"(got {ds_report.kind}, witness {ds_report.witness})")
-    k = len(d)
     lam = ds_report.lambda_or_mu
     rest = np.ones(v, dtype=bool)
-    rest[ds.blocks[0].elements] = False
+    rest[x] = False
     comp = np.flatnonzero(rest)
     fam = _extend(ds, _blocks_of(group, comp, [len(comp)]))
     pred = Prediction(PDF, v, tuple(sorted((k, v - k))), v - 2 * k + 2 * lam)
@@ -195,8 +195,7 @@ def paley_double_sdf(q: int,
     group = CyclicGroup(q)
     residues = {pow(x, 2, q) for x in range(1, q)}
     comp = sorted(set(range(q)) - residues)
-    block = Multiset(group, counts={e: 2 for e in comp})
-    fam = DesignFamily(group, (block,), convention=convention)
+    fam = make_family(group, [comp * 2], convention=convention)
     pred = Prediction(DIFFERENCE_MULTISET, q, (q + 1,), q + 1)
     return ConstructionResult(fam, verify(fam), pred)
 
@@ -447,15 +446,21 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
 
 
 def ring_for_modulus(m: int) -> Ring:
-    """The product of Galois fields of the maximal prime power divisors."""
+    """The product of Galois fields of the maximal prime power divisors of
+    an odd modulus m >= 3."""
+    _check_modulus(m)
     factors = [GaloisField(p, a) for p, a in sorted(
         factorize(m).items(), key=lambda pa: pa[0] ** pa[1])]
     return factors[0] if len(factors) == 1 else ProductRing(factors)
 
 
-def _check_divisors(m: int, bound: int) -> None:
-    if m < 3 or m % 2 == 0:
+def _check_modulus(m: int) -> None:
+    if not _is_int(m) or m < 3 or m % 2 == 0:
         raise ValueError("modulus must be odd and at least 3")
+
+
+def _check_divisors(m: int, bound: int) -> None:
+    _check_modulus(m)
     offenders = [q for q in maximal_prime_power_divisors(m) if q <= bound]
     if offenders:
         raise DivisorTooSmallError(max(offenders), bound)

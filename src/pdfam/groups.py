@@ -101,10 +101,14 @@ class FiniteGroup:
     def difference_plan(self, convention: DiffConvention = DEFAULT_CONVENTION
                         ) -> "DifferencePlan":
         """The tally plan of this group's differences under the convention,
-        built on first use and kept on the group."""
+        built on first use and kept on the group; a value that is not a
+        DiffConvention is refused then, and never kept."""
         plans = vars(self).get("_difference_plans")
         plan = None if plans is None else plans.get(convention)
         if plan is None:
+            if not isinstance(convention, DiffConvention):
+                raise ValueError(
+                    f"unknown difference convention {convention!r}")
             plan = DifferencePlan(self, convention)
             vars(self).setdefault("_difference_plans", {})[convention] = plan
         return plan

@@ -9,6 +9,11 @@ family.  verify() counts the differences from the blocks, once per family
 object (its tally is then kept, below), and classifies the family; it
 never trusts declared parameters.
 
+A block (Multiset) is the sorted, read-only int64 array of its positions.
+Outside positions reach a block by one checked path (_checked), shared by
+Multiset and make_family; positions a construction computed itself are
+laid out unchecked (_blocks_of).
+
 verify is two private parts.  _tally counts, for rows of elements, the
 differences, the cover (positions per element) and the sorted row
 lengths; all three add up over rows, and delta_block and delta_family read
@@ -37,7 +42,7 @@ from itertools import accumulate, chain, groupby
 import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, DiffConvention, FiniteGroup, _indices,
-                     _is_int, is_subgroup)
+                     is_subgroup)
 
 
 class GroupMismatchError(ValueError):
@@ -57,29 +62,14 @@ INVALID = "Invalid"
 class Multiset:
     """Multiset of group elements, stored as the sorted, read-only int64
     array of its positions: canonical element indices, each repeated per
-    multiplicity."""
+    multiplicity, built from an iterable of positions by make_family's
+    check (_checked)."""
 
     __slots__ = ("group", "elements")
 
-    def __init__(self, group: FiniteGroup, elements=(), counts=None):
-        self.group = group
-        keys, mult = [], []
-        if counts is not None:
-            counts = dict(counts)
-            keys, mult = _indices(group, list(counts)), list(counts.values())
-            for m in mult:
-                if not _is_int(m):
-                    raise ValueError(f"multiplicity {m!r} is not an integer")
-                if m < 0:
-                    raise ValueError("negative multiplicity")
-                if m > np.iinfo(np.int64).max:
-                    raise ValueError(f"multiplicity {m} does not fit in int64")
-        positions = np.sort(np.concatenate((
-            np.repeat(np.array(keys, dtype=np.int64),
-                      np.array(mult, dtype=np.int64)),
-            np.array(_indices(group, list(elements)), dtype=np.int64))))
-        positions.flags.writeable = False
-        self.elements = positions
+    def __init__(self, group: FiniteGroup, elements=()):
+        (block,) = _checked(group, [elements])
+        self.group, self.elements = group, block.elements
 
     @property
     def counts(self) -> Counter:
@@ -256,18 +246,14 @@ class DesignFamily:
                 and self.convention is other.convention)
 
 
-def make_family(group: FiniteGroup, blocks, forbidden=None,
-                convention: DiffConvention = DEFAULT_CONVENTION
-                ) -> DesignFamily:
-    """Build a DesignFamily from iterables of indices, mappings, or Multisets.
-
-    The elements of all the index blocks are checked in one pass, so the
-    first bad element in block order is the one named, and sorted within
-    their blocks in one call.
-    """
-    blocks = [b if isinstance(b, (Multiset, dict)) else list(b)
-              for b in blocks]
-    lists = [b for b in blocks if isinstance(b, list)]
+def _checked(group: FiniteGroup, blocks) -> list[Multiset]:
+    """Multisets of a list of iterables of positions.  The elements of all
+    the blocks are checked in one pass, so the first bad element in block
+    order is the one named, and sorted within their blocks in one call.  A
+    dict is refused, never read as its keys."""
+    if any(isinstance(b, dict) for b in blocks):
+        raise ValueError("a block is an iterable of positions, not a dict")
+    lists = list(map(list, blocks))
     lengths = list(map(len, lists))
     flat = np.array(_indices(group, list(chain.from_iterable(lists))),
                     dtype=np.int64)
@@ -276,12 +262,19 @@ def make_family(group: FiniteGroup, blocks, forbidden=None,
     flat += offset
     flat.sort()
     flat -= offset
-    checked = iter(_blocks_of(group, flat, lengths))
-    ms = tuple(
-        b if isinstance(b, Multiset)
-        else Multiset(group, counts=b) if isinstance(b, dict)
-        else next(checked)
-        for b in blocks)
+    return _blocks_of(group, flat, lengths)
+
+
+def make_family(group: FiniteGroup, blocks, forbidden=None,
+                convention: DiffConvention = DEFAULT_CONVENTION
+                ) -> DesignFamily:
+    """Build a DesignFamily from Multisets and iterables of positions; the
+    iterables are checked and sorted together (_checked)."""
+    blocks = list(blocks)
+    checked = iter(_checked(
+        group, [b for b in blocks if not isinstance(b, Multiset)]))
+    ms = tuple(b if isinstance(b, Multiset) else next(checked)
+               for b in blocks)
     forb = (None if forbidden is None
             else frozenset(_indices(group, list(forbidden))))
     return DesignFamily(group, ms, forb, convention)

@@ -526,6 +526,21 @@ def test_refused_input_exits_1_with_one_line(capsys, argv, says):
     _exits_1_with_one_line(capsys, argv, says)
 
 
+@pytest.mark.parametrize("command", ["recipe", "construct expand"])
+@pytest.mark.parametrize("m", ["1", "2", "0"])
+def test_even_or_small_modulus_exits_1_with_one_line(tmp_path, capsys,
+                                                     command, m):
+    # --m 1 said "product needs at least one factor", --m 2 "patterned
+    # starters need a ring of odd order", --m 0 "positive integers only"
+    _, fam = run_json(capsys, "catalog", "emit", "trivial-hds")
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(fam))
+    assert main([*command.split(), "--family", str(path), "--m", m]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: modulus must be odd and at least 3\n"
+
+
 def test_verify_group_factors_not_array_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"group": {"type": "product", "factors": 5},

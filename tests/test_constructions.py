@@ -400,6 +400,13 @@ def test_ring_for_modulus():
     assert isinstance(r, GaloisField) and r.order == 49
 
 
+@pytest.mark.parametrize("m", [1, 2, 0, -3, 10, 7.0, True])
+def test_ring_for_modulus_refuses_an_even_or_small_modulus(m):
+    with pytest.raises(ValueError,
+                       match="^modulus must be odd and at least 3$"):
+        cons.ring_for_modulus(m)
+
+
 def test_expansion_left_convention_also_works_for_abelian_base():
     rec = cons.make_recipe(
         replace(trivial_hds_family(), convention=DiffConvention.LEFT_INVERSE),
@@ -536,6 +543,16 @@ def test_complement_pdf_refuses_float_and_bool_elements():
     for block in ([0.5], [True]):
         with pytest.raises(ValueError, match="is not an integer"):
             cons.complement_pdf(CyclicGroup(4), block)
+
+
+def test_complement_pdf_refuses_a_convention_name():
+    # a cyclic group's plan never calls difference, so "right" certified,
+    # and encoding the result then failed on 'str' object has no 'value'
+    g = CyclicGroup(7)
+    with pytest.raises(ValueError,
+                       match="^unknown difference convention 'right'$"):
+        cons.complement_pdf(g, [1, 2, 4], "right")
+    assert "right" not in vars(g).get("_difference_plans", {})
 
 
 @pytest.mark.parametrize("block,repeated", [

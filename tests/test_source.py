@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 import pdfam
 
 PACKAGE = Path(pdfam.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 # __init__ imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -83,3 +86,44 @@ def test_dead_private_name_check_flags_a_dead_name():
 def test_every_private_name_is_read():
     assert _dead_private_names(
         {p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def _third_party_imports(source: str, local: set[str]) -> set[str]:
+    """Top-level names of the modules a source imports or importorskips
+    that are neither in the standard library nor local."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "importorskip" and node.args
+              and isinstance(node.args[0], ast.Constant)):
+            names.add(node.args[0].value.split(".")[0])
+    return names - set(sys.stdlib_module_names) - local
+
+
+def test_third_party_import_check_flags_an_importorskip():
+    assert _third_party_imports(
+        "import os, numpy.linalg\n"
+        "from pdfam import groups\n"
+        "from . import helpers\n"
+        "def f():\n    return pytest.importorskip('scipy.stats')\n",
+        {"pdfam"}) == {"numpy", "scipy"}
+
+
+def test_tests_import_only_declared_dependencies():
+    """Every third-party module the tests import is a runtime dependency
+    or in the test extra, so installing .[test] runs every test."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads(
+        (TESTS.parent / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in (project["dependencies"]
+                            + project["optional-dependencies"]["test"])}
+    local = {"pdfam"} | {p.stem for p in TESTS.glob("*.py")}
+    used = set().union(*(_third_party_imports(p.read_text(), local)
+                         for p in TESTS.glob("*.py")))
+    assert used - declared == set()
