@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
-                     FiniteGroup, ProductGroup, _indices, _int_matrix, _is_int,
-                     endomorphism_mask)
+                     FiniteGroup, ProductGroup, _field, _indices, _int_field,
+                     _int_matrix, _ints, _is_int, endomorphism_mask)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
                         DesignFamily, Multiset, VerificationReport,
                         _blocks_of, _extend, make_family, verify)
@@ -103,6 +103,9 @@ class Prediction:
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in _REFINEMENTS):
             raise ValueError(f"unknown declared kind {self.kind!r}")
+        for key in ("v", "lambda_or_mu", "h"):  # as the JSON decoder does
+            _int_field(vars(self), key)
+        _field(vars(self), "K", _ints, "an array of integers")
 
     def matches(self, report) -> bool:
         return (report.kind in _REFINEMENTS[self.kind]
@@ -319,6 +322,7 @@ class ExpansionRecipe:
             raise NoValidYError(
                 f"unit-difference condition fails: {chk.reason}"
                 + ("" if chk.witness is None else f", pair {chk.witness}"))
+        _field(vars(self), "f_map", _ints, "an array of integers")
         if len(self.f_map) != self.pdf.group.order:
             raise RecipeInvariantError("f must be defined on the whole group")
         yset = set(self.y)

@@ -161,6 +161,7 @@ class CyclicGroup(FiniteGroup):
     """Integers mod n under addition."""
 
     def __init__(self, n: int):
+        n = _int_field({"n": n}, "n")  # refused as a JSON field would be
         if n < 1:
             raise ValueError("order must be positive")
         self.order = n
@@ -518,10 +519,10 @@ def _coordinate(c) -> int:
 
 
 def _ints(x) -> bool:
-    """A list of integers.  The usual all-int list costs one pass over the
-    entry types in C."""
-    return isinstance(x, list) and (set(map(type, x)) <= {int}
-                                    or all(map(_is_int, x)))
+    """A list or tuple of integers.  The usual all-int one costs one pass
+    over the entry types in C."""
+    return isinstance(x, (list, tuple)) and (set(map(type, x)) <= {int}
+                                             or all(map(_is_int, x)))
 
 
 def _int_rows(x) -> bool:

@@ -1,13 +1,13 @@
 """Multiset difference calculus over finite groups, plus the certifier.
 
-delta_block(X) is the multiset of all differences x - x' over ordered pairs
-of distinct positions of the multiset X (so a repeated element contributes
-identity differences).  A DesignFamily carries the difference convention
-its differences are read under (right by default; the CLI settles it as it
-decodes a family file), and delta_family and verify read it from the
-family.  verify() counts the differences from the blocks, once per family
-object (its tally is then kept, below), and classifies the family; it
-never trusts declared parameters.
+delta_block(X) counts the differences x - x' over ordered pairs of distinct
+positions of the multiset X (a repeated element gives identity differences)
+in an int64 array indexed by element, and delta_family sums them over a
+family's blocks.  A DesignFamily carries the difference convention its
+differences are read under (right by default; the CLI settles it as it
+decodes a family file), and delta_family and verify read it from the family.
+verify() counts the differences once per family object (its tally is then
+kept, below) and classifies the family; it never trusts declared parameters.
 
 A block (Multiset) is the sorted, read-only int64 array of its positions.
 Outside positions reach a block by one checked path (_checked), shared by
@@ -16,10 +16,10 @@ laid out unchecked (_blocks_of).
 
 verify is two private parts.  _tally counts, for rows of elements, the
 differences, the cover (positions per element) and the sorted row
-lengths; all three add up over rows, and delta_block and delta_family read
-their counts from the same tally.  _judge reads only a tally and the
-family's group and forbidden set, and settles H, lambda, the kind, the
-partition target and the first witness.
+lengths; all three add up over rows, and delta_block and delta_family
+return its counts.  _judge reads only a tally and the family's group and
+forbidden set, and settles H, lambda, the kind, the partition target and
+the first witness.
 
 A family's tally is kept on the family object (_family_tally): it is
 counted on first use, stored read-only in the object's own __dict__ and
@@ -35,7 +35,6 @@ of the added blocks alone.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
 
@@ -72,20 +71,8 @@ class Multiset:
         self.group, self.elements = group, block.elements
 
     @property
-    def counts(self) -> Counter:
-        """A fresh Counter of the multiplicities, keyed by Python ints."""
-        return Counter(self.elements.tolist())
-
-    @property
     def size(self) -> int:
         return len(self.elements)
-
-    def mult(self, e: int) -> int:
-        return int(np.count_nonzero(self.elements == e))
-
-    @property
-    def is_set(self) -> bool:
-        return not (self.elements[1:] == self.elements[:-1]).any()
 
     def positions(self) -> list[int]:
         """Every element repeated per multiplicity, in canonical order."""
@@ -194,18 +181,6 @@ def _tally(group: FiniteGroup, rows, convention: DiffConvention
     return counts, np.bincount(flat, minlength=group.order), sizes
 
 
-def _from_dense(group: FiniteGroup, dense: np.ndarray) -> Multiset:
-    return _blocks_of(group, np.repeat(np.arange(len(dense)), dense),
-                      [int(dense.sum())])[0]
-
-
-def delta_block(block: Multiset,
-                convention: DiffConvention = DEFAULT_CONVENTION) -> Multiset:
-    """Differences over all ordered pairs of distinct positions of a block."""
-    return _from_dense(block.group, _tally(
-        block.group, [block.elements], convention)[0])
-
-
 @dataclass(frozen=True, eq=False)
 class DesignFamily:
     """Blocks over one group, with an optional forbidden subgroup, and the
@@ -217,6 +192,9 @@ class DesignFamily:
     convention: DiffConvention = DEFAULT_CONVENTION
 
     def __post_init__(self):
+        if not isinstance(self.convention, DiffConvention):
+            raise ValueError(
+                f"unknown difference convention {self.convention!r}")
         if not isinstance(self.blocks, tuple):  # a caller's list stays theirs
             object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
@@ -320,8 +298,19 @@ def _keep(family: DesignFamily, counts: np.ndarray, cover: np.ndarray,
     return kept
 
 
-def delta_family(family: DesignFamily) -> Multiset:
-    return _from_dense(family.group, _family_tally(family)[0])
+def delta_block(block: Multiset,
+                convention: DiffConvention = DEFAULT_CONVENTION) -> np.ndarray:
+    """Entry e of this read-only int64 array, of the group's order, counts
+    the ordered pairs of distinct positions of block with difference e."""
+    counts = _tally(block.group, [block.elements], convention)[0]
+    counts.setflags(False)
+    return counts
+
+
+def delta_family(family: DesignFamily) -> np.ndarray:
+    """delta_block's counts summed over the family's blocks: a read-only
+    view of its kept tally, which cannot be made writeable."""
+    return _family_tally(family)[0].view()
 
 
 @dataclass(frozen=True)
@@ -376,14 +365,14 @@ def verify(family: DesignFamily) -> VerificationReport:
     The tally (_tally) counts the differences, the cover and the block
     sizes; the judge (_judge) reads only those.  The tally is kept on the
     family object (_family_tally), so a second verify of the same object
-    judges again without recounting.  That is sound as long as the
-    family's blocks and their elements stay as built: the family is
-    frozen, its blocks are a tuple (a caller's list is copied), each
-    block's elements are a read-only array, and the library never rebinds
-    a block's elements or writes to them after construction.  A caller
-    that does either (both are possible: Multiset's slots are assignable,
-    and an array that owns its data can be made writeable again) must
-    build a new family to verify.
+    judges again without recounting (delta_family views the same counts,
+    read-only).  That is sound as long as the family's blocks and their
+    elements stay as built: the family is frozen, its blocks are a tuple
+    (a caller's list is copied), each block's elements are a read-only
+    array, and the library never rebinds a block's elements or writes to
+    them after construction.  A caller that does either (both are
+    possible: Multiset's slots are assignable, and an array that owns its
+    data can be made writeable again) must build a new family to verify.
     """
     return _judge(family, *_family_tally(family))
 

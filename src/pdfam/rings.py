@@ -131,6 +131,7 @@ class Zmod(Ring):
     """Integers modulo n."""
 
     def __init__(self, n: int):
+        n = _int_field({"n": n}, "n")
         if n < 2:
             raise ValueError("modulus must be at least 2")
         super().__init__(CyclicGroup(n))
@@ -197,6 +198,7 @@ class GaloisField(Ring):
     """
 
     def __init__(self, p: int, k: int = 1):
+        p, k = _int_field({"p": p}, "p"), _int_field({"k": k}, "k")
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         if k < 1:

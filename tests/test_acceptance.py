@@ -132,10 +132,10 @@ def test_ac03_double_sdf_catalog():
         for orig, doubled in zip(fam.blocks, res.family.blocks):
             base = delta_block(orig, cert.convention)
             dd = delta_block(doubled, cert.convention)
-            assert dd.mult(fam.group.identity) == 2 * 1 * orig.size
+            assert dd[fam.group.identity] == 2 * 1 * orig.size
             for g in fam.group.elements():
                 if g != fam.group.identity:
-                    assert dd.mult(g) == 4 * base.mult(g)
+                    assert dd[g] == 4 * base[g]
         checked += 1
     ok = checked >= 3
     report("AC3[doubling each catalog Hadamard PDF gives a 4-lambda SDF "
@@ -230,8 +230,7 @@ def off_index_elements(result):
     """The non-identity elements whose difference count in the result's
     family differs from its declared index, and those counts."""
     fam = result.family
-    counts = np.bincount(delta_family(fam).elements,
-                         minlength=fam.group.order)
+    counts = delta_family(fam)
     off = np.flatnonzero(counts != result.predicted.lambda_or_mu)
     off = off[off != fam.group.identity]
     return off, counts[off]
@@ -264,10 +263,10 @@ def test_caveat3_order32_blocks_are_convention_invariant():
     assert len(blocks) == 4
     for block in blocks:
         right, left = (delta_block(block, c) for c in conventions)
-        assert right == left
+        assert np.array_equal(right, left)
     right, left = (delta_block(Multiset(Semidirect32(), [1, 8]), c)
                    for c in conventions)
-    assert right != left
+    assert not np.array_equal(right, left)
 
 
 # -- AC7: maximum admissible unit set in Z25 ---------------------------------
@@ -350,7 +349,7 @@ def test_ac10_difference_size_identity():
         g = rng.choice(groups)
         s = rng.randint(0, 8)
         block = Multiset(g, [rng.randrange(g.order) for _ in range(s)])
-        assert delta_block(block).size == s * (s - 1)
+        assert delta_block(block).sum() == s * (s - 1)
     report("AC10[|delta X| = |X|(|X|-1) on 200 random multisets]", True)
 
 
@@ -363,8 +362,9 @@ def test_ac10_abelian_convention_invariance():
         g = rng.choice(groups)
         block = Multiset(g, [rng.randrange(g.order)
                              for _ in range(rng.randint(0, 6))])
-        assert (delta_block(block, DiffConvention.RIGHT_INVERSE)
-                == delta_block(block, DiffConvention.LEFT_INVERSE))
+        right, left = (delta_block(block, c) for c in (
+            DiffConvention.RIGHT_INVERSE, DiffConvention.LEFT_INVERSE))
+        assert np.array_equal(right, left)
     report("AC10[difference multisets are convention-invariant on abelian "
            "groups]", True)
 

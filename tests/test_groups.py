@@ -508,3 +508,21 @@ def test_verify_skips_the_subgroup_walk_on_a_sparse_family():
     assert rep.kind == INVALID
     w = rep.witness
     assert (w.element, w.expected, w.actual) == (7, 2, 0)
+
+
+# a constructor refuses what make_group refuses in the same field, with the
+# same one-line message
+@pytest.mark.parametrize("n,says", [(4.0, "n 4.0"), (True, "n True")],
+                         ids=["float", "bool"])
+def test_cyclic_group_refuses_a_non_integer_order(n, says):
+    with pytest.raises(ValueError, match=f"^{says} is not an integer$"):
+        CyclicGroup(n)
+    with pytest.raises(ValueError, match=f"^{says} is not an integer$"):
+        make_group({"type": "cyclic", "n": n})
+
+
+def test_cyclic_group_stores_a_numpy_order_as_an_int():
+    g = CyclicGroup(np.int64(4))
+    assert type(g.order) is int and g.descriptor() == {"type": "cyclic",
+                                                       "n": 4}
+    assert repr(g) == "Z4"

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +29,10 @@ def multiset_sum(a, b):
 
 
 def brute_delta(group, positions, convention=DiffConvention.RIGHT_INVERSE):
-    """Independent oracle: difference list over ordered pairs of positions."""
-    out = Counter()
+    """Independent oracle: per element, the ordered pairs of distinct
+    positions whose difference it is, counted by group.op one pair at a
+    time."""
+    out = np.zeros(group.order, dtype=np.int64)
     for i, a in enumerate(positions):
         for j, b in enumerate(positions):
             if i != j:
@@ -40,8 +46,8 @@ def brute_delta(group, positions, convention=DiffConvention.RIGHT_INVERSE):
 def test_delta_block_matches_oracle_with_repeats():
     g = CyclicGroup(5)
     x = Multiset(g, [1, 3, 1])
-    got = delta_block(x).counts
-    assert got == brute_delta(g, [1, 1, 3])
+    got = delta_block(x)
+    assert np.array_equal(got, brute_delta(g, [1, 1, 3]))
     assert got[0] == 2  # the repeated element contributes identity twice
 
 
@@ -49,7 +55,7 @@ def test_delta_size_identity_small():
     g = CyclicGroup(7)
     for elems in ([0], [1, 2], [1, 1, 4], [0, 2, 3, 3, 5]):
         x = Multiset(g, elements=elems)
-        assert delta_block(x).size == len(elems) * (len(elems) - 1)
+        assert delta_block(x).sum() == len(elems) * (len(elems) - 1)
 
 
 def _relabeled_table(g, shift):
@@ -87,9 +93,9 @@ def test_delta_size_identity_property(g, convention, data):
                                min_size=1, max_size=8))
     x = Multiset(g, elements=elems)
     d = delta_block(x, convention)
-    assert d.group == g
-    assert d.size == x.size * (x.size - 1)
-    assert d.counts == brute_delta(g, x.positions(), convention)
+    assert d.shape == (g.order,)
+    assert d.sum() == x.size * (x.size - 1)
+    assert np.array_equal(d, brute_delta(g, x.positions(), convention))
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,10 +107,8 @@ def test_delta_family_matches_oracle_property(g, convention, data):
         st.lists(st.integers(0, g.order - 1), min_size=1, max_size=8),
         min_size=1, max_size=5))
     fam = make_family(g, blocks, convention=convention)
-    want = Counter()
-    for b in fam.blocks:
-        want.update(brute_delta(g, b.positions(), convention))
-    assert delta_family(fam).counts == want
+    want = sum(brute_delta(g, b.positions(), convention) for b in fam.blocks)
+    assert np.array_equal(delta_family(fam), want)
     rep = verify(fam)
     assert rep.K == tuple(sorted(map(len, blocks)))
 
@@ -185,18 +189,19 @@ def test_abelian_delta_convention_invariant(data):
     elems = data.draw(st.lists(st.integers(0, g.order - 1),
                                min_size=2, max_size=7))
     x = Multiset(g, elements=elems)
-    assert (delta_block(x, DiffConvention.RIGHT_INVERSE).counts
-            == delta_block(x, DiffConvention.LEFT_INVERSE).counts)
+    assert np.array_equal(delta_block(x, DiffConvention.RIGHT_INVERSE),
+                          delta_block(x, DiffConvention.LEFT_INVERSE))
 
 
 def test_multiset_basics():
     g = CyclicGroup(6)
     x = Multiset(g, elements=[5, 1, 1])
-    assert x.size == 3 and x.mult(1) == 2 and not x.is_set
+    assert x.size == 3 and np.count_nonzero(x.elements == 1) == 2
+    assert len(np.unique(x.elements)) < x.size  # not a set
     assert x.positions() == [1, 1, 5]
-    assert x.scaled(2).counts == {1: 4, 5: 2}
+    assert x.scaled(2).positions() == [1, 1, 1, 1, 5, 5]
     y = Multiset(g, [1])
-    assert multiset_sum(x, y).counts == {1: 3, 5: 1}
+    assert multiset_sum(x, y).positions() == [1, 1, 1, 5]
 
 
 def _assert_block_format(ms):
@@ -213,16 +218,21 @@ def test_elements_are_sorted_read_only_int64():
              Multiset(g, [8, 5, 1, 0, 5]),
              Multiset(g, elements=np.array([4, 3, 4])),
              Multiset(g, elements=[3, 1]).scaled(3),
-             delta_block(Multiset(g, elements=[6, 0, 2])),
              *make_family(g, [[8, 3, 3], (4, 1, 4), np.array([5, 0])],
                           forbidden=[0, 3, 6]).blocks]
     for ms in built:
         _assert_block_format(ms)
     assert built[1].positions() == [0, 1, 5, 5, 8]
     assert repr(built[1]) == "Multiset{0, 1, 5x2, 8}"
-    counts = built[1].counts
-    counts[0] += 5  # a fresh Counter: the multiset stays as it was
-    assert built[1].counts == {0: 1, 1: 1, 5: 2, 8: 1}
+    positions = built[1].positions()
+    positions[0] += 5  # a fresh list: the multiset stays as it was
+    assert built[1].positions() == [0, 1, 5, 5, 8]
+    # a difference count is an int64 array indexed by element, read-only
+    d = delta_block(Multiset(g, elements=[6, 0, 2]))
+    assert d.dtype == np.int64 and d.shape == (g.order,)
+    assert not d.flags.writeable
+    with pytest.raises(ValueError):
+        d[0] = 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -582,10 +592,8 @@ def test_delta_family_is_sum_of_blocks(data):
     blocks = [data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=5))
               for _ in range(nblocks)]
     fam = make_family(g, blocks)
-    total = Counter()
-    for b in fam.blocks:
-        total.update(delta_block(b).counts)
-    assert delta_family(fam).counts == total
+    total = sum(delta_block(b) for b in fam.blocks)
+    assert np.array_equal(delta_family(fam), total)
 
 
 def test_family_equality_tells_conventions_apart():
@@ -601,9 +609,9 @@ def test_family_equality_tells_conventions_apart():
     # the convention is what verify reads: the first failing count differs
     assert verify(right).witness.actual == 2
     assert verify(left).witness.actual == 1
-    assert delta_family(left) == multiset_sum(
-        *(delta_block(b, DiffConvention.LEFT_INVERSE) for b in left.blocks))
-    assert delta_family(left) != delta_family(right)
+    assert np.array_equal(delta_family(left), sum(
+        delta_block(b, DiffConvention.LEFT_INVERSE) for b in left.blocks))
+    assert not np.array_equal(delta_family(left), delta_family(right))
 
 
 def test_a_family_cannot_change_under_its_kept_tally():
@@ -630,5 +638,77 @@ def test_replace_reads_the_new_convention_after_verify():
     assert right != verify(left_fam)  # the two conventions' reports differ
     replaced = replace(right_fam, convention=left)
     assert verify(replaced) == verify(left_fam)
-    assert delta_family(replaced) == delta_family(left_fam)
+    assert np.array_equal(delta_family(replaced), delta_family(left_fam))
     assert verify(right_fam) == right
+
+
+def test_a_family_refuses_an_unhashable_convention():
+    # once the group had a plan cached, ['x'] ended in a bare TypeError
+    # from the plan lookup
+    g = CyclicGroup(7)
+    verify(make_family(g, [[1, 2, 4]]))
+    with pytest.raises(ValueError,
+                       match=r"^unknown difference convention \['x'\]$"):
+        make_family(g, [[1, 2, 4]], convention=["x"])
+
+
+def test_a_family_refuses_a_convention_name_when_built():
+    # "right" used to build a family that failed only when verified
+    g = CyclicGroup(7)
+    fam = make_family(g, [[1, 2, 4]])
+    for build in (lambda: make_family(g, [[1, 2, 4]], convention="right"),
+                  lambda: replace(fam, convention="right")):
+        with pytest.raises(ValueError,
+                           match="^unknown difference convention 'right'$"):
+            build()
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_strategy, st.sampled_from(list(DiffConvention)), st.data())
+def test_delta_family_is_a_read_only_view_of_the_kept_tally(g, convention,
+                                                            data):
+    blocks = data.draw(st.lists(
+        st.lists(st.integers(0, g.order - 1), min_size=1, max_size=8),
+        min_size=1, max_size=4))
+    fam = make_family(g, blocks, convention=convention)
+    report = verify(make_family(g, blocks, convention=convention))
+    d = delta_family(fam)
+    assert d.dtype == np.int64 and d.shape == (g.order,)
+    assert np.array_equal(d, sum(delta_block(b, convention)
+                                 for b in fam.blocks))
+    assert np.array_equal(d, sum(brute_delta(g, b.positions(), convention)
+                                 for b in fam.blocks))
+    kept = multisets._family_tally(fam)[0]
+    assert d.base is kept and np.shares_memory(d, kept)  # no copy
+    with pytest.raises(ValueError):
+        d[0] += 1
+    with pytest.raises(ValueError):
+        d.setflags(write=True)
+    assert verify(fam) == report
+
+
+def _peak_mb_of(code: str) -> int:
+    """VmHWM, in MB, of a fresh interpreter that runs code."""
+    child = f"{code}\nfrom pdfam.cli import peak_rss_mb\nprint(peak_rss_mb())\n"
+    src = str(Path(multisets.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1])
+
+
+@pytest.mark.parametrize("code", [
+    "delta_family(paley_double_sdf(6007).family)",
+    "delta_block(paley_double_sdf(10007).family.blocks[0])",
+], ids=["family-q6007", "block-q10007"])
+def test_paley_differences_stay_under_60_mb(code):
+    """Differences laid out one per position took 36M (q=6007) and 100M
+    (q=10007) int64 positions, 306 MB and 795 MB peaks; the count arrays
+    hold a few hundred KB."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    assert _peak_mb_of(
+        "from pdfam.constructions import paley_double_sdf\n"
+        "from pdfam.multisets import delta_block, delta_family\n"
+        f"{code}") < 60

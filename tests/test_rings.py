@@ -461,3 +461,33 @@ def test_is_unit_array_names_first_out_of_range_entry():
                  ProductRing([GaloisField(3, 1), GaloisField(5, 1)])):
         with pytest.raises(IndexError, match=f"{ring.order + 2} outside"):
             ring.is_unit(np.array([1, ring.order + 2, -1]))
+
+
+# a ring constructor refuses what make_ring refuses in the same field, with
+# the same one-line message
+def test_zmod_refuses_a_non_integer_modulus():
+    with pytest.raises(ValueError, match=r"^n 7\.5 is not an integer$"):
+        Zmod(7.5)
+    with pytest.raises(ValueError, match=r"^n 7\.5 is not an integer$"):
+        make_ring({"type": "zmod", "n": 7.5})
+
+
+def test_gf_refuses_a_bool_degree():
+    with pytest.raises(ValueError, match="^k True is not an integer$"):
+        GaloisField(7, True)
+    with pytest.raises(ValueError, match="^k True is not an integer$"):
+        make_ring({"type": "gf", "p": 7, "k": True})
+
+
+def test_gf_refuses_a_float_characteristic():
+    with pytest.raises(ValueError, match=r"^p 7\.0 is not an integer$"):
+        GaloisField(7.0)
+    with pytest.raises(ValueError, match=r"^p 7\.0 is not an integer$"):
+        make_ring({"type": "gf", "p": 7.0})
+
+
+def test_ring_constructors_store_numpy_integers_as_ints():
+    f, z = GaloisField(np.int64(7), np.int64(2)), Zmod(np.int64(9))
+    assert type(f.p) is int and type(f.k) is int and type(z.order) is int
+    assert f.descriptor() == {"type": "gf", "p": 7, "k": 2}
+    assert z.descriptor() == {"type": "zmod", "n": 9}

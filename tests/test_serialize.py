@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pdfam.catalog import order32_family
-from pdfam.constructions import (Prediction, expand_hadamard_pdf, make_recipe)
+from pdfam.catalog import order32_family, trivial_hds_family
+from pdfam.constructions import (Prediction, complement_pdf,
+                                 expand_hadamard_pdf, make_recipe)
 from pdfam.groups import CyclicGroup, ProductGroup, Semidirect32, make_group
 from pdfam.multisets import PDF, RELATIVE_PDF, Multiset, make_family, verify
 from pdfam.rings import GaloisField, make_ring
@@ -28,7 +30,7 @@ def test_family_round_trip_forbidden_and_multiset_blocks():
     fam = make_family(g, [block], forbidden=[0, 7, 14, 21])
     back = family_from_json(family_to_json(fam))
     assert back == fam
-    assert back.blocks[0].mult(5) == 2
+    assert back.blocks[0].positions().count(5) == 2
     assert back.forbidden == frozenset({0, 7, 14, 21})
 
 
@@ -122,3 +124,39 @@ def test_family_decode_shares_one_group_per_descriptor():
     numpy_n = family_from_json({"group": {"type": "cyclic", "n": np.int64(5)},
                                 "blocks": [[1]], "forbidden": None})
     assert numpy_n.group == CyclicGroup(5)
+
+
+def test_a_numpy_order_certifies_and_encodes():
+    # the order used to stay an np.int64 and fail to encode after certifying
+    res = complement_pdf(CyclicGroup(np.int64(4)), [0])
+    assert res.certified
+    doc = json.loads(canonical_dumps(result_to_json(res)))
+    assert doc["family"]["group"] == {"type": "cyclic", "n": 4}
+    assert doc["declared"]["v"] == 4
+
+
+def test_prediction_refuses_non_integers_as_its_decoder_does():
+    with pytest.raises(ValueError, match=r"^v 28\.0 is not an integer$"):
+        Prediction(PDF, 28.0, (2.0, 6.0, 4.0), 4.0)
+    with pytest.raises(ValueError, match=r"^v 28\.0 is not an integer$"):
+        prediction_from_json({"kind": PDF, "v": 28.0, "K": [2, 6],
+                              "lambda_or_mu": 4})
+    with pytest.raises(ValueError, match=r"^K \(2\.0, 6\.0, 4\.0\) is not "
+                                         "an array of integers$"):
+        Prediction(PDF, 28, (2.0, 6.0, 4.0), 4)
+    with pytest.raises(ValueError, match="^h True is not an integer$"):
+        Prediction(RELATIVE_PDF, 28, (2, 6), 4, h=True)
+
+
+def test_recipe_refuses_a_float_f_map_as_its_decoder_does():
+    rec = make_recipe(trivial_hds_family(), GaloisField(7))
+    assert rec.f_map == (3, 3, 2, 6)
+    floats = (3.0, 3.0, 2.0, 6.0)
+    with pytest.raises(ValueError, match=r"^f_map \(3\.0, 3\.0, 2\.0, 6\.0\) "
+                                         "is not an array of integers$"):
+        replace(rec, f_map=floats)
+    doc = recipe_to_json(rec)
+    doc["f_map"] = list(floats)
+    with pytest.raises(ValueError, match=r"^f_map \[3\.0, 3\.0, 2\.0, 6\.0\] "
+                                         "is not an array of integers$"):
+        recipe_from_json(doc)

@@ -88,6 +88,35 @@ def test_every_private_name_is_read():
         {p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == []
 
 
+def _counter_imports(source: str) -> list[int]:
+    """The lines where a source imports collections.Counter, or reads it
+    off the collections module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "collections"
+            and any(a.name == "Counter" for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "Counter"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "collections"]
+
+
+def test_counter_import_check_flags_both_spellings():
+    assert _counter_imports(
+        "from collections import Counter as C, deque\n"
+        "import collections\n"
+        "tally = collections.Counter()\n"
+        "from typing import Counter\n"
+        "counts = deque()\n") == [1, 3]
+
+
+def test_library_imports_no_counter():
+    """Difference counts, covers and multiplicities are int64 arrays
+    indexed by element, not Counters keyed by element."""
+    assert {p.name: _counter_imports(p.read_text())
+            for p in PACKAGE.glob("*.py")
+            if _counter_imports(p.read_text())} == {}
+
+
 def _third_party_imports(source: str, local: set[str]) -> set[str]:
     """Top-level names of the modules a source imports or importorskips
     that are neither in the standard library nor local."""
