@@ -103,9 +103,12 @@ class Prediction:
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in _REFINEMENTS):
             raise ValueError(f"unknown declared kind {self.kind!r}")
-        for key in ("v", "lambda_or_mu", "h"):  # as the JSON decoder does
-            _int_field(vars(self), key)
-        _field(vars(self), "K", _ints, "an array of integers")
+        # checked as the JSON decoder does; numpy integers are stored as
+        # Python ints, so the prediction encodes
+        for key in ("v", "lambda_or_mu", "h"):
+            object.__setattr__(self, key, _int_field(vars(self), key))
+        object.__setattr__(self, "K", tuple(map(int, _field(
+            vars(self), "K", _ints, "an array of integers"))))
 
     def matches(self, report) -> bool:
         return (report.kind in _REFINEMENTS[self.kind]
@@ -345,6 +348,10 @@ class ExpansionRecipe:
         if np.isin(ring.neg(np.array(starters)), starters).any():
             raise RecipeInvariantError(
                 "starters must pick one element per {h,-h} pair")
+        # every entry is checked to be an integer; numpy integers are
+        # stored as Python ints, so the recipe encodes
+        for key in ("y", "f_map", "starters"):
+            object.__setattr__(self, key, tuple(map(int, getattr(self, key))))
 
 
 def make_recipe(pdf: DesignFamily, ring: Ring,

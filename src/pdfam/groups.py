@@ -193,6 +193,10 @@ class ProductGroup(FiniteGroup):
         factors = tuple(factors)
         if not factors:
             raise ValueError("product needs at least one factor")
+        for f in factors:
+            if not isinstance(f, FiniteGroup):
+                raise ValueError(f"product factor {reprlib.repr(f)} is not "
+                                 "a group")
         self.factors = factors
         self.arity = sum(f.arity for f in factors)
         # stride[i] = product of orders of factors to the right of i

@@ -11,6 +11,7 @@ operation.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,6 +291,10 @@ class ProductRing(Ring):
 
     def __init__(self, factors):
         self.factors = tuple(factors)
+        for f in self.factors:
+            if not isinstance(f, Ring):
+                raise ValueError(f"product factor {reprlib.repr(f)} is not "
+                                 "a ring")
         super().__init__(ProductGroup(f.additive for f in self.factors))
         self.one = self.additive.join(f.one for f in self.factors)
 

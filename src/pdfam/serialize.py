@@ -1,7 +1,9 @@
 """JSON codecs for groups, rings, families, reports, and recipes.
 
-Files are emitted through canonical_dumps (sorted keys, two-space indent,
-trailing newline) so identical inputs produce byte-identical output.  A
+Files are emitted through canonical_dumps, whose text is byte-identical to
+json.dumps(obj, sort_keys=True, indent=2) plus a newline, so identical
+inputs produce byte-identical output; it joins an array of ints in one pass
+where the stdlib's indented encoder steps once per entry in Python.  A
 family's own JSON has no convention; the construction and recipe wrappers
 record the family's convention, and decoding hands it back to the family.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+from json.encoder import encode_basestring_ascii
 
 from .constructions import ConstructionResult, ExpansionRecipe, Prediction
 from .groups import (DEFAULT_CONVENTION, DiffConvention, _field, _int_field,
@@ -20,7 +23,40 @@ from .rings import make_ring
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) plus a newline, byte for
+    byte, with the same exception where it raises one; an array of ints is
+    joined in one pass instead of one encoder step per entry."""
+    try:
+        return _write(obj, "") + "\n"
+    except RecursionError:  # circular or very deep: the stdlib's answer
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _write(x, pad: str) -> str:
+    """x as the stdlib's sort_keys=True, indent=2 text at indentation pad.
+
+    Exact ints and strs, int-only arrays and str-keyed objects are written
+    here; any other value goes to the stdlib, re-indented, which is exact
+    because JSON text holds no raw newline inside a string.
+    """
+    t = type(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if (t is list or t is tuple) and x:
+        if set(map(type, x)) == {int}:
+            body = sep.join(map(int.__repr__, x))
+        else:
+            body = sep.join([_write(v, inner) for v in x])
+        return f"[\n{inner}{body}\n{pad}]"
+    if t is dict and set(map(type, x)) == {str}:
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_write(x[k], inner)}"
+                         for k in sorted(x)])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 def _decoder(fn):

@@ -156,9 +156,13 @@ def test_element_guard_names_the_entry_or_the_dtype(bad, named):
     (lambda: CyclicGroup(0), ValueError, "order must be positive"),
     (lambda: ProductGroup([]), ValueError,
      "product needs at least one factor"),
+    (lambda: ProductGroup([2]), ValueError, "product factor 2 is not a group"),
+    (lambda: ProductGroup([CyclicGroup(2), "x"]), ValueError,
+     "product factor 'x' is not a group"),
     (lambda: Semidirect32().index_of((4, 0)), ElementOutOfRangeError,
      r"bad coordinates \(4,0\)"),
-], ids=["Z0", "empty-product", "semidirect32-x-4"])
+], ids=["Z0", "empty-product", "int-factor", "str-factor",
+        "semidirect32-x-4"])
 def test_groups_refuse_bad_input(build, error, says):
     with pytest.raises(error, match=f"^{says}$"):
         build()

@@ -486,6 +486,12 @@ def test_gf_refuses_a_float_characteristic():
         make_ring({"type": "gf", "p": 7.0})
 
 
+def test_product_ring_refuses_a_factor_that_is_not_a_ring():
+    # a bare AttributeError on .additive before
+    with pytest.raises(ValueError, match="^product factor 7 is not a ring$"):
+        ProductRing([7])
+
+
 def test_ring_constructors_store_numpy_integers_as_ints():
     f, z = GaloisField(np.int64(7), np.int64(2)), Zmod(np.int64(9))
     assert type(f.p) is int and type(f.k) is int and type(z.order) is int

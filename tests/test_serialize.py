@@ -1,8 +1,11 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pdfam.catalog import order32_family, trivial_hds_family
 from pdfam.constructions import (Prediction, complement_pdf,
@@ -160,3 +163,76 @@ def test_recipe_refuses_a_float_f_map_as_its_decoder_does():
     with pytest.raises(ValueError, match=r"^f_map \[3\.0, 3\.0, 2\.0, 6\.0\] "
                                          "is not an array of integers$"):
         recipe_from_json(doc)
+
+
+@pytest.mark.parametrize("field", ["v", "K", "lambda_or_mu", "h"])
+def test_prediction_stores_numpy_integers_as_ints(field):
+    # a numpy field used to be kept and fail to encode
+    ints = Prediction(RELATIVE_PDF, 28, (2, 2, 2, 6, 6, 6), 4, h=4)
+    value = getattr(ints, field)
+    numpy = replace(ints, **{field: tuple(map(np.int64, value))
+                             if field == "K" else np.int64(value)})
+    assert canonical_dumps(prediction_to_json(numpy)) == canonical_dumps(
+        prediction_to_json(ints))
+
+
+@pytest.mark.parametrize("field", ["y", "f_map", "starters"])
+def test_recipe_stores_numpy_integers_as_ints(field):
+    # numpy entries passed every recipe check and then failed to encode
+    ints = make_recipe(trivial_hds_family(), GaloisField(7))
+    entries = tuple(map(np.int64, getattr(ints, field)))
+    numpy = replace(ints, **{field: entries})
+    assert canonical_dumps(recipe_to_json(numpy)) == canonical_dumps(
+        recipe_to_json(ints))
+
+
+def _text_or_error(encode, value):
+    """The text encode writes for value, or the type and message of what
+    it raises."""
+    try:
+        return encode(value)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def _stdlib(value):
+    # the reference: canonical_dumps must write exactly this
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+_KEYS = st.one_of(st.integers(), st.booleans(), st.none(), st.floats())
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(),
+              st.integers(-2**63, 2**63 - 1), st.integers(),
+              st.floats(), st.sampled_from([math.nan, math.inf, -math.inf,
+                                            -0.0]),
+              st.text(),
+              st.sampled_from(["\u00e9\u4e2d\n", "\x00\x1f\t\"\\"])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=6),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=12)
+
+
+@seed(1504)
+@settings(max_examples=200, deadline=None)
+@given(_VALUES)
+def test_canonical_dumps_matches_the_stdlib(value):
+    assert _text_or_error(canonical_dumps, value) == _text_or_error(
+        _stdlib, value)
+
+
+_circular = []
+_circular.append(_circular)
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(3), [1, np.int64(2), 3], {"a": [1, 2], "b": np.int64(4)},
+    set(), [[], {}, ()], {"a": {"b": []}, "c": [{}]}, _circular,
+], ids=["numpy-top", "numpy-in-int-list", "numpy-in-dict", "set",
+        "empty-in-list", "empty-in-dict", "circular"])
+def test_canonical_dumps_matches_the_stdlib_on(value):
+    assert _text_or_error(canonical_dumps, value) == _text_or_error(
+        _stdlib, value)

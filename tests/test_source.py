@@ -117,6 +117,43 @@ def test_library_imports_no_counter():
             if _counter_imports(p.read_text())} == {}
 
 
+def _indented_json_writes(source: str) -> list[int]:
+    """The lines where a source calls json.dump or json.dumps, or a dump or
+    dumps imported from json, with an indent keyword."""
+    tree = ast.parse(source)
+    from_json = {a.asname or a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "json"
+                 for a in node.names if a.name in ("dump", "dumps")}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and any(k.arg == "indent" for k in node.keywords)
+            and (isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("dump", "dumps")
+                 and isinstance(node.func.value, ast.Name)
+                 and node.func.value.id == "json"
+                 or isinstance(node.func, ast.Name)
+                 and node.func.id in from_json)]
+
+
+def test_indented_json_check_flags_both_spellings():
+    assert _indented_json_writes(
+        "import json\n"
+        "from json import dumps as d\n"
+        "a = json.dumps(x, indent=2)\n"
+        "b = json.dumps(x, sort_keys=True)\n"
+        "json.dump(x, f,\n          indent=None)\n"
+        "c = d(x, indent=4)\n"
+        "e = text.dumps(x, indent=2)\n") == [3, 5, 7]
+
+
+def test_only_serialize_writes_indented_json():
+    """Every file the library writes goes through canonical_dumps, so its
+    comparison with the stdlib covers all of pdfam's output."""
+    assert {p.name: _indented_json_writes(p.read_text())
+            for p in PACKAGE.glob("*.py") if p.name != "serialize.py"
+            and _indented_json_writes(p.read_text())} == {}
+
+
 def _third_party_imports(source: str, local: set[str]) -> set[str]:
     """Top-level names of the modules a source imports or importorskips
     that are neither in the standard library nor local."""
