@@ -3,15 +3,14 @@
 Every construction returns a ConstructionResult carrying the built family,
 the parameters it should have, and the verifier's independent report; the
 `certified` flag compares the two.  Nothing is trusted: the verifier
-counts every difference of the built blocks.  A family built as an
-extension of one already verified (the complement pair of a difference
-set, an expansion's completion of its relative family) is tallied as that
-family's kept tally plus its added blocks (multisets._extend).
+counts every difference of the built blocks, or of the blocks added to a
+family it has already verified (multisets._extend).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -19,8 +18,8 @@ from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup, _field, _indices, _int_field,
                      _int_matrix, _ints, _is_int, endomorphism_mask)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
-                        DesignFamily, Multiset, VerificationReport,
-                        _blocks_of, _extend, make_family, verify)
+                        DesignFamily, Multiset, VerificationReport, _extend,
+                        _family, _sort_blocks, make_family, verify)
 from .rings import (EvenOrderError, GaloisField, ProductRing, Ring,
                     build_y_powers, check_y_condition, factorize, is_prime,
                     maximal_prime_power_divisors, starter_reps)
@@ -146,7 +145,7 @@ def complement_pdf(group: FiniteGroup, block,
     v, k = group.order, d.size
     if not k or k >= v:
         raise NotADifferenceSetError("need a nonempty proper subset")
-    ds = DesignFamily(group, (d,), convention=convention)
+    ds = _family(group, x, np.array([0, k]), None, convention)
     ds_report = verify(ds)
     if ds_report.kind != DS or ds_report.h != 1:
         raise NotADifferenceSetError(
@@ -156,7 +155,7 @@ def complement_pdf(group: FiniteGroup, block,
     rest = np.ones(v, dtype=bool)
     rest[x] = False
     comp = np.flatnonzero(rest)
-    fam = _extend(ds, _blocks_of(group, comp, [len(comp)]))
+    fam = _extend(ds, comp, np.array([0, len(comp)]))
     pred = Prediction(PDF, v, tuple(sorted((k, v - k))), v - 2 * k + 2 * lam)
     return ConstructionResult(fam, verify(fam), pred)
 
@@ -179,8 +178,8 @@ def double_sdf(pdf: DesignFamily) -> ConstructionResult:
     doubles to a (2*lam, 2K, 4*lam)-SDF.
     """
     rep = _hadamard_report(pdf)
-    doubled = make_family(pdf.group, [b.scaled(2) for b in pdf.blocks],
-                          convention=pdf.convention)
+    doubled = _family(pdf.group, np.repeat(pdf.positions, 2),
+                      2 * pdf.offsets, None, pdf.convention)
     pred = Prediction(SDF, rep.v, tuple(sorted(2 * k for k in rep.K)),
                       4 * rep.lambda_or_mu)
     return ConstructionResult(doubled, verify(doubled), pred)
@@ -222,16 +221,13 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
     """Lift a strong difference family to a relative difference family.
 
     lifts[i] is a set of (g, h) pairs projecting onto the i-th block of the
-    strong family; endos is a list of endomorphism value tables of the
-    second group, integer arrays of length |H|.  When mu * len(endos) =
-    lam * (|H|-1) and the combined endomorphism images of every difference
-    fiber L_g cover H minus zero uniformly lam times, the images of the
-    lifts under all (g,h)->(g,e(h)) form a (|G||H|, G x {0}, ^e K, lam)
-    difference family in G x H, read under the strong family's convention.
-
-    This public entry checks its inputs (strong family, identity, table
-    shape, type, range and endomorphism_mask, lifts), then runs the core
-    shared with expand_hadamard_pdf (_lift), whose certificate decides.
+    strong family; endos is a list of endomorphism value tables of H, of
+    length |H|.  When mu * len(endos) = lam * (|H|-1) and the endomorphism
+    images of every difference fiber L_g cover H minus zero lam times, the
+    images of the lifts under all (g,h)->(g,e(h)) form a (|G||H|, G x {0},
+    ^e K, lam) difference family in G x H, under the family's convention.
+    The inputs are checked, then the core shared with expand_hadamard_pdf
+    (_lift) runs, and its certificate decides.
     """
     g_group, hn = sdf.group, h_group.order
     _check_strong(sdf, len(endos), lam * (hn - 1))
@@ -248,15 +244,16 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
     if not endomorphism_mask(h_group, tables).all():
         raise ValueError("table is not an endomorphism")
 
-    if len(lifts) != len(sdf.blocks):
+    bounds = sdf.offsets.tolist()
+    if len(lifts) != len(bounds) - 1:
         raise ProjectionMismatchError("one lift block per strong block")
     pairs, lengths = [], []
-    for i, (block, x) in enumerate(zip(lifts, sdf.blocks)):
+    for i, (block, (a, b)) in enumerate(zip(lifts, pairwise(bounds))):
         gs, hs = zip(*block) if block else ((), ())
         gs, hs = _indices(g_group, list(gs)), _indices(h_group, list(hs))
         if len(set(zip(gs, hs))) != len(gs):
             raise ProjectionMismatchError(f"lift block {i} has repeats")
-        if not np.array_equal(np.sort(gs), x.elements):
+        if not np.array_equal(np.sort(gs), sdf.positions[a:b]):
             raise ProjectionMismatchError(
                 f"projection of lift block {i} does not match the strong "
                 f"family block")
@@ -275,20 +272,17 @@ def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
 def _lift(ambient: ProductGroup, gs, lengths, images, lam: int,
           convention: DiffConvention) -> ConstructionResult:
     """The verified relative family of the blocks {(gs[j], images[t, j])},
-    one per lifted block (the next lengths[i] positions) and table t.  A
-    table that collapses a block repeats an element of it, whose identity
-    difference on G x {0} fails certification; in the expansion no starter
-    sends the h-difference 2f(d) of a lifted pair to zero."""
+    one per lifted block (the next lengths[i] positions) and table t; a
+    table that collapses a block repeats an element, which fails it."""
     g_group, h_group = ambient.factors
-    rows = [np.sort(r, axis=1) for r in np.split(
-        ambient.join((gs, images)), np.cumsum(lengths)[:-1], axis=1)]
-    sizes = np.repeat(lengths, len(images)).tolist()
-    blocks = _blocks_of(ambient, np.concatenate([r.ravel() for r in rows]),
-                        sizes)
+    # block (i, t) is lifted block i under table t, laid out i-major
+    flat = np.concatenate([part.ravel() for part in np.split(
+        ambient.join((gs, images)), np.cumsum(lengths)[:-1], axis=1)])
+    sizes = np.repeat(lengths, len(images))
     forbidden = ambient.join((np.arange(g_group.order), h_group.identity))
-    fam = DesignFamily(ambient, tuple(blocks), frozenset(forbidden.tolist()),
-                       convention)
-    pred = Prediction(DF, ambient.order, tuple(sorted(sizes)), lam,
+    fam = _family(ambient, *_sort_blocks(flat, sizes, ambient.order),
+                  frozenset(forbidden.tolist()), convention)
+    pred = Prediction(DF, ambient.order, tuple(sorted(sizes.tolist())), lam,
                       h=g_group.order)
     return ConstructionResult(fam, verify(fam), pred)
 
@@ -296,11 +290,8 @@ def _lift(ambient: ProductGroup, gs, lengths, images, lam: int,
 @dataclass(frozen=True)
 class ExpansionRecipe:
     """Everything needed to replay one ring expansion of a Hadamard PDF,
-    whose differences are read under the convention of the family pdf.
-
-    However it is built, a recipe checks every invariant that does not need
-    its base certified; validate_recipe certifies the base.
-    """
+    read under the convention of pdf.  However it is built, a recipe checks
+    every invariant that does not need its base certified."""
 
     pdf: DesignFamily
     ring: Ring
@@ -328,17 +319,16 @@ class ExpansionRecipe:
         _field(vars(self), "f_map", _ints, "an array of integers")
         if len(self.f_map) != self.pdf.group.order:
             raise RecipeInvariantError("f must be defined on the whole group")
-        yset = set(self.y)
-        for block in self.pdf.blocks:
-            seen = set()
-            for d in block.positions():
-                fd = self.f_map[d]
-                if fd not in yset:
-                    raise RecipeInvariantError(f"f({d}) = {fd} is outside Y")
-                if fd in seen:
-                    raise RecipeInvariantError(
-                        f"f repeats the value {fd} inside one block")
-                seen.add(fd)
+        yset, seen, sizes = set(self.y), set(), np.diff(self.pdf.offsets)
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        for i, d in zip(block.tolist(), self.pdf.positions.tolist()):
+            fd = self.f_map[d]
+            if fd not in yset:
+                raise RecipeInvariantError(f"f({d}) = {fd} is outside Y")
+            if (i, fd) in seen:
+                raise RecipeInvariantError(
+                    f"f repeats the value {fd} inside one block")
+            seen.add((i, fd))
         n = (ring.order - 1) // 2
         if len(self.starters) != n or len(set(self.starters)) != n:
             raise RecipeInvariantError(f"need {n} distinct starters")
@@ -357,14 +347,10 @@ class ExpansionRecipe:
 def make_recipe(pdf: DesignFamily, ring: Ring,
                 completion: str = COMPLETION_SINGLE, y=None
                 ) -> ExpansionRecipe:
-    """Canonical recipe over a Hadamard PDF: power-built Y, block-position
-    f, canonical starters.
-
-    f sends the j-th element of each block (canonical element order) to the
-    j-th element of Y; Y defaults to the diagonal powers of the canonical
-    primitive elements when the ring is a field or a product of fields.
-    The base is certified here and the recipe checks the rest.
-    """
+    """Canonical recipe over a Hadamard PDF, certified here: f sends the
+    j-th element of each block to the j-th element of Y, which defaults to
+    the diagonal powers of the canonical primitive elements of a field or a
+    product of fields, and the starters are canonical."""
     _hadamard_report(pdf)
     starters = tuple(starter_reps(ring))  # refuses an even ring
     if y is None:
@@ -375,9 +361,12 @@ def make_recipe(pdf: DesignFamily, ring: Ring,
                 f"no canonical unit set for this ring ({exc}); pass one") from exc
     y = _indices(ring.additive, list(y))
     f_map = np.full(pdf.group.order, -1)
-    for block in pdf.blocks:
-        # a Y shorter than the block leaves a -1; the recipe refuses |Y|
-        f_map[block.elements[:len(y)]] = y[:block.size]
+    # the rank of each position in its block; a Y shorter than the block
+    # leaves a -1, and the recipe refuses |Y|
+    rank = np.arange(len(pdf.positions)) - np.repeat(
+        pdf.offsets[:-1], np.diff(pdf.offsets))
+    fits = rank < len(y)
+    f_map[pdf.positions[fits]] = np.array(y, dtype=np.int64)[rank[fits]]
     return ExpansionRecipe(pdf, ring, tuple(y), tuple(f_map.tolist()),
                            starters, completion)
 
@@ -398,26 +387,20 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     """Expand a Hadamard (2*lam,K,lam)-PDF by an odd-order ring.
 
     Each block element d lifts to the pair (d, f(d)), (d, -f(d)); every
-    starter multiplies the lifted blocks; the result is a relative PDF over
-    the product group whose completion over the zero fiber gives an
-    ordinary PDF with doubled index.  The "single" completion appends the
-    whole zero fiber as one block, "per-block" appends one zero-fiber copy
-    of each original block.
-
-    Only the base is certified here (validate_recipe); with the recipe's
-    own checks it implies the fiber conditions.  A difference at g != 0
-    comes from one of the lam ordered pairs d, d' in a base block with
-    d - d' = g, as the four values +-f(d) -+ f(d'): differences of distinct
-    elements of Y u -Y, since f is injective into Y on the block, so units
-    by the recipe.  The fiber at g = 0 holds +-2f(d) for the v = 2*lam
-    elements d.  So every fiber holds 4*lam units, closed under negation,
-    and the starters, one per {h,-h} pair, cover H minus zero 2*lam times
-    from it; none sends the unit 2f(d) to zero, so no block collapses; the
-    images keep g, so each block sweeps its own fiber once (the
-    RELATIVE_PDF check below).  Starter tables are additive by
-    distributivity; _lift's verify and the final verify certify.  The
-    final family extends the relative one, so its verify counts only the
-    zero-fiber blocks' differences on top of the relative family's tally.
+    starter multiplies the lifted blocks, giving a relative PDF over the
+    product group, and its completion over the zero fiber (one block, or
+    one copy of each base block per "per-block") an ordinary PDF of doubled
+    index.  Only the base is certified here (validate_recipe); with the
+    recipe's own checks it implies the fiber conditions.  A difference at
+    g != 0 comes from one of the lam pairs d, d' in a base block with
+    d - d' = g, as the four values +-f(d) -+ f(d'), units by the recipe
+    since f is injective into Y on the block; the fiber at g = 0 holds
+    +-2f(d) for the 2*lam elements d.  So every fiber holds 4*lam units,
+    closed under negation, which the starters, one per {h,-h} pair, spread
+    over H minus zero 2*lam times; none sends 2f(d) to zero, and the images
+    keep g, so each block sweeps its own fiber once (the RELATIVE_PDF check
+    below).  _lift's verify and the final one certify; the final family
+    extends the relative one, so only the zero fiber is tallied again.
     """
     base = validate_recipe(recipe)
     lam, n = base.lambda_or_mu, len(recipe.starters)
@@ -426,13 +409,13 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     ambient = ProductGroup([g_group, h_group])
 
     # lifted block i: (d, f(d)), (d, -f(d)) for d in block i, in order
-    sources = [b.elements for b in recipe.pdf.blocks]
-    lengths = [2 * len(s) for s in sources]
-    gs = np.repeat(np.concatenate(sources), 2)
+    pdf = recipe.pdf
+    lengths = 2 * np.diff(pdf.offsets)
+    gs = np.repeat(pdf.positions, 2)
     fd = np.asarray(recipe.f_map, dtype=np.int64)[gs[::2]]
     hs = np.stack((fd, h_group.neg(fd)), axis=1).ravel()
 
-    _check_strong(double_sdf(recipe.pdf).family, n,
+    _check_strong(double_sdf(pdf).family, n,
                   2 * lam * (ring.order - 1))
     tables = np.fromiter(
         (ring.mul(s, h) for s in recipe.starters for h in range(ring.order)),
@@ -443,14 +426,14 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
         raise RecipeInvariantError(
             "starter images do not sweep the block fiber exactly once")
 
-    # sorted rows: joining a fixed h keeps the order of g
-    zero_fiber = ([np.arange(g_group.order)]
-                  if recipe.completion == COMPLETION_SINGLE else sources)
-    final = _extend(relative.family, _blocks_of(
-        ambient, ambient.join((np.concatenate(zero_fiber), h_group.identity)),
-        list(map(len, zero_fiber))))
+    # sorted blocks: joining a fixed h keeps the order of g
+    zero, bounds = ((np.arange(g_group.order), np.array([0, g_group.order]))
+                    if recipe.completion == COMPLETION_SINGLE
+                    else (pdf.positions, pdf.offsets))
+    final = _extend(relative.family, ambient.join((zero, h_group.identity)),
+                    bounds)
     sizes = [2 * k for k in base.K for _ in range(n)]
-    sizes += map(len, zero_fiber)
+    sizes += np.diff(bounds).tolist()
     pred = Prediction(PDF, ambient.order, tuple(sorted(sizes)), 2 * lam)
     return ExpansionResult(final, verify(final), pred, recipe=recipe,
                            relative=relative)
@@ -528,6 +511,7 @@ def expand_nonabelian32(m: int,
     largest block."""
     from .catalog import order32_family
 
-    pdf = replace(order32_family(), convention=convention)
+    base = order32_family()
+    pdf = _family(base.group, base.positions, base.offsets, None, convention)
     _check_divisors(m, 2 * max(pdf.block_sizes))
     return _both_completions(pdf, m)

@@ -2,46 +2,29 @@
 
 delta_block(X) counts the differences x - x' over ordered pairs of distinct
 positions of the multiset X (a repeated element gives identity differences)
-in an int64 array indexed by element, and delta_family sums them over a
-family's blocks.  A DesignFamily carries the difference convention its
-differences are read under (right by default; the CLI settles it as it
-decodes a family file), and delta_family and verify read it from the family.
-verify() counts the differences once per family object (its tally is then
-kept, below) and classifies the family; it never trusts declared parameters.
-
-A block (Multiset) is the sorted, read-only int64 array of its positions.
-Outside positions reach a block by one checked path (_checked), shared by
-Multiset and make_family; positions a construction computed itself are
-laid out unchecked (_blocks_of).
-
-verify is two private parts.  _tally counts, for rows of elements, the
-differences, the cover (positions per element) and the sorted row
-lengths; all three add up over rows, and delta_block and delta_family
-return its counts.  _judge reads only a tally and the family's group and
-forbidden set, and settles H, lambda, the kind, the partition target and
-the first witness.
-
-A family's tally is kept on the family object (_family_tally): it is
-counted on first use, stored read-only in the object's own __dict__ and
-read again by every later verify or delta_family of that object.  It is
-not a field, so equality, repr, dataclasses.replace and the JSON never see
-it, and a new family object, however equal, is tallied from its blocks.
-An extension (_extend) is a family whose leading blocks are another
-family's own block objects, over the same group and convention, with no
-forbidden subgroup; since the tally adds up over rows, its tally is
-counted as it is built, as the other family's kept tally plus the tally
-of the added blocks alone.
+in an int64 array indexed by element; delta_family sums them over a
+family's blocks, read under the family's difference convention.
+verify() classifies a family from its own counts and never trusts
+declared parameters.  A family is one flat layout (DesignFamily).  Outside
+positions reach a Multiset or a family by one checked path (_placed;
+_checked for a family) once their types are checked, here or by the JSON
+decoder in its own pass; positions a construction computed itself are
+laid out unchecked (_family).  verify is a tally (_tally), kept on the
+family object (_family_tally) so later calls judge it again, and a judge
+(_judge).  An extension (_extend) is tallied as the kept tally of the
+family it extends plus the tally of the added blocks alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby
+from functools import cached_property
+from itertools import chain, groupby, pairwise
 
 import numpy as np
 
-from .groups import (DEFAULT_CONVENTION, DiffConvention, FiniteGroup, _indices,
-                     is_subgroup)
+from .groups import (DEFAULT_CONVENTION, DiffConvention, FiniteGroup,
+                     _indices, is_subgroup)
 
 
 class GroupMismatchError(ValueError):
@@ -59,16 +42,16 @@ INVALID = "Invalid"
 
 
 class Multiset:
-    """Multiset of group elements, stored as the sorted, read-only int64
-    array of its positions: canonical element indices, each repeated per
-    multiplicity, built from an iterable of positions by make_family's
-    check (_checked)."""
+    """Multiset of group elements: the sorted, read-only int64 array of its
+    positions, each element repeated per multiplicity, built from an
+    iterable of positions by the checked path make_family shares."""
 
     __slots__ = ("group", "elements")
 
     def __init__(self, group: FiniteGroup, elements=()):
-        (block,) = _checked(group, [elements])
-        self.group, self.elements = group, block.elements
+        row = _indices(group, _row(elements))
+        self.group, self.elements = group, _placed(group, row, [len(row)])[0]
+        self.elements.setflags(False)
 
     @property
     def size(self) -> int:
@@ -82,8 +65,7 @@ class Multiset:
         """The multiset with every multiplicity scaled by r."""
         if r < 0:
             raise ValueError("negative scale")
-        return _blocks_of(self.group, np.repeat(self.elements, r),
-                          [r * self.size])[0]
+        return Multiset(self.group, np.repeat(self.elements, r))
 
     def __eq__(self, other):
         return (isinstance(other, Multiset)
@@ -104,34 +86,56 @@ class Multiset:
         return f"Multiset{{{inner}}}"
 
 
-def _blocks_of(group: FiniteGroup, flat: np.ndarray,
-               lengths) -> list[Multiset]:
-    """Multisets of the checked positions laid end to end in flat and
-    sorted within blocks of the given lengths.  Each block is a read-only
-    slice of flat, which the blocks take over."""
-    flat.flags.writeable = False
-    bounds = list(accumulate(lengths, initial=0))
-    blocks = []
-    for start, stop in zip(bounds, bounds[1:]):
-        ms = object.__new__(Multiset)
-        ms.group, ms.elements = group, flat[start:stop]
-        blocks.append(ms)
-    return blocks
+def _row(block) -> list:
+    """A block's positions as a list; a dict is refused, not read."""
+    if isinstance(block, dict):
+        raise ValueError("a block is an iterable of positions, not a dict")
+    return block.tolist() if isinstance(block, np.ndarray) else list(block)
 
 
-# pairs per chunk of a tally, so that a chunk's int64 temporaries (256 KiB
-# each) stay in cache; the fastest of 2**12 .. 2**16 on a 2-vCPU Xeon with
-# 2 MiB of L2 per core, for the benchmark's order-1504 expansion and the
-# Paley q=6007 and q=10007 blocks (BENCH_chunked_tally.json)
+def _sort_blocks(x: np.ndarray, sizes, order: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """x, positions below order in blocks of the given sizes laid end to
+    end, sorted within its blocks in place by one sort (block i shifted by
+    i * order) unless it already is, and the block offsets."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    # x[j + 1] < x[j] within a block (a spare last slot takes empty bounds)
+    falls = np.append(x[1:] < x[:-1], False)
+    falls[offsets[1:-1] - 1] = False
+    if falls.any():
+        shift = np.repeat(np.arange(0, len(sizes) * order, order), sizes)
+        x += shift
+        x.sort()
+        x -= shift
+    return x, offsets
+
+
+def _placed(group: FiniteGroup, flat: list, sizes
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The positions and offsets of integers (their types checked by the
+    caller) laid end to end in flat in blocks of the given sizes: range
+    checked in one pass, naming the first element outside the group in
+    list order, and sorted within blocks in one call (_sort_blocks)."""
+    try:
+        x = np.fromiter(flat, np.int64, len(flat))
+    except OverflowError:  # beyond int64, so outside any group
+        x = None
+    if x is None or len(x) and (x.min() < 0 or x.max() >= group.order):
+        group._check(next(e for e in flat if not 0 <= e < group.order))
+    return _sort_blocks(x, sizes, group.order)
+
+
+# pairs per chunk of a tally, so that its int64 temporaries (256 KiB each)
+# stay in cache: the fastest of 2**12 .. 2**16 on a 2-vCPU Xeon with 2 MiB
+# of L2 per core (BENCH_chunked_tally.json)
 CHUNK_CELLS = 2 ** 15
 
 
 def _chunks(x: np.ndarray, cells: int):
-    """Pairs (a, b) of left and right operands, from the same rows of the
-    stack x, whose codes together cover every pair of every row once, each
-    with at most max(cells, k) pairs.  A stack of at most cells pairs is one
-    chunk, x with itself; otherwise a chunk holds whole rows when k * k
-    fits in cells, else a column slice of one row against the whole row."""
+    """Pairs (a, b) of operands from the same rows of the stack x, of at
+    most max(cells, k) pairs each, covering every pair of every row once:
+    x itself, runs of whole rows, or column slices of one row."""
     rows, k = x.shape
     if rows * k * k <= cells:
         return ((x, x),)
@@ -143,33 +147,31 @@ def _chunks(x: np.ndarray, cells: int):
             for i in range(rows) for j in range(0, k, step))
 
 
-def _tally(group: FiniteGroup, rows, convention: DiffConvention
+def _tally(group: FiniteGroup, positions: np.ndarray, offsets: np.ndarray,
+           convention: DiffConvention
            ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """The difference counts, the cover and the sorted lengths of rows of
-    group elements (int64 arrays).  Entry e of the counts is how many
-    ordered pairs of distinct positions of the same row have difference e,
-    and entry e of the cover how many positions hold e; all three add up
-    over rows.
-
-    The rows are laid end to end shortest first, so the rows of each length
-    are one contiguous stack, a view of the laid-out positions, whatever
-    the family's shape.  Each stack is tallied in chunks (_chunks) of about
-    CHUNK_CELLS pairs, or of the plan's grid when that is larger, so that
-    each bincount's zeroing of the grid stays amortised.  A chunk costs one
-    add, one gather per non-cyclic leaf and one bincount onto the grid of
-    the group's difference plan, diagonal included, and its int64
-    temporaries stay in cache: memory does not grow with the sum of the
-    squared row lengths, and a stack that fits in one chunk is tallied in
-    one piece.  The grid is folded onto the elements once, and the
-    diagonal, one identity difference per position, is taken back off.
+    """The difference counts (entry e: ordered pairs of distinct positions
+    of one block with difference e), the cover (entry e: positions that
+    hold e) and the sorted sizes of blocks laid out flat; all three add up
+    over blocks.  The blocks of each size are one stack of rows, a view of
+    the positions unless a size is split across runs of the layout (then
+    gathered into size order), tallied in chunks (_chunks) of about
+    CHUNK_CELLS pairs or of the plan's grid: one add, one gather per
+    non-cyclic leaf and one bincount onto the grid of the group's
+    difference plan each, the diagonal taken off at the end.
     """
-    rows = sorted(rows, key=len)
-    sizes = tuple(map(len, rows))
-    flat = np.concatenate(rows)
+    sizes = offsets[1:] - offsets[:-1]
+    flat = positions
+    if len(set(sizes.tolist())) <= np.count_nonzero(sizes[1:] != sizes[:-1]):
+        order = sizes.argsort(kind="stable")
+        sizes = sizes[order]
+        flat = positions[np.repeat(offsets[order] - np.cumsum(sizes) + sizes,
+                                   sizes) + np.arange(len(positions))]
     plan = group.difference_plan(convention)
     cells = max(CHUNK_CELLS, plan.grid)
+    ks = sizes.tolist()
     tally, at = 0, 0
-    for k, same in groupby(sizes):
+    for k, same in groupby(ks):
         n = len(list(same))
         x = flat[at:at + n * k].reshape(n, k)
         at += n * k
@@ -178,95 +180,117 @@ def _tally(group: FiniteGroup, rows, convention: DiffConvention
                                  minlength=plan.grid)
     counts = plan.to_elements(tally)
     counts[group.identity] -= len(flat)
-    return counts, np.bincount(flat, minlength=group.order), sizes
+    return (counts, np.bincount(flat, minlength=group.order),
+            tuple(sorted(ks)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DesignFamily:
     """Blocks over one group, with an optional forbidden subgroup, and the
-    convention under which its differences are read."""
+    convention its differences are read under, laid out in two read-only
+    int64 arrays: positions (each block sorted, end to end) and offsets
+    (block i is positions[offsets[i]:offsets[i + 1]])."""
 
     group: FiniteGroup
     blocks: tuple[Multiset, ...]
     forbidden: frozenset[int] | None = None
     convention: DiffConvention = DEFAULT_CONVENTION
 
-    def __post_init__(self):
-        if not isinstance(self.convention, DiffConvention):
-            raise ValueError(
-                f"unknown difference convention {self.convention!r}")
-        if not isinstance(self.blocks, tuple):  # a caller's list stays theirs
-            object.__setattr__(self, "blocks", tuple(self.blocks))
-        if not self.blocks:
-            raise ValueError("family needs at least one block")
-        for b in self.blocks:
-            # identity first: == compares descriptors, rebuilt per call
-            if b.group is not self.group and b.group != self.group:
-                raise GroupMismatchError("block over a different group")
-            if b.size == 0:
-                raise ValueError("empty block")
-        if self.forbidden is not None:
-            if not is_subgroup(self.group, self.forbidden):
-                raise ValueError("forbidden set is not a subgroup")
+    def __init__(self, group: FiniteGroup, blocks,
+                 forbidden: frozenset[int] | None = None,
+                 convention: DiffConvention = DEFAULT_CONVENTION):
+        self.__dict__.update(
+            vars(make_family(group, blocks, forbidden, convention)))
+
+    # the blocks field's class attribute, for repr, replace and callers
+    @cached_property
+    def blocks(self) -> tuple[Multiset, ...]:
+        views = []
+        for a, b in pairwise(self.offsets.tolist()):
+            view = object.__new__(Multiset)  # a read-only slice, unchecked
+            view.group, view.elements = self.group, self.positions[a:b]
+            views.append(view)
+        return tuple(views)
 
     # set on the instance, outside the fields, by _keep
     _kept_tally = None
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(b.size for b in self.blocks))
+        return tuple(sorted(np.diff(self.offsets).tolist()))
 
     def __eq__(self, other):
         return (isinstance(other, DesignFamily)
                 and self.group == other.group
-                and self.blocks == other.blocks
+                and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.positions, other.positions)
                 and self.forbidden == other.forbidden
                 and self.convention is other.convention)
 
 
-def _checked(group: FiniteGroup, blocks) -> list[Multiset]:
-    """Multisets of a list of iterables of positions.  The elements of all
-    the blocks are checked in one pass, so the first bad element in block
-    order is the one named, and sorted within their blocks in one call.  A
-    dict is refused, never read as its keys."""
-    if any(isinstance(b, dict) for b in blocks):
-        raise ValueError("a block is an iterable of positions, not a dict")
-    lists = list(map(list, blocks))
-    lengths = list(map(len, lists))
-    flat = np.array(_indices(group, list(chain.from_iterable(lists))),
-                    dtype=np.int64)
-    # block i's positions shifted by i * |G| stay in block order when sorted
-    offset = np.arange(len(lists)).repeat(lengths) * group.order
-    flat += offset
-    flat.sort()
-    flat -= offset
-    return _blocks_of(group, flat, lengths)
+def _family(group: FiniteGroup, positions: np.ndarray, offsets: np.ndarray,
+            forbidden: frozenset[int] | None = None,
+            convention: DiffConvention = DEFAULT_CONVENTION) -> DesignFamily:
+    """A family of positions a construction computed, sorted within the
+    blocks offsets bound; unchecked but for the convention, made read-only."""
+    if not isinstance(convention, DiffConvention):
+        raise ValueError(f"unknown difference convention {convention!r}")
+    positions.setflags(False)
+    offsets.setflags(False)
+    family = object.__new__(DesignFamily)
+    family.__dict__.update(group=group, positions=positions, offsets=offsets,
+                           forbidden=forbidden, convention=convention)
+    return family
+
+
+def _checked(group: FiniteGroup, flat: list, sizes, forbidden,
+             convention: DiffConvention, foreign: int | None = None
+             ) -> DesignFamily:
+    """The family of integers in flat (_placed) and its forbidden set;
+    refused with no block, an empty block or a block over another group at
+    index foreign (left empty in flat; the first of the two is named), or
+    a forbidden set that is not a subgroup."""
+    positions, offsets = _placed(group, flat, sizes)
+    forb = (None if forbidden is None
+            else frozenset(_indices(group, list(forbidden))))
+    family = _family(group, positions, offsets, forb, convention)
+    if not sizes:
+        raise ValueError("family needs at least one block")
+    empty = np.flatnonzero(np.diff(offsets) == 0)
+    if foreign is not None and not (len(empty) and empty[0] < foreign):
+        raise GroupMismatchError("block over a different group")
+    if len(empty):
+        raise ValueError("empty block")
+    if forb is not None and not is_subgroup(group, forb):
+        raise ValueError("forbidden set is not a subgroup")
+    return family
 
 
 def make_family(group: FiniteGroup, blocks, forbidden=None,
                 convention: DiffConvention = DEFAULT_CONVENTION
                 ) -> DesignFamily:
-    """Build a DesignFamily from Multisets and iterables of positions; the
-    iterables are checked and sorted together (_checked)."""
+    """Build a DesignFamily from Multisets and iterables of positions, laid
+    out end to end; the positions are checked and sorted together
+    (_checked)."""
     blocks = list(blocks)
-    checked = iter(_checked(
-        group, [b for b in blocks if not isinstance(b, Multiset)]))
-    ms = tuple(b if isinstance(b, Multiset) else next(checked)
-               for b in blocks)
-    forb = (None if forbidden is None
-            else frozenset(_indices(group, list(forbidden))))
-    return DesignFamily(group, ms, forb, convention)
+    # identity first: == compares descriptors, rebuilt per call
+    foreign = [isinstance(b, Multiset) and b.group is not group
+               and b.group != group for b in blocks]
+    rows = [[] if f else _row(b) for b, f in zip(blocks, foreign)]
+    flat = _indices(group, list(chain.from_iterable(rows)))
+    return _checked(group, flat, list(map(len, rows)), forbidden, convention,
+                    foreign.index(True) if any(foreign) else None)
 
 
-def _extend(family: DesignFamily, blocks) -> DesignFamily:
-    """The family of family's blocks followed by blocks, with no forbidden
-    subgroup, whose kept tally is family's kept tally plus the tally of
-    blocks."""
-    blocks = tuple(blocks)
-    ext = DesignFamily(family.group, family.blocks + blocks, None,
-                       family.convention)
-    counts, cover, sizes = _tally(ext.group, [b.elements for b in blocks],
-                                  ext.convention)
+def _extend(family: DesignFamily, positions: np.ndarray,
+            offsets: np.ndarray) -> DesignFamily:
+    """family's blocks followed by those of positions and offsets, with no
+    forbidden subgroup, tallied as family's kept tally plus theirs."""
+    group, conv, end = family.group, family.convention, family.offsets[-1]
+    ext = _family(group, np.concatenate((family.positions, positions)),
+                  np.concatenate((family.offsets, offsets[1:] + end)), None,
+                  conv)
+    counts, cover, sizes = _tally(group, positions, offsets, conv)
     before = _family_tally(family)
     _keep(ext, counts + before[0], cover + before[1],
           tuple(sorted(sizes + before[2])))
@@ -275,20 +299,19 @@ def _extend(family: DesignFamily, blocks) -> DesignFamily:
 
 def _family_tally(family: DesignFamily
                   ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """_tally of the family's blocks under its convention, counted on first
-    use and kept on the family object."""
+    """_tally of the family, counted on first use and then kept."""
     kept = family._kept_tally
     if kept is not None:
         return kept
-    return _keep(family, *_tally(
-        family.group, [b.elements for b in family.blocks], family.convention))
+    return _keep(family, *_tally(family.group, family.positions,
+                                 family.offsets, family.convention))
 
 
 def _keep(family: DesignFamily, counts: np.ndarray, cover: np.ndarray,
           sizes: tuple[int, ...]
           ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Keep a tally of the family on the family object, its arrays
-    read-only."""
+    """Keep a tally on the family object, outside its fields (so equality,
+    repr, dataclasses.replace and the JSON never see it), read-only."""
     # write=False, passed by position: the keyword form costs a one-block
     # search leaf's verify about 0.2 us more
     counts.setflags(False)
@@ -302,7 +325,8 @@ def delta_block(block: Multiset,
                 convention: DiffConvention = DEFAULT_CONVENTION) -> np.ndarray:
     """Entry e of this read-only int64 array, of the group's order, counts
     the ordered pairs of distinct positions of block with difference e."""
-    counts = _tally(block.group, [block.elements], convention)[0]
+    counts = _tally(block.group, block.elements,
+                    np.array([0, block.size]), convention)[0]
     counts.setflags(False)
     return counts
 
@@ -363,25 +387,19 @@ def verify(family: DesignFamily) -> VerificationReport:
     count is wrong, unless an element covered twice comes before it.
 
     The tally (_tally) counts the differences, the cover and the block
-    sizes; the judge (_judge) reads only those.  The tally is kept on the
-    family object (_family_tally), so a second verify of the same object
-    judges again without recounting (delta_family views the same counts,
-    read-only).  That is sound as long as the family's blocks and their
-    elements stay as built: the family is frozen, its blocks are a tuple
-    (a caller's list is copied), each block's elements are a read-only
-    array, and the library never rebinds a block's elements or writes to
-    them after construction.  A caller that does either (both are
-    possible: Multiset's slots are assignable, and an array that owns its
-    data can be made writeable again) must build a new family to verify.
+    sizes, and the judge (_judge) reads only those.  The tally is kept on
+    the family (_family_tally), which is sound while the family's two
+    read-only arrays stay as built (its Multiset views are never read
+    back); a caller that makes one writeable and writes to it must build
+    a new family to verify.
     """
     return _judge(family, *_family_tally(family))
 
 
 def _judge(family: DesignFamily, delta: np.ndarray, cover: np.ndarray,
            sizes: tuple[int, ...]) -> VerificationReport:
-    """verify's report from a family's difference counts delta, its cover
-    and its sorted block sizes, the family giving its group and forbidden
-    set only."""
+    """verify's report from a family's tally (difference counts delta, the
+    cover and the sorted block sizes), its group and its forbidden set."""
     g, forbidden = family.group, family.forbidden
     v, ident = g.order, g.identity
     mu = int(delta[ident])

@@ -12,8 +12,7 @@ import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup)
-from .multisets import (DS, DesignFamily, VerificationReport, _blocks_of,
-                        verify)
+from .multisets import DS, VerificationReport, _family, verify
 from .rings import Ring
 
 
@@ -52,20 +51,21 @@ def hds_parameters(u: int) -> tuple[int, int, int]:
     return 4 * u * u, 2 * u * u - u, u * u - u
 
 
-def _canonical_translate(diff: list[list[int]], d: tuple[int, ...]) -> bool:
-    """True when the sorted set d is the least of its identity-containing
+def _least_translate(diff: list[list[int]], back: list[list[int]],
+                     d: tuple[int, ...], d1: int) -> bool:
+    """True when the sorted leaf d is the least of its identity-containing
     translates {e - x : e in d}, x in d, read from diff[e][x] = e - x.
 
-    Under the right convention these are the right translates d + (-x),
-    under the left one the left translates (-x) + d, and each preserves the
-    differences of its own convention, so a table of either convention's
-    differences normalizes under that convention.  The translate by the
-    identity is d itself under either convention, never smaller, so it is
-    skipped.
+    These are the translates under the table's own convention, which
+    preserve its differences.  A leaf has no non-identity difference below
+    d1, its least non-identity element, so a translate without d1 sorts
+    above d: only those holding it, where back[x][d1] (the e with diff[e][x]
+    = d1) is in d, are compared, lambda - 1 besides d itself.
     """
-    ident = diff[d[0]][d[0]]  # x - x, for any x
+    ident = diff[d1][d1]  # x - x, for any x
     for x in d:
-        if x != ident and tuple(sorted(diff[e][x] for e in d)) < d:
+        if (x != ident and back[x][d1] in d
+                and tuple(sorted(diff[e][x] for e in d)) < d):
             return False
     return True
 
@@ -76,36 +76,28 @@ def search_hds(group: FiniteGroup, u: int,
                ) -> HdsSearchResult:
     """All translation-normalized (4u^2, 2u^2-u, u^2-u) difference sets.
 
-    Depth-first from the identity over the other elements in ascending
+    Depth-first from the identity e0 over the other elements in ascending
     index order, pruning as soon as any non-identity difference count
-    exceeds u^2-u.  Hits are returned sorted; every hit is re-certified by
-    the verifier before being returned, with its report.
+    exceeds lambda = u^2-u.  Hits are returned sorted, each re-certified by
+    the verifier, with its report.
 
-    The walk also prunes every set that cannot be canonical (the least of
-    its identity-containing translates, as `_canonical_translate` tests
-    at the leaf).  Let e0 be the identity and d1 = min(D - {e0}), the
-    element chosen at depth 1.  A canonical D has no non-identity
-    difference g = diff[e][x] below d1, for g lies in the translate D - x:
-    if e0 < g, sorted(D - x) has a second entry <= g < d1 where sorted(D)
-    starts (e0, d1); if g < e0, min(D - x) <= g < min(e0, d1) = min(D);
-    either way D - x < D.  So choosing d1 puts a floor under the counts:
-    it adds lambda to the count of every label below d1 other than e0, and
-    a difference landing there then exceeds lambda like any other.
+    Only canonical sets (the least of their identity-containing translates,
+    _least_translate) are kept, and the walk prunes the rest early: with
+    d1 = min(D - {e0}), chosen at depth 1, a canonical D has no
+    non-identity difference g = diff[e][x] below d1, for then D - x < D
+    (if e0 < g, sorted(D - x) has a second entry <= g < d1 where sorted(D)
+    starts (e0, d1); else min(D - x) <= g < min(D)).  So choosing d1 adds
+    lambda to the count of every label below d1 but e0, and a difference
+    landing there then exceeds lambda like any other.
 
-    The difference counts are packed into one int, a ``width``-bit field
-    per element, each starting at 2^(width-1) - 1 - lambda so that a count
-    above lambda sets the field's top bit.  Every walk position carries
-    the packed differences its element would add to the chosen set, so a
-    candidate is tested with one add and one mask and nothing is undone.
-    Before a candidate is added every count is at most lambda, and a
-    candidate e adds at most 2 to the count of g (e - d = g and d - e = g
-    each have one solution d), so 2^(width-1) >= max(lambda + 1, 2) keeps
-    every field below 2^width: no field carries into the next.  The floor
-    leaves a field at 2^(width-1) - 1 at most in any set that passed the
-    test, so the next candidate still lifts it to 2^(width-1) + 1 at most.
-    Each depth-1 candidate carries its own floor in the list it is tested
-    from, beside a floor-free list its subtree builds on, so deeper nodes
-    do no extra work.
+    The counts are packed into one int, a width-bit field per element
+    starting at 2^(width-1) - 1 - lambda, so a count above lambda sets its
+    top bit; each walk position carries the packed differences its element
+    would add, so a candidate costs one add and one mask.  A candidate adds
+    at most 2 to a count (e - d = g and d - e = g each have one solution
+    d) that is at most lambda, floor included, so 2^(width-1) >= max(lambda
+    + 1, 2) keeps every field below 2^width.  Each depth-1 candidate's floor
+    rides in the list it is tested from, apart from its subtree's list.
     """
     v, k, lam = hds_parameters(u)
     if group.order != v:
@@ -115,7 +107,9 @@ def search_hds(group: FiniteGroup, u: int,
     deadline = (started + bounds.time_budget_s
                 if bounds.time_budget_s is not None else None)
     idx = np.arange(v)
-    diff = group.difference(idx[:, None], idx[None, :], convention).tolist()
+    table = group.difference(idx[:, None], idx[None, :], convention)
+    # back[x][g]: the e with diff[e][x] = g, each column a permutation
+    diff, back = table.tolist(), table.argsort(axis=0).T.tolist()
     walk = [group.identity] + [x for x in range(v) if x != group.identity]
     width = max(lam, 1).bit_length() + 1
     unit = [1 << (width * g) for g in range(v)]
@@ -129,6 +123,7 @@ def search_hds(group: FiniteGroup, u: int,
     # which are walk[1:j + 1] since the walk ascends after the identity
     floor = list(accumulate((lam * unit[x] for x in walk[1:-1]), initial=0))
     chosen = [group.identity]
+    leaf_offsets = np.array([0, k])
     results: list[tuple[int, ...]] = []
     reports: list[VerificationReport] = []
     nodes = 0
@@ -136,12 +131,13 @@ def search_hds(group: FiniteGroup, u: int,
 
     def emit() -> bool:
         d = tuple(sorted(chosen))
-        if not _canonical_translate(diff, d):
+        # a one-element set is its only translate
+        if k > 1 and not _least_translate(diff, back, d, chosen[1]):
             return True
         # the walk's indices are in range, distinct and now sorted: the
         # block is laid out directly, without make_family's input checks
-        block = _blocks_of(group, np.array(d, dtype=np.int64), [k])
-        rep = verify(DesignFamily(group, tuple(block), None, convention))
+        rep = verify(_family(group, np.array(d, dtype=np.int64),
+                             leaf_offsets, None, convention))
         if (rep.kind == DS and rep.h == 1 and rep.v == v
                 and rep.lambda_or_mu == lam):
             results.append(d)

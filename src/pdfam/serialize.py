@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import functools
 import json
+from itertools import chain, pairwise
 from json.encoder import encode_basestring_ascii
 
 from .constructions import ConstructionResult, ExpansionRecipe, Prediction
 from .groups import (DEFAULT_CONVENTION, DiffConvention, _field, _int_field,
                      _ints, convention_from_name, make_group)
-from .multisets import (DesignFamily, VerificationReport, Witness,
-                        make_family)
+from .multisets import DesignFamily, VerificationReport, Witness, _checked
 from .rings import make_ring
 
 
@@ -83,9 +83,10 @@ def _group_of(text: str):
 
 
 def family_to_json(family: DesignFamily) -> dict:
+    flat = family.positions.tolist()
     return {
         "group": family.group.descriptor(),
-        "blocks": [b.positions() for b in family.blocks],
+        "blocks": [flat[a:b] for a, b in pairwise(family.offsets.tolist())],
         "forbidden": (sorted(family.forbidden)
                       if family.forbidden is not None else None),
     }
@@ -96,7 +97,7 @@ def family_from_json(data: dict,
                      convention: DiffConvention = DEFAULT_CONVENTION
                      ) -> DesignFamily:
     """A family read under the given convention, which its JSON does not
-    hold."""
+    hold; the types of all its positions are checked here in one pass."""
     try:
         text = json.dumps(data["group"], sort_keys=True)
     except TypeError:  # numpy integers from Python have no JSON text
@@ -104,12 +105,13 @@ def family_from_json(data: dict,
     else:
         group = _group_of(text)
     blocks, forbidden = data["blocks"], data.get("forbidden")
-    if not (isinstance(blocks, list) and all(map(_ints, blocks))):
+    if not (type(blocks) is list and set(map(type, blocks)) <= {list, tuple}
+            and _ints(flat := list(chain.from_iterable(blocks)))):
         raise ValueError("blocks must be arrays of integers")
     if not (forbidden is None or _ints(forbidden)):
         raise ValueError("forbidden must be null or an array of integers")
-    return make_family(group, blocks, forbidden=forbidden,
-                       convention=convention)
+    return _checked(group, flat, list(map(len, blocks)), forbidden,
+                    convention)
 
 
 def witness_to_json(w: Witness | None) -> dict | None:

@@ -464,6 +464,45 @@ def test_verify_malformed_family_exits_1_with_one_line(tmp_path, capsys,
     assert says in err
 
 
+_Z4 = {"type": "cyclic", "n": 4}
+
+
+# each message, and which of two faults is named, as pdfam verify gave
+# them before families were stored flat
+@pytest.mark.parametrize("doc,line", [
+    ({"group": _Z7, "blocks": [[1, 2.5]]},
+     "blocks must be arrays of integers"),
+    ({"group": _Z7, "blocks": [[True, 1]]},
+     "blocks must be arrays of integers"),
+    ({"group": _Z7, "blocks": [[]]}, "empty block"),
+    ({"group": _Z7, "blocks": []}, "family needs at least one block"),
+    ({"group": _Z7, "blocks": [1, 2]}, "blocks must be arrays of integers"),
+    ({"group": _Z7, "blocks": [[1, 99]]}, "element 99 outside 0..6"),
+    ({"group": _Z7, "blocks": [[-1]]}, "element -1 outside 0..6"),
+    ({"group": _Z4, "blocks": [[1], [3]], "forbidden": [0, 1]},
+     "forbidden set is not a subgroup"),
+    ({"group": _Z7, "blocks": [[], [1, 99]]}, "element 99 outside 0..6"),
+    ({"group": _Z7, "blocks": [[99], [1.5]]},
+     "blocks must be arrays of integers"),
+    ({"group": _Z7, "blocks": [[1.5]], "forbidden": [0.5]},
+     "blocks must be arrays of integers"),
+    ({"group": _Z7, "blocks": [[99]], "forbidden": [0.5]},
+     "forbidden must be null or an array of integers"),
+    ({"group": _Z7, "blocks": [[1]], "forbidden": [0, 9]},
+     "element 9 outside 0..6"),
+    ({"group": _Z4, "blocks": [[]], "forbidden": [0, 1]}, "empty block"),
+], ids=["float", "bool", "empty-block", "no-blocks", "flat-ints",
+        "out-of-range", "negative", "forbidden-not-subgroup",
+        "range-before-empty", "type-before-range", "block-type-first",
+        "forbidden-type-before-range", "forbidden-out-of-range",
+        "empty-before-subgroup"])
+def test_verify_malformed_blocks_pinned(tmp_path, capsys, doc, line):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
 def test_construct_out_of_range_block_exits_1(capsys):
     assert main(["construct", "complement", "--group", "Z7",
                  "--block", "0,9"]) == 1

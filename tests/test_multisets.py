@@ -4,10 +4,11 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 
 from pdfam import multisets
@@ -125,8 +126,10 @@ def pairwise_counts(group, rows, convention):
 
 
 def _counts(group, rows, convention):
-    return multisets._tally(group, [np.array(row, dtype=np.int64)
-                                    for row in rows], convention)[0]
+    """_tally's counts of the rows laid out flat, in the given order."""
+    flat = np.array([e for row in rows for e in row], dtype=np.int64)
+    offsets = np.cumsum([0, *map(len, rows)])
+    return multisets._tally(group, flat, offsets, convention)[0]
 
 
 # grids of 13, 15, 32 and 160 cells: with a chunk size below the grid, the
@@ -492,6 +495,67 @@ def test_verify_report_matches_reference_judge(family):
     rep = verify(family)
     event(rep.kind if rep.ok else rep.witness.context)
     assert rep == reference_judge(family)
+
+
+def _as_form(g, row, form):
+    return {"list": list, "tuple": tuple, "array": np.array,
+            "multiset": lambda r: Multiset(g, r)}[form](row)
+
+
+@seed(26)
+@settings(max_examples=200, deadline=None)
+@given(group_strategy, st.sampled_from(list(DiffConvention)), st.data())
+def test_flat_family_matches_a_counter_reference(g, convention, data):
+    """Blocks of mixed sizes in any order, repeats allowed, each a list,
+    tuple, numpy array or Multiset: the flat family's tally and report
+    are those of Counters over the input rows, its blocks are read-only
+    views equal to the sorted rows, and an extension keeps the tally a
+    new family counts."""
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, g.order - 1), min_size=1, max_size=9),
+        min_size=1, max_size=6))
+    forms = [data.draw(st.sampled_from(["list", "tuple", "array",
+                                        "multiset"])) for _ in rows]
+    event("one block" if len(rows) == 1 else "several blocks")
+    fam = make_family(g, [_as_form(g, r, f) for r, f in zip(rows, forms)],
+                      convention=convention)
+
+    delta, cover = Counter(), Counter()
+    for row in rows:
+        delta.update(int(g.difference(a, b, convention))
+                     for i, a in enumerate(row)
+                     for j, b in enumerate(row) if i != j)
+        cover.update(row)
+    counts, covered, sizes = multisets._family_tally(fam)
+    assert counts.tolist() == [delta[e] for e in range(g.order)]
+    assert covered.tolist() == [cover[e] for e in range(g.order)]
+    assert sizes == tuple(sorted(map(len, rows)))
+    assert verify(fam) == reference_judge(SimpleNamespace(
+        group=g, blocks=[Multiset(g, r) for r in rows], forbidden=None,
+        convention=convention))
+
+    for array in (fam.positions, fam.offsets):
+        assert array.dtype == np.int64 and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert [b.positions() for b in fam.blocks] == [sorted(r) for r in rows]
+    for b in fam.blocks:
+        assert b.group is g
+        _assert_block_format(b)
+
+    cut = data.draw(st.integers(1, len(rows)))
+    if cut < len(rows):
+        rest = make_family(g, rows[cut:])
+        ext = multisets._extend(make_family(g, rows[:cut],
+                                            convention=convention),
+                                rest.positions, rest.offsets)
+        fresh = make_family(g, rows, convention=convention)
+        assert ext == fresh
+        kept, counted = multisets._family_tally(ext), multisets._tally(
+            g, fresh.positions, fresh.offsets, convention)
+        assert all(np.array_equal(a, b) for a, b in zip(kept[:2], counted))
+        assert kept[2] == counted[2]
+        assert verify(ext) == verify(fresh)
 
 
 def test_family_validation():

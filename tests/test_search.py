@@ -5,13 +5,26 @@ from math import gcd
 import numpy as np
 import pytest
 
+from pdfam import search
 from pdfam.constructions import hadamard_pdf_from_hds
 from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup, TableGroup
 from pdfam.multisets import DS, make_family, verify
 from pdfam.rings import GaloisField, Zmod, check_y_condition
 from pdfam.search import (HdsSearchResult, OrderMismatchError, SearchBounds,
-                          _canonical_translate, abelian_groups_order16,
+                          _least_translate, abelian_groups_order16,
                           hds_parameters, max_unit_y_search, search_hds)
+
+
+def _canonical_translate(diff, d):
+    """Oracle: True when the sorted set d is the least of its
+    identity-containing translates {e - x : e in d}, x in d, read from
+    diff[e][x] = e - x, every translate compared in full.  The translate
+    by the identity is d itself, never smaller, and is skipped."""
+    ident = diff[d[0]][d[0]]  # x - x, for any x
+    for x in d:
+        if x != ident and tuple(sorted(diff[e][x] for e in d)) < d:
+            return False
+    return True
 
 
 def test_hds_parameters():
@@ -341,6 +354,29 @@ def test_search_hds_floor_keeps_results_and_never_adds_nodes(convention):
             g, 2, convention=convention, floor=False)
         assert (res.results, res.complete) == (results, complete)
         assert res.nodes <= nodes
+
+
+@pytest.mark.parametrize("convention", list(DiffConvention),
+                         ids=lambda c: c.value)
+def test_leaf_test_agrees_with_the_full_translate_oracle(monkeypatch,
+                                                         convention):
+    """At every leaf the walk reaches, testing only the translates that
+    hold d1 accepts exactly when comparing every translate does."""
+    real, seen = search._least_translate, []
+
+    def judged(diff, back, d, d1):
+        got = real(diff, back, d, d1)
+        seen.append((got, _canonical_translate(diff, d)))
+        return got
+
+    monkeypatch.setattr(search, "_least_translate", judged)
+    relabeled = [g for g in _random_relabelings(29, 12) if g.identity != 0]
+    assert len(relabeled) >= 8
+    for g in [g for _, g in abelian_groups_order16()] + relabeled:
+        search_hds(g, 2, convention=convention)
+    assert [want for _, want in seen] == [got for got, _ in seen]
+    # both answers occur: about half the leaves are not canonical
+    assert 0 < sum(got for got, _ in seen) < len(seen)
 
 
 def test_search_hds_first_z6xz6_set_is_pinned():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -8,8 +9,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from pdfam.catalog import order32_family, trivial_hds_family
-from pdfam.constructions import (Prediction, complement_pdf,
-                                 expand_hadamard_pdf, make_recipe)
+from pdfam.constructions import (Prediction, complement_pdf, expand_from_hds,
+                                 expand_hadamard_pdf, expand_nonabelian32,
+                                 make_recipe)
 from pdfam.groups import CyclicGroup, ProductGroup, Semidirect32, make_group
 from pdfam.multisets import PDF, RELATIVE_PDF, Multiset, make_family, verify
 from pdfam.rings import GaloisField, make_ring
@@ -43,6 +45,45 @@ def test_family_round_trip_semidirect():
     back = family_from_json(family_to_json(fam))
     assert back == fam
     assert verify(back).kind == PDF
+
+
+def _moved(text):
+    """The family text with the second element of its first block moved
+    to its last block: a near miss that fails certification."""
+    doc = json.loads(text)
+    blocks = doc["blocks"]
+    blocks[-1] = sorted(blocks[-1] + [blocks[0].pop(1)])
+    return canonical_dumps(doc)
+
+
+# sha256 of each single-completion output's family text, taken before
+# families were stored flat
+_ROUND_TRIPS = {
+    "order-1504": (lambda: expand_nonabelian32(47)[0].family, None,
+                   "e8f80ab8ffb9aaacf996828e2d6e31bd"
+                   "a15587939b4f8dbfda62b5dbf7c56fe0"),
+    "order-1504 near miss": (lambda: expand_nonabelian32(47)[0].family,
+                             _moved,
+                             "ec9269ecb1d16e5ea0f70844046f70c3"
+                             "43488f3a6fc379d1229e059146c03b19"),
+    "order-400": (lambda: expand_from_hds(2, 25)[0].family, None,
+                  "db3c090dbb7bccb86b625c44f6a68391"
+                  "ff9f9ff68a8fbd3973dff6f47898643e"),
+    "u=1 m=499": (lambda: expand_from_hds(1, 499)[0].family, None,
+                  "8738f9224be748be8db03be476bd275e"
+                  "47cde434cf85847956068c2d81de65c7"),
+}
+
+
+@pytest.mark.parametrize("name", list(_ROUND_TRIPS))
+def test_family_text_round_trips_byte_for_byte(name):
+    build, edit, digest = _ROUND_TRIPS[name]
+    text = canonical_dumps(family_to_json(build()))
+    if edit is not None:
+        text = edit(text)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    back = family_from_json(json.loads(text))
+    assert canonical_dumps(family_to_json(back)) == text
 
 
 def test_group_descriptor_round_trip():
