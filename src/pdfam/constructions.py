@@ -361,8 +361,7 @@ def make_recipe(pdf: DesignFamily, ring: Ring,
                 f"no canonical unit set for this ring ({exc}); pass one") from exc
     y = _indices(ring.additive, list(y))
     f_map = np.full(pdf.group.order, -1)
-    # the rank of each position in its block; a Y shorter than the block
-    # leaves a -1, and the recipe refuses |Y|
+    # a position's rank in its block picks its y; past |Y|, -1 (refused)
     rank = np.arange(len(pdf.positions)) - np.repeat(
         pdf.offsets[:-1], np.diff(pdf.offsets))
     fits = rank < len(y)

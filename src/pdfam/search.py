@@ -58,9 +58,8 @@ def _least_translate(diff: list[list[int]], back: list[list[int]],
 
     These are the translates under the table's own convention, which
     preserve its differences.  A leaf has no non-identity difference below
-    d1, its least non-identity element, so a translate without d1 sorts
-    above d: only those holding it, where back[x][d1] (the e with diff[e][x]
-    = d1) is in d, are compared, lambda - 1 besides d itself.
+    d1, its least non-identity element, so only the translates holding d1
+    (back[x][d1], the e with diff[e][x] = d1, in d) can sort below d.
     """
     ident = diff[d1][d1]  # x - x, for any x
     for x in d:
@@ -108,8 +107,9 @@ def search_hds(group: FiniteGroup, u: int,
                 if bounds.time_budget_s is not None else None)
     idx = np.arange(v)
     table = group.difference(idx[:, None], idx[None, :], convention)
-    # back[x][g]: the e with diff[e][x] = g, each column a permutation
-    diff, back = table.tolist(), table.argsort(axis=0).T.tolist()
+    back = np.empty_like(table)  # back[x][g]: the e with diff[e][x] = g
+    back[idx[None, :], table] = idx[:, None]
+    diff, back = table.tolist(), back.tolist()
     walk = [group.identity] + [x for x in range(v) if x != group.identity]
     width = max(lam, 1).bit_length() + 1
     unit = [1 << (width * g) for g in range(v)]
