@@ -278,11 +278,11 @@ def _lift(ambient: ProductGroup, gs, lengths, images, lam: int,
     # block (i, t) is lifted block i under table t, laid out i-major
     flat = np.concatenate([part.ravel() for part in np.split(
         ambient.join((gs, images)), np.cumsum(lengths)[:-1], axis=1)])
-    sizes = np.repeat(lengths, len(images))
+    sizes = np.repeat(lengths, len(images)).tolist()
     forbidden = ambient.join((np.arange(g_group.order), h_group.identity))
     fam = _family(ambient, *_sort_blocks(flat, sizes, ambient.order),
                   frozenset(forbidden.tolist()), convention)
-    pred = Prediction(DF, ambient.order, tuple(sorted(sizes.tolist())), lam,
+    pred = Prediction(DF, ambient.order, tuple(sorted(sizes)), lam,
                       h=g_group.order)
     return ConstructionResult(fam, verify(fam), pred)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, pairwise
+from itertools import accumulate, chain, groupby, pairwise
 
 import numpy as np
 
@@ -98,8 +98,8 @@ def _sort_blocks(x: np.ndarray, sizes, order: int
     """x, positions below order in blocks of the given sizes laid end to
     end, sorted within its blocks in place by one sort (block i shifted by
     i * order) unless it already is, and the block offsets."""
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
+    offsets = np.fromiter(accumulate(sizes, initial=0), np.int64,
+                          len(sizes) + 1)
     # x[j + 1] < x[j] within a block (a spare last slot takes empty bounds)
     falls = np.append(x[1:] < x[:-1], False)
     falls[offsets[1:-1] - 1] = False
@@ -257,7 +257,7 @@ def _checked(group: FiniteGroup, flat: list, sizes, forbidden,
     family = _family(group, positions, offsets, forb, convention)
     if not sizes:
         raise ValueError("family needs at least one block")
-    empty = np.flatnonzero(np.diff(offsets) == 0)
+    empty = (offsets[1:] == offsets[:-1]).nonzero()[0]
     if foreign is not None and not (len(empty) and empty[0] < foreign):
         raise GroupMismatchError("block over a different group")
     if len(empty):
