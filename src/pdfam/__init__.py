@@ -9,21 +9,19 @@ from .catalog import (CatalogCertification, catalog_family, certify_catalog,
                       hds16_family, order32_family, trivial_hds_family)
 from .constructions import (COMPLETION_PER_BLOCK, COMPLETION_SINGLE,
                             COMPLETIONS, BadResidueClassError,
-                            ConditionFailsError, ConstructionError,
-                            ConstructionResult, DivisorTooSmallError,
-                            ExpansionRecipe, ExpansionResult, NoHdsError,
+                            ConstructionError, ConstructionResult,
+                            DivisorTooSmallError, ExpansionRecipe,
+                            ExpansionResult, NoHdsError,
                             NotADifferenceSetError, NotHadamardError,
                             NoValidYError, ParameterMismatchError,
-                            Prediction, ProjectionMismatchError,
-                            RecipeInvariantError, complement_pdf, double_sdf,
-                            expand_from_hds, expand_hadamard_pdf,
+                            Prediction, RecipeInvariantError, complement_pdf,
+                            double_sdf, expand_from_hds, expand_hadamard_pdf,
                             expand_nonabelian32, hadamard_pdf_from_hds,
                             make_recipe, paley_double_sdf, ring_for_modulus,
-                            sdf_lift, validate_recipe)
+                            validate_recipe)
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup, Semidirect32, TableGroup,
-                     convention_from_name, endomorphism_mask, is_subgroup,
-                     make_group)
+                     convention_from_name, is_subgroup, make_group)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, INVALID, PDF,
                         RELATIVE_PDF, SDF, DesignFamily, Multiset,
                         VerificationReport, Witness, delta_block,

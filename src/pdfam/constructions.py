@@ -10,13 +10,12 @@ family it has already verified (multisets._extend).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
 
 import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup, _field, _indices, _int_field,
-                     _int_matrix, _ints, _is_int, endomorphism_mask)
+                     _ints, _is_int)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
                         DesignFamily, Multiset, VerificationReport, _extend,
                         _family, _sort_blocks, make_family, verify)
@@ -42,15 +41,7 @@ class BadResidueClassError(ConstructionError):
     pass
 
 
-class ProjectionMismatchError(ConstructionError):
-    pass
-
-
 class ParameterMismatchError(ConstructionError):
-    pass
-
-
-class ConditionFailsError(ConstructionError):
     pass
 
 
@@ -214,59 +205,6 @@ def _check_strong(sdf: DesignFamily, e: int, lam_h: int) -> None:
     if rep.lambda_or_mu * e != lam_h:
         raise ParameterMismatchError(
             f"mu*e = {rep.lambda_or_mu * e} but lambda*(|H|-1) = {lam_h}")
-
-
-def sdf_lift(sdf: DesignFamily, h_group: FiniteGroup, lifts, endos,
-             lam: int) -> ConstructionResult:
-    """Lift a strong difference family to a relative difference family.
-
-    lifts[i] is a set of (g, h) pairs projecting onto the i-th block of the
-    strong family; endos is a list of endomorphism value tables of H, of
-    length |H|.  When mu * len(endos) = lam * (|H|-1) and the endomorphism
-    images of every difference fiber L_g cover H minus zero lam times, the
-    images of the lifts under all (g,h)->(g,e(h)) form a (|G||H|, G x {0},
-    ^e K, lam) difference family in G x H, under the family's convention.
-    The inputs are checked, then the core shared with expand_hadamard_pdf
-    (_lift) runs, and its certificate decides.
-    """
-    g_group, hn = sdf.group, h_group.order
-    _check_strong(sdf, len(endos), lam * (hn - 1))
-
-    try:
-        tables = np.asarray(endos)
-    except ValueError:  # ragged
-        raise ValueError("endomorphism table has wrong length") from None
-    if tables.ndim != 2 or tables.shape[1] != hn:
-        raise ValueError("endomorphism table has wrong length")
-    tables = _int_matrix(endos, tables, "endomorphism table")
-    if ((tables < 0) | (tables >= hn)).any():
-        raise ValueError("endomorphism table value out of range")
-    if not endomorphism_mask(h_group, tables).all():
-        raise ValueError("table is not an endomorphism")
-
-    bounds = sdf.offsets.tolist()
-    if len(lifts) != len(bounds) - 1:
-        raise ProjectionMismatchError("one lift block per strong block")
-    pairs, lengths = [], []
-    for i, (block, (a, b)) in enumerate(zip(lifts, pairwise(bounds))):
-        gs, hs = zip(*block) if block else ((), ())
-        gs, hs = _indices(g_group, list(gs)), _indices(h_group, list(hs))
-        if len(set(zip(gs, hs))) != len(gs):
-            raise ProjectionMismatchError(f"lift block {i} has repeats")
-        if not np.array_equal(np.sort(gs), sdf.positions[a:b]):
-            raise ProjectionMismatchError(
-                f"projection of lift block {i} does not match the strong "
-                f"family block")
-        pairs += zip(gs, hs)
-        lengths.append(len(gs))
-    gs, hs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    result = _lift(ProductGroup([g_group, h_group]), gs, lengths,
-                   tables[:, hs], lam, sdf.convention)
-    if not result.certified:  # after _check_strong, it has a witness
-        g = result.report.witness.element // hn
-        raise ConditionFailsError(
-            f"endomorphism covering fails at g = {g_group.coords(g)}")
-    return result
 
 
 def _lift(ambient: ProductGroup, gs, lengths, images, lam: int,

@@ -447,23 +447,6 @@ def _generating_set(group: FiniteGroup) -> list[int]:
     return gens
 
 
-def endomorphism_mask(group: FiniteGroup, tables) -> np.ndarray:
-    """For each row of tables, the value table of a map e: G -> G as
-    in-range element indices, whether e(a + b) = e(a) + e(b) for all a, b.
-
-    Checked through a generating set, all rows at once: the b with
-    e(a + b) = e(a) + e(b) for every a are closed under op, so they form a
-    subgroup, and when it holds every generator it is all of G.  That is
-    |G| checks per generator and row rather than |G|^2 per row.
-    """
-    tables = np.asarray(tables, dtype=np.int64)
-    gens = np.array(_generating_set(group), dtype=np.int64)
-    idx = np.arange(group.order)
-    left = tables[:, group.op(idx[:, None], gens)]
-    right = group.op(tables[:, :, None], tables[:, None, gens])
-    return (left == right).all(axis=(1, 2))
-
-
 def _check_associativity(group: "TableGroup") -> None:
     """Light's associativity test: check only through a generating set."""
     t = group.table

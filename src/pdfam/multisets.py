@@ -61,12 +61,6 @@ class Multiset:
         """Every element repeated per multiplicity, in canonical order."""
         return self.elements.tolist()
 
-    def scaled(self, r: int) -> "Multiset":
-        """The multiset with every multiplicity scaled by r."""
-        if r < 0:
-            raise ValueError("negative scale")
-        return Multiset(self.group, np.repeat(self.elements, r))
-
     def __eq__(self, other):
         return (isinstance(other, Multiset)
                 and self.group == other.group

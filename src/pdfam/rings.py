@@ -123,7 +123,7 @@ def _refuse(ring: Ring, a, b):
     """The cold path of mul's inline operand test: raise what _indices
     raises for [a, b], a ValueError for a non-integer or the additive
     group's ElementOutOfRangeError for an element outside 0..order-1.  mul
-    tests inline because it runs once per entry of every endomorphism
+    tests inline because it runs once per entry of every starter
     table, where a call to _indices would cost more than the product."""
     _indices(ring.additive, [a, b])
 

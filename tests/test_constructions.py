@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdfam import constructions as cons
@@ -68,7 +68,8 @@ def test_doubling_multiplicity_formulas_exhaustive_r2():
     for fam in (trivial_hds_family(), order32_family()):
         for block in fam.blocks:
             base = delta_block(block)
-            doubled = delta_block(block.scaled(2))
+            doubled = delta_block(
+                Multiset(fam.group, np.repeat(block.elements, 2)))
             assert doubled[0] == 2 * 1 * block.size
             for g in range(1, fam.group.order):
                 assert doubled[g] == 4 * base[g]
@@ -84,7 +85,7 @@ def test_doubling_multiplicity_formulas_property(r, data):
                                min_size=1, max_size=8, unique=True))
     x = Multiset(g, elements=elems)
     base = delta_block(x)
-    scaled = delta_block(x.scaled(r))
+    scaled = delta_block(Multiset(g, np.repeat(x.elements, r)))
     assert scaled[0] == r * (r - 1) * x.size
     for e in range(1, g.order):
         assert scaled[e] == r * r * base[e]
@@ -107,124 +108,58 @@ def test_paley_rejects_bad_inputs():
 
 # -- the generic lift ------------------------------------------------------
 
-def _lift_fixture():
-    """Doubled trivial family lifted into Z4 x F7 by hand."""
-    base = trivial_hds_family()
-    sdf = cons.double_sdf(base).family
-    ring = GaloisField(7, 1)
+def _lift_fixture(starters):
+    """The doubled trivial family lifted into Z4 x F7 by hand, its blocks
+    {(d, f(d)), (d, -f(d))}, and _lift's family of their images under the
+    tables h -> s*h, one per starter s."""
     f = {0: 3, 1: 3, 2: 2, 3: 6}
     lifts = [[(0, f[0]), (0, (-f[0]) % 7)],
              [(d, s * f[d] % 7) for d in (1, 2, 3) for s in (1, -1)]]
-    endos = [tuple(ring.mul(s, h) for h in range(7)) for s in (1, 2, 3)]
-    return sdf, ring, lifts, endos
-
-
-def test_sdf_lift_certifies_relative():
-    sdf, ring, lifts, endos = _lift_fixture()
-    res = cons.sdf_lift(sdf, ring.additive, lifts, endos, lam=4)
-    assert res.certified
-    r = res.report
-    assert r.kind == RELATIVE_PDF
-    assert (r.v, r.h, r.lambda_or_mu) == (28, 4, 4)
-    assert tuple(r.K) == (2, 2, 2, 6, 6, 6)
-
-
-def test_sdf_lift_parameter_check():
-    sdf, ring, lifts, endos = _lift_fixture()
-    with pytest.raises(cons.ParameterMismatchError):
-        cons.sdf_lift(sdf, ring.additive, lifts, endos, lam=5)
-
-
-def test_sdf_lift_projection_check():
-    sdf, ring, lifts, endos = _lift_fixture()
-    bad = [lifts[0], [(d, h) for d, h in lifts[1][:-1]] + [(0, 1)]]
-    with pytest.raises(cons.ProjectionMismatchError):
-        cons.sdf_lift(sdf, ring.additive, bad, endos, lam=4)
-
-
-def test_sdf_lift_covering_check():
-    sdf, ring, lifts, endos = _lift_fixture()
-    # {1,2,6} picks the pair {1,-1} twice and never {3,-3}: covering fails
-    bad_endos = [tuple(ring.mul(s, h) for h in range(7)) for s in (1, 2, 6)]
-    with pytest.raises(cons.ConditionFailsError):
-        cons.sdf_lift(sdf, ring.additive, lifts, bad_endos, lam=4)
+    gs, hs = np.array([pair for block in lifts for pair in block]).T
+    images = np.array([[s * h % 7 for h in hs] for s in starters])
+    ambient = ProductGroup([CyclicGroup(4), GaloisField(7, 1).additive])
+    res = cons._lift(ambient, gs, [len(b) for b in lifts], images, 4,
+                     trivial_hds_family().convention)
+    return lifts, res
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 6), min_size=3, max_size=3))
-def test_sdf_lift_refuses_exactly_the_failing_coverings(starters):
+@example([1, 2, 6])  # picks the pair {1, -1} twice and never {3, -3}
+@example([1, 2, 3])
+# the zero map collapses every block: (d, h) and (d, -h) both go to (d, 0),
+# whose repeat puts an identity difference on G x {0}
+@example([0, 2, 3])
+def test_lift_refuses_exactly_the_failing_coverings(starters):
     """Brute force over the fixture's lifts: the tables h -> s*h must send
-    every fiber L_g onto F7 minus zero 4 times and never onto 0."""
-    sdf, ring, lifts, _ = _lift_fixture()
+    every fiber L_g onto F7 minus zero 4 times and never onto 0.  _lift's
+    certificate decides, and its witness lies in the first failing fiber."""
+    lifts, res = _lift_fixture(starters)
     count = np.zeros((4, 7), dtype=np.int64)
     for block in lifts:
         for (g, h), (g2, h2) in itertools.permutations(block, 2):
             for s in starters:
                 count[(g - g2) % 4, s * (h - h2) % 7] += 1
     failing = np.flatnonzero((count != [0] + [4] * 6).any(axis=1))
-    endos = [[s * h % 7 for h in range(7)] for s in starters]
-    if not len(failing):
-        assert cons.sdf_lift(sdf, ring.additive, lifts, endos, lam=4).certified
+    assert res.certified == (not len(failing))
+    r = res.report
+    if len(failing):
+        assert r.witness.element // 7 == failing[0]
         return
-    with pytest.raises(cons.ConditionFailsError,
-                       match=re.escape(f"fails at g = ({failing[0]},)")):
-        cons.sdf_lift(sdf, ring.additive, lifts, endos, lam=4)
+    assert r.kind == RELATIVE_PDF
+    assert (r.v, r.h, r.lambda_or_mu) == (28, 4, 4)
+    assert tuple(r.K) == (2, 2, 2, 6, 6, 6)
 
 
-def test_sdf_lift_accepts_any_complete_starter_set():
-    sdf, ring, lifts, endos = _lift_fixture()
-    # {1,2,4} is a non-canonical but complete set of pair representatives
-    alt = [tuple(ring.mul(s, h) for h in range(7)) for s in (1, 2, 4)]
-    res = cons.sdf_lift(sdf, ring.additive, lifts, alt, lam=4)
-    assert res.certified
-
-
-def test_sdf_lift_rejects_non_endomorphism():
-    sdf, ring, lifts, endos = _lift_fixture()
-    bad = [tuple((h + 1) % 7 for h in range(7))] + endos[1:]
-    with pytest.raises(ValueError):
-        cons.sdf_lift(sdf, ring.additive, lifts, bad, lam=4)
-
-
-@pytest.mark.parametrize("bad,says", [
-    (lambda ts: [(0.5,) + ts[0][1:]] + ts[1:], "integers"),  # int() gave 0
-    (lambda ts: [tuple(map(float, t)) for t in ts], "integers"),
-    (lambda ts: [tuple(x % 2 == 1 for x in t) for t in ts], "integers"),
-    # asarray reads a bool table among integer tables as a 0/1 map
-    (lambda ts: [tuple(x % 2 == 1 for x in ts[0])] + ts[1:], "integers"),
-    (lambda ts: [(0, True) + ts[0][2:]] + ts[1:], "integers"),  # 1 -> True
-    (lambda ts: [ts[0][:-1]] + ts[1:], "wrong length"),
-], ids=["float-entry", "float-tables", "bool-tables", "bool-among-int-tables",
-        "bool-entry", "ragged"])
-def test_sdf_lift_rejects_malformed_tables(bad, says):
-    sdf, ring, lifts, endos = _lift_fixture()
-    with pytest.raises(ValueError, match=says):
-        cons.sdf_lift(sdf, ring.additive, lifts, bad(endos), lam=4)
-
-
-@pytest.mark.parametrize("bad,error,says", [
-    (lambda sdf, lifts, endos: (sdf, lifts, [t[:-1] for t in endos]),
-     ValueError, "endomorphism table has wrong length"),
-    (lambda sdf, lifts, endos: (sdf, lifts, [(0,) * 6 + (7,)] + endos[1:]),
-     ValueError, "endomorphism table value out of range"),
-    (lambda sdf, lifts, endos: (sdf, lifts[:1], endos),
-     cons.ProjectionMismatchError, "one lift block per strong block"),
-    (lambda sdf, lifts, endos: (sdf, [lifts[0][:1] * 2] + lifts[1:], endos),
-     cons.ProjectionMismatchError, "lift block 0 has repeats"),
-    (lambda sdf, lifts, endos: (trivial_hds_family(), lifts, endos),
-     cons.ParameterMismatchError,
-     "does not certify as a strong difference family"),
-    # the zero map collapses every block: (d, h) and (d, -h) both go to
-    # (d, 0), whose repeat puts an identity difference on G x {0}
-    (lambda sdf, lifts, endos: (sdf, lifts, [(0,) * 7] + endos[1:]),
-     cons.ConditionFailsError, "endomorphism covering fails"),
-], ids=["narrow-tables", "entry-equals-order", "lift-block-missing",
-        "repeated-pair", "not-strong", "zero-map"])
-def test_sdf_lift_refuses_a_bad_input(bad, error, says):
-    sdf, ring, lifts, endos = _lift_fixture()
-    sdf, lifts, endos = bad(sdf, lifts, endos)
-    with pytest.raises(error, match=re.escape(says)):
-        cons.sdf_lift(sdf, ring.additive, lifts, endos, lam=4)
+def test_check_strong_refuses_a_weak_family_or_a_wrong_index():
+    sdf = cons.double_sdf(trivial_hds_family()).family  # mu = 8
+    cons._check_strong(sdf, 3, 4 * 6)  # 8 * 3 starters = 4 * (|F7| - 1)
+    with pytest.raises(cons.ParameterMismatchError,
+                       match=re.escape("mu*e = 24 but lambda*(|H|-1) = 30")):
+        cons._check_strong(sdf, 3, 5 * 6)
+    with pytest.raises(cons.ParameterMismatchError,
+                       match="does not certify as a strong difference family"):
+        cons._check_strong(trivial_hds_family(), 3, 4 * 6)
 
 
 @pytest.mark.parametrize("build,says", [
@@ -369,6 +304,23 @@ def test_expansion_block_count_and_partition():
                         minlength=res.family.group.order)
     assert (cover[cover > 0] == 1).all()
     assert np.count_nonzero(cover) == 28
+
+
+def test_expansion_accepts_any_complete_starter_set():
+    """A non-canonical starter set, one element per {h,-h} pair, expands to
+    a certified PDF as the canonical one does."""
+    f7 = cons.make_recipe(trivial_hds_family(), GaloisField(7, 1))
+    m77 = cons.make_recipe(trivial_hds_family(), cons.ring_for_modulus(77))
+    assert isinstance(m77.ring, ProductRing)
+    neg = m77.ring.neg
+    for rec, starters in [
+            (f7, (1, 2, 4)),
+            (m77, tuple(neg(s) if i % 2 else s
+                        for i, s in enumerate(m77.starters)))]:
+        assert set(starters) != set(rec.starters)
+        res = cons.expand_hadamard_pdf(replace(rec, starters=starters))
+        assert res.relative.report.kind == RELATIVE_PDF
+        assert res.certified and res.report.kind == PDF
 
 
 def test_expand_from_hds_pair():
@@ -574,7 +526,7 @@ def test_make_recipe_refuses_non_integer_y():
     assert rec.y == (3, 2, 6) and all(type(e) is int for e in rec.y)
 
 
-# -- the lift core shared by sdf_lift and the expansion ---------------------
+# -- the lift core behind the expansion ------------------------------------
 
 _CORE_CASES = {
     "u1-m7": lambda conv: (cons.hadamard_pdf_from_hds(1, convention=conv)
@@ -595,21 +547,18 @@ def _core_recipe(name, conv):
 
 @pytest.mark.parametrize("conv", list(DiffConvention), ids=lambda c: c.value)
 @pytest.mark.parametrize("name", sorted(_CORE_CASES))
-def test_sdf_lift_matches_the_expansion_relative(name, conv):
+def test_expansion_relative_blocks_are_the_starter_images(name, conv):
+    """Block (i, s) of the relative family is {(d, s*f(d)), (d, -s*f(d))}
+    over the d of base block i, built here with the ring's scalar mul and
+    laid out i-major; the element (g, h) of G x H is g*|H| + h."""
     rec = _core_recipe(name, conv)
-    ring = rec.ring
-    lifts = [[(d, s) for d in np.unique(b.elements).tolist()
-              for s in (rec.f_map[d], ring.neg(rec.f_map[d]))]
-             for b in rec.pdf.blocks]
-    endos = [[ring.mul(s, h) for h in range(ring.order)]
-             for s in rec.starters]
-    rep = verify(rec.pdf)
-    public = cons.sdf_lift(cons.double_sdf(rec.pdf).family, ring.additive,
-                           lifts, endos, 2 * rep.lambda_or_mu)
+    ring, f = rec.ring, rec.f_map
+    want = [sorted(d * ring.order + ring.mul(s, h)
+                   for d in b.positions() for h in (f[d], ring.neg(f[d])))
+            for b in rec.pdf.blocks for s in rec.starters]
     relative = cons.expand_hadamard_pdf(rec).relative
-    assert public.family == relative.family
-    assert public.report == relative.report
-    assert public.predicted == relative.predicted and public.certified
+    assert [b.positions() for b in relative.family.blocks] == want
+    assert relative.certified and relative.report.kind == RELATIVE_PDF
 
 
 @pytest.mark.parametrize("conv", list(DiffConvention), ids=lambda c: c.value)
@@ -627,12 +576,8 @@ def test_expansion_builds_one_ambient_group(monkeypatch, name, conv):
         plans.append(group.order)
         return real_plan(group, convention)
 
-    def no_mask(*args):
-        raise AssertionError("endomorphism_mask called")
-
     monkeypatch.setattr(cons, "ProductGroup", product)
     monkeypatch.setattr(groups, "DifferencePlan", plan)
-    monkeypatch.setattr(cons, "endomorphism_mask", no_mask)
     res = cons.expand_hadamard_pdf(rec)
     order = rec.pdf.group.order * rec.ring.order
     assert [g.order for g in made] == [order]

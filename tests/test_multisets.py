@@ -202,7 +202,6 @@ def test_multiset_basics():
     assert x.size == 3 and np.count_nonzero(x.elements == 1) == 2
     assert len(np.unique(x.elements)) < x.size  # not a set
     assert x.positions() == [1, 1, 5]
-    assert x.scaled(2).positions() == [1, 1, 1, 1, 5, 5]
     y = Multiset(g, [1])
     assert multiset_sum(x, y).positions() == [1, 1, 1, 5]
 
@@ -220,7 +219,7 @@ def test_elements_are_sorted_read_only_int64():
     built = [Multiset(g, elements=[7, 2, 2, 0]),
              Multiset(g, [8, 5, 1, 0, 5]),
              Multiset(g, elements=np.array([4, 3, 4])),
-             Multiset(g, elements=[3, 1]).scaled(3),
+             Multiset(g, elements=np.repeat([3, 1], 3)),
              *make_family(g, [[8, 3, 3], (4, 1, 4), np.array([5, 0])],
                           forbidden=[0, 3, 6]).blocks]
     for ms in built:
@@ -571,13 +570,11 @@ def test_family_validation():
      "a block is an iterable of positions, not a dict"),
     (lambda g: make_family(g, [[1], {0: 2}]), ValueError,
      "a block is an iterable of positions, not a dict"),
-    (lambda g: Multiset(g, [1, 2]).scaled(-1), ValueError, "negative scale"),
     (lambda g: DesignFamily(g, (Multiset(CyclicGroup(5), [1]),)),
      GroupMismatchError, "block over a different group"),
     (lambda g: DesignFamily(g, (Multiset(g, [1]), Multiset(g))), ValueError,
      "empty block"),
-], ids=["dict-multiset", "dict-block", "negative-scale",
-        "foreign-block", "empty-block"])
+], ids=["dict-multiset", "dict-block", "foreign-block", "empty-block"])
 def test_multisets_refuse_bad_input(build, error, says):
     with pytest.raises(error, match=f"^{says}$"):
         build(CyclicGroup(7))
