@@ -123,14 +123,59 @@ def _lift_fixture(starters):
     return lifts, res
 
 
+def test_sdf_lift_certifies_relative():
+    _, res = _lift_fixture((1, 2, 3))
+    assert res.certified
+    r = res.report
+    assert r.kind == RELATIVE_PDF
+    assert (r.v, r.h, r.lambda_or_mu) == (28, 4, 4)
+    assert tuple(r.K) == (2, 2, 2, 6, 6, 6)
+
+
+def test_sdf_lift_parameter_check():
+    sdf = cons.double_sdf(trivial_hds_family()).family  # mu = 8
+    cons._check_strong(sdf, 3, 4 * 6)  # 8 * 3 starters = 4 * (|F7| - 1)
+    with pytest.raises(cons.ParameterMismatchError,
+                       match=re.escape("mu*e = 24 but lambda*(|H|-1) = 30")):
+        cons._check_strong(sdf, 3, 5 * 6)
+
+
+def test_sdf_lift_covering_check():
+    # {1,2,6} picks the pair {1,-1} twice and never {3,-3}: covering fails
+    _, res = _lift_fixture((1, 2, 6))
+    assert not res.certified
+    assert res.report.witness.coords == (0, 2)
+
+
+def _refusal(sdf, starters):
+    """What refuses the fixture's lift over sdf with these starters, in the
+    order expand_hadamard_pdf checks: _check_strong's error, else the
+    witness of _lift's certificate."""
+    try:
+        cons._check_strong(sdf, len(starters), 4 * 6)
+    except cons.ParameterMismatchError as err:
+        return str(err)
+    return _lift_fixture(starters)[1].report.witness
+
+
+@pytest.mark.parametrize("double,starters,refused_by", [
+    (False, (1, 2, 3), "input does not certify as a strong difference "
+                       "family (got PDF)"),
+    # the zero map collapses every block: (d, h) and (d, -h) both go to
+    # (d, 0), whose repeat puts an identity difference on G x {0}
+    (True, (0, 2, 3), multisets.Witness(0, (0, 0), 0, 8, "difference-count")),
+], ids=["not-strong", "zero-map"])
+def test_sdf_lift_refuses_a_bad_input(double, starters, refused_by):
+    base = trivial_hds_family()
+    sdf = cons.double_sdf(base).family if double else base
+    assert _refusal(sdf, starters) == refused_by
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 6), min_size=3, max_size=3))
-@example([1, 2, 6])  # picks the pair {1, -1} twice and never {3, -3}
+@example([1, 2, 6])
 @example([1, 2, 3])
-# the zero map collapses every block: (d, h) and (d, -h) both go to (d, 0),
-# whose repeat puts an identity difference on G x {0}
-@example([0, 2, 3])
-def test_lift_refuses_exactly_the_failing_coverings(starters):
+def test_sdf_lift_refuses_exactly_the_failing_coverings(starters):
     """Brute force over the fixture's lifts: the tables h -> s*h must send
     every fiber L_g onto F7 minus zero 4 times and never onto 0.  _lift's
     certificate decides, and its witness lies in the first failing fiber."""
@@ -142,24 +187,8 @@ def test_lift_refuses_exactly_the_failing_coverings(starters):
                 count[(g - g2) % 4, s * (h - h2) % 7] += 1
     failing = np.flatnonzero((count != [0] + [4] * 6).any(axis=1))
     assert res.certified == (not len(failing))
-    r = res.report
     if len(failing):
-        assert r.witness.element // 7 == failing[0]
-        return
-    assert r.kind == RELATIVE_PDF
-    assert (r.v, r.h, r.lambda_or_mu) == (28, 4, 4)
-    assert tuple(r.K) == (2, 2, 2, 6, 6, 6)
-
-
-def test_check_strong_refuses_a_weak_family_or_a_wrong_index():
-    sdf = cons.double_sdf(trivial_hds_family()).family  # mu = 8
-    cons._check_strong(sdf, 3, 4 * 6)  # 8 * 3 starters = 4 * (|F7| - 1)
-    with pytest.raises(cons.ParameterMismatchError,
-                       match=re.escape("mu*e = 24 but lambda*(|H|-1) = 30")):
-        cons._check_strong(sdf, 3, 5 * 6)
-    with pytest.raises(cons.ParameterMismatchError,
-                       match="does not certify as a strong difference family"):
-        cons._check_strong(trivial_hds_family(), 3, 4 * 6)
+        assert res.report.witness.element // 7 == failing[0]
 
 
 @pytest.mark.parametrize("build,says", [
