@@ -29,13 +29,28 @@ FAIL_BY_DESIGN = {
 }
 
 
-def failed_tests(report: Path) -> tuple[int, set[str]]:
-    """How many tests a JUnit XML report holds, and the ids of those that
-    failed or raised an error."""
-    cases = list(ET.parse(report).iter("testcase"))
+def failed_tests(report: Path) -> tuple[int, set[str], set[str]]:
+    """How many tests a JUnit XML report holds, the ids of those that ran
+    (were not skipped) and the ids of those that failed or raised an
+    error."""
+    cases = [(f"{case.get('classname')}::{case.get('name')}", case)
+             for case in ET.parse(report).iter("testcase")]
     return len(cases), {
-        f"{case.get('classname')}::{case.get('name')}" for case in cases
+        t for t, case in cases if case.find("skipped") is None}, {
+        t for t, case in cases
         if case.find("failure") is not None or case.find("error") is not None}
+
+
+def problems(ran: set[str], failed: set[str]) -> list[str]:
+    """One line per way the run differs from the four by-design failures:
+    a test that failed unexpectedly, a pinned test that did not run (its
+    module failed to collect, or it was skipped), or one that passed."""
+    return ([f"unexpected failure: {t}" for t in sorted(failed
+                                                        - FAIL_BY_DESIGN)]
+            + [f"pinned failure did not run: {t}"
+               for t in sorted(FAIL_BY_DESIGN - ran)]
+            + [f"pinned failure now passes: {t}"
+               for t in sorted((FAIL_BY_DESIGN & ran) - failed)])
 
 
 def main() -> int:
@@ -50,16 +65,13 @@ def main() -> int:
         if code not in (0, 1) or not report.exists():
             print(f"tier-1 gate: pytest stopped with exit code {code}")
             return 1
-        ran, failed = failed_tests(report)
-    problems = [f"unexpected failure: {t}" for t in sorted(failed
-                                                           - FAIL_BY_DESIGN)]
-    problems += [f"pinned failure now passes: {t}"
-                 for t in sorted(FAIL_BY_DESIGN - failed)]
-    for line in problems:
+        total, ran, failed = failed_tests(report)
+    lines = problems(ran, failed)
+    for line in lines:
         print(f"tier-1 gate: {line}")
-    if problems:
+    if lines:
         return 1
-    print(f"tier-1 gate: ok ({ran - len(failed)} passed or skipped, "
+    print(f"tier-1 gate: ok ({total - len(failed)} passed or skipped, "
           f"{len(failed)} failed by design)")
     return 0
 

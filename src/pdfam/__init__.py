@@ -23,9 +23,9 @@ from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup, Semidirect32, TableGroup,
                      convention_from_name, is_subgroup, make_group)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, INVALID, PDF,
-                        RELATIVE_PDF, SDF, DesignFamily, Multiset,
-                        VerificationReport, Witness, delta_block,
-                        delta_family, make_family, verify)
+                        RELATIVE_PDF, SDF, DesignFamily, VerificationReport,
+                        Witness, delta_block, delta_family, make_family,
+                        verify)
 from .rings import (EvenOrderError, GaloisField, NotPrimeError, ProductRing,
                     Ring, YCheck, Zmod, build_y_powers, check_y_condition,
                     factorize, is_prime, make_ring,

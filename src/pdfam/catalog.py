@@ -4,12 +4,13 @@ u = 1 and u = 2, built by constructions.hadamard_pdf_from_hds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .constructions import hadamard_pdf_from_hds
 from .groups import DEFAULT_CONVENTION, DiffConvention, Semidirect32
-from .multisets import DesignFamily, VerificationReport, make_family, verify
+from .multisets import (DesignFamily, VerificationReport, _family,
+                        make_family, verify)
 
 # blocks of the order-32 family, as (x, y) pairs under the twisted law
 ORDER32_BLOCKS_XY = (
@@ -70,7 +71,8 @@ class CatalogCertification:
 def _certify(name: str, convention: DiffConvention) -> CatalogCertification:
     fam = catalog_family(name)
     if fam.convention is not convention:
-        fam = replace(fam, convention=convention)
+        fam = _family(fam.group, fam.positions, fam.offsets, fam.forbidden,
+                      convention)
     # a family built and verified under this convention judges its kept tally
     return CatalogCertification(name, convention, verify(fam))
 

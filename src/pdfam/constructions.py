@@ -17,7 +17,7 @@ from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup, _field, _indices, _int_field,
                      _ints, _is_int)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
-                        DesignFamily, Multiset, VerificationReport, _extend,
+                        DesignFamily, VerificationReport, _block, _extend,
                         _family, _sort_blocks, make_family, verify)
 from .rings import (EvenOrderError, GaloisField, ProductRing, Ring,
                     build_y_powers, check_y_condition, factorize, is_prime,
@@ -128,12 +128,11 @@ def complement_pdf(group: FiniteGroup, block,
     A (v,k,lam) difference set yields a (v,[k,v-k],v-2k+2*lam) partitioned
     family; it is Hadamard exactly when v = 2(v-2k+2*lam).
     """
-    d = Multiset(group, block)
-    x = d.elements
+    x = _block(group, block)
     repeated = x[1:][x[1:] == x[:-1]]
     if len(repeated):
         raise NotADifferenceSetError(f"element {repeated[0]} is repeated")
-    v, k = group.order, d.size
+    v, k = group.order, len(x)
     if not k or k >= v:
         raise NotADifferenceSetError("need a nonempty proper subset")
     ds = _family(group, x, np.array([0, k]), None, convention)

@@ -1,16 +1,17 @@
-"""Multiset difference calculus over finite groups, plus the certifier.
+"""Difference calculus of blocks over finite groups, plus the certifier.
 
-delta_block(X) counts the differences x - x' over ordered pairs of distinct
-positions of the multiset X (a repeated element gives identity differences)
-in an int64 array indexed by element; delta_family sums them over a
-family's blocks, read under the family's difference convention.
+delta_block(group, X) counts the differences x - x' over ordered pairs of
+distinct positions of the block X (a repeated element gives identity
+differences) in an int64 array indexed by element; delta_family sums them
+over a family's blocks, read under the family's difference convention.
 verify() classifies a family from its own counts and never trusts
-declared parameters.  A family is one flat layout (DesignFamily).  Outside
-positions reach a Multiset or a family by one checked path (_placed;
-_checked for a family) once their types are checked, here or by the JSON
-decoder in its own pass; positions a construction computed itself are
-laid out unchecked (_family).  verify is a tally (_tally), kept on the
-family object (_family_tally) so later calls judge it again, and a judge
+declared parameters.  A family is one flat layout (DesignFamily), and a
+block is a read-only slice of it.  Outside positions reach a block or a
+family by one checked path (_placed; _block for one block, _checked for a
+family) once their types are checked, here or by the JSON decoder in its
+own pass; positions a construction computed itself are laid out
+unchecked (_family).  verify is a tally (_tally), kept on the family
+object (_family_tally) so later calls judge it again, and a judge
 (_judge).  An extension (_extend) is tallied as the kept tally of the
 family it extends plus the tally of the added blocks alone.
 """
@@ -27,10 +28,6 @@ from .groups import (DEFAULT_CONVENTION, DiffConvention, FiniteGroup,
                      _indices, is_subgroup)
 
 
-class GroupMismatchError(ValueError):
-    """Operands live over different groups."""
-
-
 # report kinds
 PDF = "PDF"
 RELATIVE_PDF = "RelativePDF"
@@ -39,45 +36,6 @@ SDF = "SDF"
 DS = "DS"
 DIFFERENCE_MULTISET = "DifferenceMultiset"
 INVALID = "Invalid"
-
-
-class Multiset:
-    """Multiset of group elements: the sorted, read-only int64 array of its
-    positions, each element repeated per multiplicity, built from an
-    iterable of positions by the checked path make_family shares."""
-
-    __slots__ = ("group", "elements")
-
-    def __init__(self, group: FiniteGroup, elements=()):
-        row = _indices(group, _row(elements))
-        self.group, self.elements = group, _placed(group, row, [len(row)])[0]
-        self.elements.setflags(False)
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    def positions(self) -> list[int]:
-        """Every element repeated per multiplicity, in canonical order."""
-        return self.elements.tolist()
-
-    def __eq__(self, other):
-        return (isinstance(other, Multiset)
-                and self.group == other.group
-                and np.array_equal(self.elements, other.elements))
-
-    def __iter__(self):
-        return iter(self.positions())
-
-    def __len__(self):
-        return self.size
-
-    def __repr__(self):
-        inner = ", ".join(
-            (f"{e}" if m == 1 else f"{e}x{m}")
-            for e, m in zip(*map(np.ndarray.tolist, np.unique(
-                self.elements, return_counts=True))))
-        return f"Multiset{{{inner}}}"
 
 
 def _row(block) -> list:
@@ -118,6 +76,15 @@ def _placed(group: FiniteGroup, flat: list, sizes
     if x is None or len(x) and (x.min() < 0 or x.max() >= group.order):
         group._check(next(e for e in flat if not 0 <= e < group.order))
     return _sort_blocks(x, sizes, group.order)
+
+
+def _block(group: FiniteGroup, block) -> np.ndarray:
+    """One block's positions, checked and sorted by the path make_family
+    shares (_placed), as a read-only int64 array."""
+    row = _indices(group, _row(block))
+    x = _placed(group, row, [len(row)])[0]
+    x.setflags(False)
+    return x
 
 
 # pairs per chunk of a tally, so that its int64 temporaries (256 KiB each)
@@ -187,7 +154,7 @@ class DesignFamily:
     (block i is positions[offsets[i]:offsets[i + 1]])."""
 
     group: FiniteGroup
-    blocks: tuple[Multiset, ...]
+    blocks: tuple[np.ndarray, ...]
     forbidden: frozenset[int] | None = None
     convention: DiffConvention = DEFAULT_CONVENTION
 
@@ -197,15 +164,12 @@ class DesignFamily:
         self.__dict__.update(
             vars(make_family(group, blocks, forbidden, convention)))
 
-    # the blocks field's class attribute, for repr, replace and callers
+    # the blocks field's class attribute, for repr, replace and callers:
+    # read-only slices of positions
     @cached_property
-    def blocks(self) -> tuple[Multiset, ...]:
-        views = []
-        for a, b in pairwise(self.offsets.tolist()):
-            view = object.__new__(Multiset)  # a read-only slice, unchecked
-            view.group, view.elements = self.group, self.positions[a:b]
-            views.append(view)
-        return tuple(views)
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.positions[a:b]
+                     for a, b in pairwise(self.offsets.tolist()))
 
     # set on the instance, outside the fields, by _keep
     _kept_tally = None
@@ -239,22 +203,17 @@ def _family(group: FiniteGroup, positions: np.ndarray, offsets: np.ndarray,
 
 
 def _checked(group: FiniteGroup, flat: list, sizes, forbidden,
-             convention: DiffConvention, foreign: int | None = None
-             ) -> DesignFamily:
+             convention: DiffConvention) -> DesignFamily:
     """The family of integers in flat (_placed) and its forbidden set;
-    refused with no block, an empty block or a block over another group at
-    index foreign (left empty in flat; the first of the two is named), or
-    a forbidden set that is not a subgroup."""
+    refused with no block, an empty block or a forbidden set that is not
+    a subgroup."""
     positions, offsets = _placed(group, flat, sizes)
     forb = (None if forbidden is None
             else frozenset(_indices(group, list(forbidden))))
     family = _family(group, positions, offsets, forb, convention)
     if not sizes:
         raise ValueError("family needs at least one block")
-    empty = (offsets[1:] == offsets[:-1]).nonzero()[0]
-    if foreign is not None and not (len(empty) and empty[0] < foreign):
-        raise GroupMismatchError("block over a different group")
-    if len(empty):
+    if (offsets[1:] == offsets[:-1]).any():
         raise ValueError("empty block")
     if forb is not None and not is_subgroup(group, forb):
         raise ValueError("forbidden set is not a subgroup")
@@ -264,17 +223,12 @@ def _checked(group: FiniteGroup, flat: list, sizes, forbidden,
 def make_family(group: FiniteGroup, blocks, forbidden=None,
                 convention: DiffConvention = DEFAULT_CONVENTION
                 ) -> DesignFamily:
-    """Build a DesignFamily from Multisets and iterables of positions, laid
-    out end to end; the positions are checked and sorted together
-    (_checked)."""
-    blocks = list(blocks)
-    # identity first: == compares descriptors, rebuilt per call
-    foreign = [isinstance(b, Multiset) and b.group is not group
-               and b.group != group for b in blocks]
-    rows = [[] if f else _row(b) for b, f in zip(blocks, foreign)]
+    """Build a DesignFamily from blocks of positions (lists, tuples,
+    arrays, or another family's blocks), laid out end to end; the
+    positions are checked and sorted together (_checked)."""
+    rows = list(map(_row, blocks))
     flat = _indices(group, list(chain.from_iterable(rows)))
-    return _checked(group, flat, list(map(len, rows)), forbidden, convention,
-                    foreign.index(True) if any(foreign) else None)
+    return _checked(group, flat, list(map(len, rows)), forbidden, convention)
 
 
 def _extend(family: DesignFamily, positions: np.ndarray,
@@ -316,12 +270,13 @@ def _keep(family: DesignFamily, counts: np.ndarray, cover: np.ndarray,
     return kept
 
 
-def delta_block(block: Multiset,
+def delta_block(group: FiniteGroup, block,
                 convention: DiffConvention = DEFAULT_CONVENTION) -> np.ndarray:
     """Entry e of this read-only int64 array, of the group's order, counts
-    the ordered pairs of distinct positions of block with difference e."""
-    counts = _tally(block.group, block.elements,
-                    np.array([0, block.size]), convention)[0]
+    the ordered pairs of distinct positions of block (an iterable of
+    positions, checked by _block) with difference e."""
+    x = _block(group, block)
+    counts = _tally(group, x, np.array([0, len(x)]), convention)[0]
     counts.setflags(False)
     return counts
 
@@ -384,9 +339,9 @@ def verify(family: DesignFamily) -> VerificationReport:
     The tally (_tally) counts the differences, the cover and the block
     sizes, and the judge (_judge) reads only those.  The tally is kept on
     the family (_family_tally), which is sound while the family's two
-    read-only arrays stay as built (its Multiset views are never read
-    back); a caller that makes one writeable and writes to it must build
-    a new family to verify.
+    read-only arrays, and the block slices that view them, stay as built;
+    a caller that makes one writeable and writes to it must build a new
+    family to verify.
     """
     return _judge(family, *_family_tally(family))
 

@@ -6,12 +6,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import accumulate
+from numbers import Real
 from operator import add
 
 import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
-                     FiniteGroup, ProductGroup)
+                     FiniteGroup, ProductGroup, _field, _int_field, _is_int)
 from .multisets import DS, VerificationReport, _family, verify
 from .rings import Ring
 
@@ -28,6 +29,10 @@ class SearchBounds:
     time_budget_s: float | None = None
 
     def __post_init__(self):
+        _field(vars(self), "max_results", lambda n: n is None or _is_int(n),
+               "an integer")
+        _field(vars(self), "time_budget_s", lambda t: t is None or isinstance(
+            t, Real) and not isinstance(t, bool), "a real number")
         if self.max_results is not None and self.max_results < 1:
             raise ValueError(f"max results {self.max_results} is not >= 1")
         if self.time_budget_s is not None and not self.time_budget_s >= 0:
@@ -45,7 +50,8 @@ class HdsSearchResult:
 
 
 def hds_parameters(u: int) -> tuple[int, int, int]:
-    """(v, k, lambda) = (4u^2, 2u^2-u, u^2-u) for a positive u."""
+    """(v, k, lambda) = (4u^2, 2u^2-u, u^2-u) for a positive integer u."""
+    u = _int_field({"u": u}, "u")
     if u < 1:
         raise ValueError("u must be positive")
     return 4 * u * u, 2 * u * u - u, u * u - u

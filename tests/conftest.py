@@ -20,7 +20,7 @@ def lift_fiber_defects(pdf, ring, f_map) -> list[tuple[int, str]]:
     """
     group, fibers = pdf.group, [Counter() for _ in range(pdf.group.order)]
     for block in pdf.blocks:
-        lifted = [(d, h) for d in block.positions()
+        lifted = [(d, h) for d in block.tolist()
                   for h in (f_map[d], ring.neg(f_map[d]))]
         for i, (a, ha) in enumerate(lifted):
             for j, (b, hb) in enumerate(lifted):

@@ -23,9 +23,8 @@ from pdfam.constructions import (complement_pdf, double_sdf,
                                  make_recipe, paley_double_sdf)
 from pdfam.groups import (CyclicGroup, DiffConvention, ProductGroup,
                           Semidirect32)
-from pdfam.multisets import (DIFFERENCE_MULTISET, DS, PDF, SDF, Multiset,
-                             delta_block, delta_family, make_family,
-                             verify)
+from pdfam.multisets import (DIFFERENCE_MULTISET, DS, PDF, SDF, delta_block,
+                             delta_family, make_family, verify)
 from pdfam.rings import (GaloisField, ProductRing, Zmod, check_y_condition,
                          starter_reps)
 from pdfam.search import (SearchBounds, abelian_groups_order16,
@@ -130,8 +129,8 @@ def test_ac03_double_sdf_catalog():
         assert res.report.lambda_or_mu == 4 * lam
         # exhaustive multiplicity check for scale r = 2
         for orig, doubled in zip(fam.blocks, res.family.blocks):
-            base = delta_block(orig, cert.convention)
-            dd = delta_block(doubled, cert.convention)
+            base = delta_block(fam.group, orig, cert.convention)
+            dd = delta_block(fam.group, doubled, cert.convention)
             assert dd[fam.group.identity] == 2 * 1 * orig.size
             for g in fam.group.elements():
                 if g != fam.group.identity:
@@ -259,12 +258,12 @@ def test_caveat3_order32_blocks_are_convention_invariant():
     """Caveat 3: each order-32 block has the same differences under both
     conventions, which a Semidirect32 block such as {1, 8} need not."""
     conventions = (DiffConvention.RIGHT_INVERSE, DiffConvention.LEFT_INVERSE)
-    blocks = order32_family().blocks
-    assert len(blocks) == 4
-    for block in blocks:
-        right, left = (delta_block(block, c) for c in conventions)
+    fam = order32_family()
+    assert len(fam.blocks) == 4
+    for block in fam.blocks:
+        right, left = (delta_block(fam.group, block, c) for c in conventions)
         assert np.array_equal(right, left)
-    right, left = (delta_block(Multiset(Semidirect32(), [1, 8]), c)
+    right, left = (delta_block(Semidirect32(), [1, 8], c)
                    for c in conventions)
     assert not np.array_equal(right, left)
 
@@ -348,8 +347,8 @@ def test_ac10_difference_size_identity():
     for _ in range(200):
         g = rng.choice(groups)
         s = rng.randint(0, 8)
-        block = Multiset(g, [rng.randrange(g.order) for _ in range(s)])
-        assert delta_block(block).sum() == s * (s - 1)
+        block = [rng.randrange(g.order) for _ in range(s)]
+        assert delta_block(g, block).sum() == s * (s - 1)
     report("AC10[|delta X| = |X|(|X|-1) on 200 random multisets]", True)
 
 
@@ -360,9 +359,8 @@ def test_ac10_abelian_convention_invariance():
               ProductGroup([CyclicGroup(2), CyclicGroup(3), CyclicGroup(5)])]
     for _ in range(100):
         g = rng.choice(groups)
-        block = Multiset(g, [rng.randrange(g.order)
-                             for _ in range(rng.randint(0, 6))])
-        right, left = (delta_block(block, c) for c in (
+        block = [rng.randrange(g.order) for _ in range(rng.randint(0, 6))]
+        right, left = (delta_block(g, block, c) for c in (
             DiffConvention.RIGHT_INVERSE, DiffConvention.LEFT_INVERSE))
         assert np.array_equal(right, left)
     report("AC10[difference multisets are convention-invariant on abelian "

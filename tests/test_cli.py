@@ -221,6 +221,29 @@ def test_verify_reads_flag_then_file_convention_then_right(tmp_path, capsys):
             9, actual[conv])
 
 
+def test_library_paths_read_no_block_views(tmp_path, capsys, monkeypatch):
+    """The catalog, the expansions and verify read a family's flat
+    positions and offsets; certify_catalog once built every order-32
+    block view through dataclasses.replace."""
+    def refuse(family):
+        raise AssertionError("family.blocks was read")
+
+    monkeypatch.setattr(pdfam.DesignFamily, "blocks", property(refuse))
+    assert len(pdfam.certify_catalog()) == 4
+    for single, _ in (pdfam.expand_from_hds(1, 7),
+                      pdfam.expand_nonabelian32(47)):
+        assert single.certified
+    code, doc = run_json(capsys, "construct", "corollary-hds",
+                         "--u", "1", "--m", "7")
+    assert code == 0
+    path = tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    for conv in ("right", "left"):
+        code, rep = run_json(capsys, "verify", str(path),
+                             "--convention", conv)
+        assert code == 0 and rep["kind"] == "PDF"
+
+
 def test_verify_builds_one_plan_per_group_descriptor(tmp_path, capsys,
                                                      monkeypatch):
     planned, real_plan = [], groups.DifferencePlan

@@ -16,8 +16,8 @@ from pdfam import groups, multisets
 from pdfam.catalog import order32_family, trivial_hds_family
 from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup
 from pdfam.multisets import (DF, DS, INVALID, PDF, RELATIVE_PDF, SDF,
-                             DesignFamily, Multiset, delta_block,
-                             delta_family, make_family, verify)
+                             DesignFamily, delta_block, delta_family,
+                             make_family, verify)
 from pdfam.rings import EvenOrderError, GaloisField, ProductRing, Zmod
 from pdfam.serialize import (canonical_dumps, recipe_from_json,
                              recipe_to_json, result_to_json)
@@ -67,9 +67,8 @@ def test_doubling_multiplicity_formulas_exhaustive_r2():
     # identity gets r(r-1)|X|, non-identity g gets r^2 * lambda_X(g)
     for fam in (trivial_hds_family(), order32_family()):
         for block in fam.blocks:
-            base = delta_block(block)
-            doubled = delta_block(
-                Multiset(fam.group, np.repeat(block.elements, 2)))
+            base = delta_block(fam.group, block)
+            doubled = delta_block(fam.group, np.repeat(block, 2))
             assert doubled[0] == 2 * 1 * block.size
             for g in range(1, fam.group.order):
                 assert doubled[g] == 4 * base[g]
@@ -83,10 +82,9 @@ def test_doubling_multiplicity_formulas_property(r, data):
                                                  CyclicGroup(4)])]))
     elems = data.draw(st.lists(st.integers(0, g.order - 1),
                                min_size=1, max_size=8, unique=True))
-    x = Multiset(g, elements=elems)
-    base = delta_block(x)
-    scaled = delta_block(Multiset(g, np.repeat(x.elements, r)))
-    assert scaled[0] == r * (r - 1) * x.size
+    base = delta_block(g, elems)
+    scaled = delta_block(g, np.repeat(elems, r))
+    assert scaled[0] == r * (r - 1) * len(elems)
     for e in range(1, g.order):
         assert scaled[e] == r * r * base[e]
 
@@ -328,8 +326,7 @@ def test_expand_per_block_completion_fails_certification():
 def test_expansion_block_count_and_partition():
     rec = cons.make_recipe(trivial_hds_family(), GaloisField(7, 1))
     res = cons.expand_hadamard_pdf(rec)
-    cover = np.bincount(np.concatenate([b.elements
-                                        for b in res.family.blocks]),
+    cover = np.bincount(np.concatenate(res.family.blocks),
                         minlength=res.family.group.order)
     assert (cover[cover > 0] == 1).all()
     assert np.count_nonzero(cover) == 28
@@ -583,10 +580,10 @@ def test_expansion_relative_blocks_are_the_starter_images(name, conv):
     rec = _core_recipe(name, conv)
     ring, f = rec.ring, rec.f_map
     want = [sorted(d * ring.order + ring.mul(s, h)
-                   for d in b.positions() for h in (f[d], ring.neg(f[d])))
+                   for d in b.tolist() for h in (f[d], ring.neg(f[d])))
             for b in rec.pdf.blocks for s in rec.starters]
     relative = cons.expand_hadamard_pdf(rec).relative
-    assert [b.positions() for b in relative.family.blocks] == want
+    assert [b.tolist() for b in relative.family.blocks] == want
     assert relative.certified and relative.report.kind == RELATIVE_PDF
 
 

@@ -1,6 +1,7 @@
 """Each script under scripts/ runs to completion on a small input and refuses
 malformed input the way pdfam does: exit 1 and one line on stderr."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -109,3 +110,59 @@ def test_verify_rate_reports_each_family_with_its_peak_rss():
     peaks = [float(peak) for peak in peaks]
     assert peaks == sorted(peaks)
     assert peaks[-1] < 100
+
+
+def _tier1_gate():
+    spec = importlib.util.spec_from_file_location(
+        "tier1_gate", ROOT / "scripts" / "tier1_gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
+def _junit(tmp_path, cases):
+    """A JUnit XML report of (classname, name, outcome) test cases, in the
+    layout pytest writes."""
+    body = "".join(
+        f'<testcase classname="{c}" name="{n}" time="0.1">'
+        + {"passed": "", "failed": '<failure message="x">x</failure>',
+           "error": '<error message="collection failure">x</error>',
+           "skipped": '<skipped message="x">x</skipped>'}[outcome]
+        + "</testcase>" for c, n, outcome in cases)
+    path = tmp_path / "report.xml"
+    path.write_text('<?xml version="1.0" encoding="utf-8"?><testsuites>'
+                    f'<testsuite name="pytest">{body}</testsuite>'
+                    "</testsuites>")
+    return path
+
+
+def test_tier1_gate_reads_outcomes_and_names_each_problem(tmp_path):
+    gate = _tier1_gate()
+    pinned = sorted(gate.FAIL_BY_DESIGN)
+    module, names = zip(*(t.split("::") for t in pinned))
+    ok = _junit(tmp_path, [("tests.test_x", "test_a", "passed"),
+                           ("tests.test_x", "test_b", "skipped")]
+                + [(m, n, "failed") for m, n in zip(module, names)])
+    total, ran, failed = gate.failed_tests(ok)
+    assert (total, failed) == (6, set(pinned))
+    assert ran == {"tests.test_x::test_a", *pinned}
+    assert gate.problems(ran, failed) == []
+
+    # a module that fails to collect is one error case, and its tests,
+    # pinned ones included, did not run
+    broken = _junit(tmp_path, [("", "tests.test_acceptance", "error"),
+                               ("tests.test_x", "test_a", "failed")])
+    total, ran, failed = gate.failed_tests(broken)
+    assert total == 2
+    assert gate.problems(ran, failed) == [
+        "unexpected failure: ::tests.test_acceptance",
+        "unexpected failure: tests.test_x::test_a",
+        *(f"pinned failure did not run: {t}" for t in pinned)]
+
+    mixed = _junit(tmp_path, [(module[0], names[0], "passed"),
+                              (module[1], names[1], "skipped"),
+                              (module[2], names[2], "failed")])
+    assert gate.problems(*gate.failed_tests(mixed)[1:]) == [
+        f"pinned failure did not run: {pinned[1]}",
+        f"pinned failure did not run: {pinned[3]}",
+        f"pinned failure now passes: {pinned[0]}"]

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 from math import gcd
 
@@ -115,6 +116,43 @@ def test_search_bounds_refuse_empty_bounds(bounds):
     # max_results=0 returned one result, marked incomplete
     with pytest.raises(ValueError, match="is not >="):
         SearchBounds(**bounds)
+
+
+@pytest.mark.parametrize("u", [True, 1.0, 2.5, "2"])
+def test_a_non_integer_u_is_refused(u):
+    # u=True read as 1 (expand_from_hds(True, 7) certified), and u=1.0
+    # failed later with "element 0.0 is not an integer"
+    for call in (lambda: hds_parameters(u),
+                 lambda: search_hds(CyclicGroup(4), u),
+                 lambda: hadamard_pdf_from_hds(u)):
+        with pytest.raises(ValueError,
+                           match=rf"^u {re.escape(repr(u))} is not an "
+                                 "integer$"):
+            call()
+
+
+def test_numpy_integer_u_is_accepted():
+    assert hds_parameters(np.int64(2)) == (16, 6, 2)
+    assert search_hds(CyclicGroup(4), np.int32(1)).results == ((0,),)
+
+
+@pytest.mark.parametrize("bounds,says", [
+    ({"max_results": 2.5}, "max_results 2.5 is not an integer"),
+    ({"max_results": True}, "max_results True is not an integer"),
+    ({"time_budget_s": True}, "time_budget_s True is not a real number"),
+    ({"time_budget_s": "1"}, "time_budget_s '1' is not a real number"),
+], ids=["float-results", "bool-results", "bool-budget", "text-budget"])
+def test_search_bounds_refuse_a_wrong_type(bounds, says):
+    # the first three were accepted, and "1" raised a bare TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+        SearchBounds(**bounds)
+
+
+def test_search_bounds_accept_numpy_numbers():
+    bounds = SearchBounds(max_results=np.int64(1),
+                          time_budget_s=np.float64(60))
+    assert search_hds(CyclicGroup(16), 2, bounds).complete
+    assert SearchBounds(time_budget_s=np.int32(1)).time_budget_s == 1
 
 
 def test_order16_sweep_matches_known_classification():

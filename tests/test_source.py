@@ -155,47 +155,25 @@ def test_only_serialize_writes_indented_json():
 
 
 def _per_block_reads(source: str) -> list[int]:
-    """The lines where a source reads a .blocks attribute, or builds a
-    Multiset per block: calls Multiset inside a loop or comprehension, or
-    maps it over an iterable."""
-    tree = ast.parse(source)
-    lines = {n.lineno for n in ast.walk(tree)
-             if isinstance(n, ast.Attribute) and n.attr == "blocks"
-             and isinstance(n.ctx, ast.Load)}
-
-    def is_multiset(n):
-        return (isinstance(n, ast.Name) and n.id == "Multiset"
-                or isinstance(n, ast.Attribute) and n.attr == "Multiset")
-
-    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
-             ast.GeneratorExp)
-    for loop in ast.walk(tree):
-        if isinstance(loop, loops):
-            lines |= {n.lineno for n in ast.walk(loop)
-                      if isinstance(n, ast.Call) and is_multiset(n.func)}
-    lines |= {n.lineno for n in ast.walk(tree)
-              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-              and n.func.id == "map" and any(map(is_multiset, n.args))}
-    return sorted(lines)
+    """The lines where a source reads a .blocks attribute."""
+    return sorted({n.lineno for n in ast.walk(ast.parse(source))
+                   if isinstance(n, ast.Attribute) and n.attr == "blocks"
+                   and isinstance(n.ctx, ast.Load)})
 
 
-def test_per_block_check_flags_blocks_and_multisets_per_block():
+def test_per_block_check_flags_block_reads():
     assert _per_block_reads(
         "for b in fam.blocks:\n"
         "    pass\n"
-        "ms = [Multiset(g, r) for r in rows]\n"
-        "one = Multiset(g, row)\n"
         "sizes = fam.block_sizes\n"
         "text = data['blocks']\n"
-        "many = list(map(Multiset, gs, rows))\n"
-        "while rows:\n"
-        "    x = pdfam.Multiset(g, rows.pop())\n"
-        "fam.blocks = ()\n") == [1, 3, 7, 9]
+        "first = pdfam.catalog_family('hds16').blocks[0]\n"
+        "fam.blocks = ()\n") == [1, 5]
 
 
 def test_only_multisets_reads_blocks():
     """Every other module reads a family's flat positions and offsets, so
-    no Multiset view is built on a library path."""
+    no block view is built on a library path."""
     assert {p.name: _per_block_reads(p.read_text())
             for p in PACKAGE.glob("*.py") if p.name != "multisets.py"
             and _per_block_reads(p.read_text())} == {}
