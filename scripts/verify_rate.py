@@ -10,12 +10,15 @@ The families are an order-16 search leaf (the first (16,6,2) difference
 set in Z4 x Z4, one block), the single-completion final families of the
 u=1, m=499 expansion, the order-32, m=71 expansion and the u=2, m=41
 expansion, and the Paley q=6007 doubled complement (one block of 6008
-positions, 36M pairs).  Each figure is taken over --repeats timed rounds
-of enough calls to fill about --round-s seconds; on a shared host single
-rounds vary by tens of percent, so compare medians, and the quartiles
-show the spread.  verify keeps a family's tally on the family object, so
-each call verifies its own new family over the same flat positions and
-offsets, built before the round's timer starts.
+positions, 36M pairs).  The leaf's row is a standalone one-block verify,
+tally and judge; search_hds no longer pays it per hit, since it tallies
+its hits as one stack and each hit's verify only judges.  Each figure is
+taken over --repeats timed rounds of enough calls to fill about --round-s
+seconds; on a shared host single rounds vary by tens of percent, so
+compare medians, and the quartiles show the spread.  verify keeps a
+family's tally on the family object, so each call verifies its own new
+family over the same flat positions and offsets, built before the round's
+timer starts.
 
     PYTHONPATH=src python3 scripts/verify_rate.py
 """

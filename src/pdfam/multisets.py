@@ -13,7 +13,10 @@ own pass; positions a construction computed itself are laid out
 unchecked (_family).  verify is a tally (_tally), kept on the family
 object (_family_tally) so later calls judge it again, and a judge
 (_judge).  An extension (_extend) is tallied as the kept tally of the
-family it extends plus the tally of the added blocks alone.
+family it extends plus the tally of the added blocks alone.  A stack of
+one-block families of one size (the HDS search's hits) is tallied in one
+pass with a count array per row (_row_tallies), each row kept (_keep) on
+its own family for verify to judge.
 """
 
 from __future__ import annotations
@@ -144,6 +147,26 @@ def _tally(group: FiniteGroup, positions: np.ndarray, offsets: np.ndarray,
     counts[group.identity] -= len(flat)
     return (counts, np.bincount(flat, minlength=group.order),
             tuple(sorted(ks)))
+
+
+def _row_tallies(group: FiniteGroup, x: np.ndarray,
+                 convention: DiffConvention
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """_tally's counts and cover of each row of the (n, k) stack x as a
+    one-block family, as rows of two (n, order) arrays: one pass of pair
+    codes, folded to elements and counted by one bincount with row i
+    offset by i * order.  The stack is not chunked: its n * k * k pairs are
+    the caller's to bound.
+    """
+    n, k = x.shape
+    v = group.order
+    plan = group.difference_plan(convention)
+    shift = np.arange(0, n * v, v)
+    elements = plan.fold[plan.codes(x, x)] + shift[:, None, None]
+    counts = np.bincount(elements.ravel(), minlength=n * v).reshape(n, v)
+    counts[:, group.identity] -= k
+    cover = np.bincount((x + shift[:, None]).ravel(), minlength=n * v)
+    return counts, cover.reshape(n, v)
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -13,7 +13,8 @@ import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup, _field, _int_field, _is_int)
-from .multisets import DS, VerificationReport, _family, verify
+from .multisets import (CHUNK_CELLS, DS, VerificationReport, _family, _keep,
+                        _row_tallies, verify)
 from .rings import Ring
 
 
@@ -47,6 +48,12 @@ class HdsSearchResult:
     elapsed: float
     # reports[i]: the verifier's report on results[i] as a one-block family
     reports: tuple[VerificationReport, ...]
+
+
+def _bounds(bounds) -> None:
+    """Refuse bounds that are not a SearchBounds, naming the argument."""
+    _field({"bounds": bounds}, "bounds",
+           lambda b: isinstance(b, SearchBounds), "a SearchBounds")
 
 
 def hds_parameters(u: int) -> tuple[int, int, int]:
@@ -84,7 +91,12 @@ def search_hds(group: FiniteGroup, u: int,
     Depth-first from the identity e0 over the other elements in ascending
     index order, pruning as soon as any non-identity difference count
     exceeds lambda = u^2-u.  Hits are returned sorted, each re-certified by
-    the verifier, with its report.
+    the verifier, with its report.  Canonical leaves wait in a stack that is
+    tallied in one pass (multisets._row_tallies) when max_results would be
+    reached with it, when its pairs would pass CHUNK_CELLS with one more
+    leaf, and after the walk; each row is then kept on its leaf's one-block
+    family and judged by one verify call, in walk order.  A leaf the
+    verifier refuses is not a hit, and the walk goes on.
 
     Only canonical sets (the least of their identity-containing translates,
     _least_translate) are kept, and the walk prunes the rest early: with
@@ -104,6 +116,9 @@ def search_hds(group: FiniteGroup, u: int,
     + 1, 2) keeps every field below 2^width.  Each depth-1 candidate's floor
     rides in the list it is tested from, apart from its subtree's list.
     """
+    _field({"group": group}, "group",
+           lambda g: isinstance(g, FiniteGroup), "a group")
+    _bounds(bounds)
     v, k, lam = hds_parameters(u)
     if group.order != v:
         raise OrderMismatchError(
@@ -132,25 +147,42 @@ def search_hds(group: FiniteGroup, u: int,
     leaf_offsets = np.array([0, k])
     results: list[tuple[int, ...]] = []
     reports: list[VerificationReport] = []
+    pending: list[tuple[int, ...]] = []
     nodes = 0
     truncated = False
+
+    def certify() -> None:
+        """Certify the pending leaves, in walk order: one stacked tally,
+        each row kept on its leaf's one-block family and judged by verify."""
+        if not pending:
+            return
+        # the walk's indices are in range, distinct and sorted: each block
+        # is laid out directly, without make_family's input checks
+        stack = np.array(pending, dtype=np.int64)
+        counts, cover = _row_tallies(group, stack, convention)
+        for d, x, delta, covered in zip(pending, stack, counts, cover):
+            fam = _family(group, x, leaf_offsets, None, convention)
+            _keep(fam, delta, covered, (k,))
+            rep = verify(fam)
+            if (rep.kind == DS and rep.h == 1 and rep.v == v
+                    and rep.lambda_or_mu == lam):
+                results.append(d)
+                reports.append(rep)
+        pending.clear()
 
     def emit() -> bool:
         d = tuple(sorted(chosen))
         # a one-element set is its only translate
         if k > 1 and not _least_translate(diff, back, d, chosen[1]):
             return True
-        # the walk's indices are in range, distinct and now sorted: the
-        # block is laid out directly, without make_family's input checks
-        rep = verify(_family(group, np.array(d, dtype=np.int64),
-                             leaf_offsets, None, convention))
-        if (rep.kind == DS and rep.h == 1 and rep.v == v
-                and rep.lambda_or_mu == lam):
-            results.append(d)
-            reports.append(rep)
-            if (bounds.max_results is not None
-                    and len(results) >= bounds.max_results):
-                return False
+        pending.append(d)
+        if (bounds.max_results is not None
+                and len(results) + len(pending) >= bounds.max_results):
+            certify()
+            return len(results) < bounds.max_results
+        # the stack's pairs stay within max(CHUNK_CELLS, k * k)
+        if (len(pending) + 1) * k * k > CHUNK_CELLS:
+            certify()
         return True
 
     def extend(start: int, counts: int, adds: list[int],
@@ -180,6 +212,7 @@ def search_hds(group: FiniteGroup, u: int,
 
     first = pair[group.identity][1:]
     exhausted = extend(1, bias, list(map(add, first, floor)), first)
+    certify()
     complete = exhausted and not truncated
     return HdsSearchResult(tuple(results), complete, nodes,
                            time.monotonic() - started, tuple(reports))
@@ -204,6 +237,8 @@ def max_unit_y_search(ring: Ring,
     chosen, which is exactly the incremental form of the full condition.
     Each chosen y narrows the candidates with one array test.
     """
+    _field({"ring": ring}, "ring", lambda r: isinstance(r, Ring), "a ring")
+    _bounds(bounds)
     started = time.monotonic()
     deadline = (started + bounds.time_budget_s
                 if bounds.time_budget_s is not None else None)

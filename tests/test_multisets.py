@@ -192,6 +192,28 @@ def test_delta_block_is_the_one_block_family_tally(g, convention, data):
         d, delta_family(make_family(g, [x], convention=convention)))
 
 
+@seed(29)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([ProductGroup([CyclicGroup(3), CyclicGroup(4)]),
+                        Semidirect32(), _relabeled_table(Semidirect32(), 5)]),
+       st.sampled_from(list(DiffConvention)), st.integers(1, 40),
+       st.integers(1, 8), st.data())
+def test_row_tallies_match_the_tally_row_by_row(g, convention, n, k, data):
+    """Row i of a stacked tally is _tally of row i as a one-block family;
+    rows are drawn from a few elements, so they repeat them."""
+    pool = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1,
+                              max_size=6))
+    x = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n * k,
+                                    max_size=n * k))).reshape(n, k)
+    counts, cover = multisets._row_tallies(g, x, convention)
+    assert counts.shape == cover.shape == (n, g.order)
+    for i in range(n):
+        want, want_cover, _ = multisets._tally(g, x[i], np.array([0, k]),
+                                               convention)
+        assert np.array_equal(counts[i], want)
+        assert np.array_equal(cover[i], want_cover)
+
+
 def test_family_blocks_are_read_only_int64_slices_of_positions():
     fam = make_family(Semidirect32(), [[30, 3, 3], [17], np.array([9, 0])])
     assert isinstance(fam.blocks, tuple) and fam.blocks is fam.blocks

@@ -430,6 +430,87 @@ def test_search_hds_first_z6xz6_set_is_pinned():
         _reference_search_hds(g, 3, max_results=1)
 
 
+# -- stacked certification of the hits -------------------------------------
+
+@pytest.mark.parametrize("cells", [1, 100])
+@pytest.mark.parametrize("convention", list(DiffConvention),
+                         ids=lambda c: c.value)
+def test_search_hds_certifies_the_same_in_smaller_stacks(monkeypatch,
+                                                         convention, cells):
+    """With a stack bound of one pair every leaf is certified alone, and
+    with 100 pairs two (16,6,2) leaves at a time; the searches come out
+    the same, and no stack holds more than max(CHUNK_CELLS, k * k) pairs."""
+    stacked = {name: search_hds(g, 2, convention=convention)
+               for name, g in ORDER16_GROUPS.items()}
+    real, stacks = search._row_tallies, []
+
+    def recorded(group, x, convention):
+        stacks.append(x.shape)
+        return real(group, x, convention)
+
+    monkeypatch.setattr(search, "CHUNK_CELLS", cells)
+    monkeypatch.setattr(search, "_row_tallies", recorded)
+    for name, g in ORDER16_GROUPS.items():
+        small, res = search_hds(g, 2, convention=convention), stacked[name]
+        assert (small.results, small.reports, small.nodes, small.complete) \
+            == (res.results, res.reports, res.nodes, res.complete)
+    assert max(n for n, _ in stacks) == max(1, cells // 36)
+    assert sum(n for n, _ in stacks) == sum(map(len, (
+        r.results for r in stacked.values())))
+
+
+def test_search_hds_a_refused_leaf_is_not_a_hit(monkeypatch):
+    """A leaf whose stacked tally is off is judged Invalid and not counted
+    against max_results: the walk goes on to the next two hits."""
+    g = ProductGroup([CyclicGroup(4), CyclicGroup(4)])
+    full = search_hds(g, 2)
+    real, flushes = search._row_tallies, []
+
+    def off_by_one(group, x, convention):
+        counts, cover = real(group, x, convention)
+        if not flushes:
+            counts[0, group.identity + 1] += 1
+        flushes.append(len(x))
+        return counts, cover
+
+    monkeypatch.setattr(search, "_row_tallies", off_by_one)
+    res = search_hds(g, 2, SearchBounds(max_results=2))
+    assert res.results == full.results[1:3]
+    assert res.reports == full.reports[1:3]
+    assert not res.complete
+    assert flushes == [2, 1]
+
+
+@pytest.mark.parametrize("convention", list(DiffConvention),
+                         ids=lambda c: c.value)
+def test_search_hds_z6xz6_reports_are_the_verifier_reports(convention):
+    g = ProductGroup([CyclicGroup(6), CyclicGroup(6)])
+    res = search_hds(g, 3, SearchBounds(max_results=2), convention)
+    assert (res.nodes, len(res.results), res.complete) == (193724, 2, False)
+    assert list(res.reports) == [
+        verify(make_family(g, [list(d)], convention=convention))
+        for d in res.results]
+    assert {(r.kind, r.v, r.K, r.lambda_or_mu) for r in res.reports} == {
+        (DS, 36, (15,), 6)}
+
+
+@pytest.mark.parametrize("call,says", [
+    (lambda g: search_hds(g, 2, None), "bounds None is not a SearchBounds"),
+    (lambda g: search_hds(g, 2, {"max_results": 1}),
+     "bounds {'max_results': 1} is not a SearchBounds"),
+    (lambda g: search_hds("Z4xZ4", 2), "group 'Z4xZ4' is not a group"),
+    (lambda g: max_unit_y_search(Zmod(25), None),
+     "bounds None is not a SearchBounds"),
+    (lambda g: max_unit_y_search("F7"), "ring 'F7' is not a ring"),
+], ids=["none-bounds", "dict-bounds", "text-group", "y-none-bounds",
+        "text-ring"])
+def test_searches_refuse_a_malformed_argument(call, says):
+    # each raised a bare AttributeError
+    g = ProductGroup([CyclicGroup(4), CyclicGroup(4)])
+    with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+        call(g)
+
+
 # -- maximum unit sets -----------------------------------------------------
 
 def brute_max_y(n):
