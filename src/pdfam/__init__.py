@@ -17,8 +17,7 @@ from .constructions import (COMPLETION_PER_BLOCK, COMPLETION_SINGLE,
                             Prediction, RecipeInvariantError, complement_pdf,
                             double_sdf, expand_from_hds, expand_hadamard_pdf,
                             expand_nonabelian32, hadamard_pdf_from_hds,
-                            make_recipe, paley_double_sdf, ring_for_modulus,
-                            validate_recipe)
+                            make_recipe, paley_double_sdf, ring_for_modulus)
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup, Semidirect32, TableGroup,
                      convention_from_name, is_subgroup, make_group)

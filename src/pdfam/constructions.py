@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
-                     FiniteGroup, ProductGroup, _field, _indices, _int_field,
-                     _ints, _is_int)
+                     FiniteGroup, ProductGroup, _field, _indices, _instance,
+                     _int_field, _ints, _is_int)
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
                         DesignFamily, VerificationReport, _block, _extend,
                         _family, _sort_blocks, make_family, verify)
@@ -241,7 +241,8 @@ class ExpansionRecipe:
         if self.completion not in COMPLETIONS:
             raise RecipeInvariantError(
                 f"completion must be one of {COMPLETIONS}")
-        ring = self.ring
+        _instance(self.pdf, DesignFamily, "pdf", "a DesignFamily")
+        ring = _instance(self.ring, Ring, "ring", "a ring")
         if ring.order % 2 == 0:
             raise EvenOrderError("expansion ring must have odd order")
         kmax = max(self.pdf.block_sizes)
@@ -307,12 +308,6 @@ def make_recipe(pdf: DesignFamily, ring: Ring,
                            starters, completion)
 
 
-def validate_recipe(recipe: ExpansionRecipe) -> VerificationReport:
-    """Certify the recipe's base as a Hadamard PDF and return its report;
-    the recipe checked everything else when it was built."""
-    return _hadamard_report(recipe.pdf)
-
-
 @dataclass(frozen=True, eq=False)
 class ExpansionResult(ConstructionResult):
     recipe: ExpansionRecipe = None
@@ -326,19 +321,20 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     starter multiplies the lifted blocks, giving a relative PDF over the
     product group, and its completion over the zero fiber (one block, or
     one copy of each base block per "per-block") an ordinary PDF of doubled
-    index.  Only the base is certified here (validate_recipe); with the
-    recipe's own checks it implies the fiber conditions.  A difference at
-    g != 0 comes from one of the lam pairs d, d' in a base block with
-    d - d' = g, as the four values +-f(d) -+ f(d'), units by the recipe
-    since f is injective into Y on the block; the fiber at g = 0 holds
-    +-2f(d) for the 2*lam elements d.  So every fiber holds 4*lam units,
-    closed under negation, which the starters, one per {h,-h} pair, spread
-    over H minus zero 2*lam times; none sends 2f(d) to zero, and the images
-    keep g, so each block sweeps its own fiber once (the RELATIVE_PDF check
-    below).  _lift's verify and the final one certify; the final family
+    index.  Only the base is certified here (_hadamard_report); the recipe
+    checked everything else when it was built, and with those checks the
+    base implies the fiber conditions.  A difference at g != 0 comes from
+    one of the lam pairs d, d' in a base block with d - d' = g, as the
+    four values +-f(d) -+ f(d'), units by the recipe since f is injective
+    into Y on the block; the fiber at g = 0 holds +-2f(d) for the 2*lam
+    elements d.  So every fiber holds 4*lam units, closed under negation,
+    which the starters, one per {h,-h} pair, spread over H minus zero
+    2*lam times; none sends 2f(d) to zero, and the images keep g, so each
+    block sweeps its own fiber once (the RELATIVE_PDF check below).  _lift's verify and the final one certify; the final family
     extends the relative one, so only the zero fiber is tallied again.
     """
-    base = validate_recipe(recipe)
+    _instance(recipe, ExpansionRecipe, "recipe", "an ExpansionRecipe")
+    base = _hadamard_report(recipe.pdf)
     lam, n = base.lambda_or_mu, len(recipe.starters)
     g_group, conv = recipe.pdf.group, recipe.pdf.convention
     ring, h_group = recipe.ring, recipe.ring.additive

@@ -2,9 +2,10 @@
 
 A group of order n has elements 0..n-1.  Each element also carries a
 coordinate tuple (one integer per direct factor, a singleton for cyclic and
-table groups); index and coordinates are two sides of a mixed-radix
-bijection with the leftmost coordinate most significant, so index order is
-lexicographic order on coordinates.  ProductGroup holds the one mixed-radix
+table groups, the pair (x, y) for Semidirect32, a named table); index and
+coordinates are two sides of a mixed-radix bijection with the leftmost
+coordinate most significant, so index order is lexicographic order on
+coordinates.  ProductGroup holds the one mixed-radix
 encoding; a ring of pdfam.rings is built on its additive group, from which
 it takes its addition and its element encoding.  Groups are written
 additively but need not be abelian; DiffConvention fixes what "a - b" means
@@ -254,43 +255,6 @@ class ProductGroup(FiniteGroup):
         return " x ".join(repr(f) for f in self.factors)
 
 
-class Semidirect32(FiniteGroup):
-    """Non-abelian order-32 group on Z4 x Z8 pairs.
-
-    (x1,y1) + (x2,y2) = (x1+x2 mod 4, 5^x2 * y1 + y2 mod 8).  Since
-    5^2 = 25 = 1 mod 8 the twist only depends on the parity of x2.
-    """
-
-    def __init__(self):
-        self.order = 32
-        self.arity = 2
-
-    def op(self, a, b):
-        x1, y1 = divmod(self._check(a), 8)
-        x2, y2 = divmod(self._check(b), 8)
-        return (((x1 + x2) & 3) << 3) | ((y1 * (1 + 4 * (x2 & 1)) + y2) & 7)
-
-    def neg(self, a):
-        x, y = divmod(self._check(a), 8)
-        xn = (-x) & 3
-        return (xn << 3) | ((-y * (1 + 4 * (xn & 1))) & 7)
-
-    def coords(self, a):
-        return divmod(self._check(a), 8)
-
-    def index_of(self, coords):
-        x, y = self._coordinates(coords)
-        if not (0 <= x < 4 and 0 <= y < 8):
-            raise ElementOutOfRangeError(f"bad coordinates ({x},{y})")
-        return (x << 3) | y
-
-    def descriptor(self):
-        return {"type": "semidirect32"}
-
-    def __repr__(self):
-        return "Semidirect32"
-
-
 class TableGroup(FiniteGroup):
     """Group given by an explicit operation table, validated eagerly."""
 
@@ -323,6 +287,37 @@ class TableGroup(FiniteGroup):
     def descriptor(self):
         return {"type": "table", "n": self.order,
                 "table": self.table.tolist()}
+
+
+class Semidirect32(TableGroup):
+    """Non-abelian order-32 group on Z4 x Z8 pairs, element 8x + y.
+
+    (x1,y1) + (x2,y2) = (x1+x2 mod 4, 5^x2 * y1 + y2 mod 8), written out
+    once as a Cayley table and validated as any table is.  Since
+    5^2 = 25 = 1 mod 8 the twist only depends on the parity of x2.
+    """
+
+    def __init__(self):
+        x, y = np.divmod(np.arange(32), 8)
+        twist = 1 + 4 * (x & 1)  # 5^x mod 8
+        super().__init__(8 * ((x[:, None] + x) % 4)
+                         + (y[:, None] * twist + y) % 8)
+        self.arity = 2
+
+    def coords(self, a):
+        return divmod(self._check(a), 8)
+
+    def index_of(self, coords):
+        x, y = self._coordinates(coords)
+        if not (0 <= x < 4 and 0 <= y < 8):
+            raise ElementOutOfRangeError(f"bad coordinates ({x},{y})")
+        return (x << 3) | y
+
+    def descriptor(self):
+        return {"type": "semidirect32"}
+
+    def __repr__(self):
+        return "Semidirect32"
 
 
 def _leaves(group: FiniteGroup, stride: int = 1):
@@ -550,6 +545,12 @@ def _field(descriptor: dict, key: str, valid, what: str,
     if not valid(value):
         raise ValueError(f"{key} {reprlib.repr(value)} is not {what}")
     return value
+
+
+def _instance(value, cls: type, key: str, what: str):
+    """value when it is a cls; otherwise _field's ValueError names the
+    argument and the value."""
+    return _field({key: value}, key, lambda x: isinstance(x, cls), what)
 
 
 def _int_field(descriptor: dict, key: str, default=_REQUIRED) -> int:

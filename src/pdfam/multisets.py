@@ -21,6 +21,7 @@ its own family for verify to judge.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, groupby, pairwise
@@ -28,7 +29,7 @@ from itertools import accumulate, chain, groupby, pairwise
 import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, DiffConvention, FiniteGroup,
-                     _indices, is_subgroup)
+                     _indices, _instance, is_subgroup)
 
 
 # report kinds
@@ -41,11 +42,19 @@ DIFFERENCE_MULTISET = "DifferenceMultiset"
 INVALID = "Invalid"
 
 
-def _row(block) -> list:
-    """A block's positions as a list; a dict is refused, not read."""
-    if isinstance(block, dict):
-        raise ValueError("a block is an iterable of positions, not a dict")
-    return block.tolist() if isinstance(block, np.ndarray) else list(block)
+def _row(items, what: str = "block", of: str = "positions") -> list:
+    """A block's positions, or a family's blocks, as a list; a dict, or a
+    value that is not iterable, is refused, not read."""
+    if isinstance(items, np.ndarray) and items.ndim:
+        return items.tolist()
+    if isinstance(items, dict):
+        raise ValueError(f"a {what} is an iterable of {of}, not a dict")
+    try:
+        it = iter(items)
+    except TypeError:
+        raise ValueError(f"{what} {reprlib.repr(items)} is not an iterable "
+                         f"of {of}") from None
+    return list(it)
 
 
 def _sort_blocks(x: np.ndarray, sizes, order: int
@@ -84,6 +93,7 @@ def _placed(group: FiniteGroup, flat: list, sizes
 def _block(group: FiniteGroup, block) -> np.ndarray:
     """One block's positions, checked and sorted by the path make_family
     shares (_placed), as a read-only int64 array."""
+    _instance(group, FiniteGroup, "group", "a group")
     row = _indices(group, _row(block))
     x = _placed(group, row, [len(row)])[0]
     x.setflags(False)
@@ -249,7 +259,8 @@ def make_family(group: FiniteGroup, blocks, forbidden=None,
     """Build a DesignFamily from blocks of positions (lists, tuples,
     arrays, or another family's blocks), laid out end to end; the
     positions are checked and sorted together (_checked)."""
-    rows = list(map(_row, blocks))
+    _instance(group, FiniteGroup, "group", "a group")
+    rows = list(map(_row, _row(blocks, "family", "blocks")))
     flat = _indices(group, list(chain.from_iterable(rows)))
     return _checked(group, flat, list(map(len, rows)), forbidden, convention)
 
@@ -366,6 +377,9 @@ def verify(family: DesignFamily) -> VerificationReport:
     a caller that makes one writeable and writes to it must build a new
     family to verify.
     """
+    if not isinstance(family, DesignFamily):  # no _field dict: verify is hot
+        raise ValueError(
+            f"family {reprlib.repr(family)} is not a DesignFamily")
     return _judge(family, *_family_tally(family))
 
 

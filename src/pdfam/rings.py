@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (CyclicGroup, FiniteGroup, ProductGroup, _factors,
-                     _indices, _int_field, _is_int, _scalar_or_array)
+                     _indices, _instance, _int_field, _is_int,
+                     _scalar_or_array)
 
 
 class NotPrimeError(ValueError):
@@ -29,6 +30,7 @@ class EvenOrderError(ValueError):
 
 
 def is_prime(n: int) -> bool:
+    n = _int_field({"n": n}, "n")  # a bool or a float is refused
     if n < 2:
         return False
     if n % 2 == 0:
@@ -43,6 +45,7 @@ def is_prime(n: int) -> bool:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division, {prime: exponent}."""
+    n = _int_field({"n": n}, "n")
     if n < 1:
         raise ValueError("positive integers only")
     out: dict[int, int] = {}
@@ -339,6 +342,7 @@ def starter_reps(ring: Ring) -> list[int]:
     Needs odd order so no nonzero element is its own negative; picks the
     canonically smaller element of each pair, returned ascending.
     """
+    _instance(ring, Ring, "ring", "a ring")
     if ring.order % 2 == 0:
         raise EvenOrderError("patterned starters need a ring of odd order")
     h = np.arange(1, ring.order)
@@ -390,6 +394,7 @@ def check_y_condition(ring: Ring, y) -> YCheck:
     a < b, of the sorted Y union -Y in row-major order whose difference
     a - b is not a unit.  All differences come from one broadcast of sub.
     """
+    _instance(ring, Ring, "ring", "a ring")
     y = _indices(ring.additive, list(y))
     if len(set(y)) != len(y):
         return YCheck(False, None, "repeated element in Y")

@@ -12,7 +12,8 @@ from operator import add
 import numpy as np
 
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
-                     FiniteGroup, ProductGroup, _field, _int_field, _is_int)
+                     FiniteGroup, ProductGroup, _field, _instance,
+                     _int_field, _is_int)
 from .multisets import (CHUNK_CELLS, DS, VerificationReport, _family, _keep,
                         _row_tallies, verify)
 from .rings import Ring
@@ -48,12 +49,6 @@ class HdsSearchResult:
     elapsed: float
     # reports[i]: the verifier's report on results[i] as a one-block family
     reports: tuple[VerificationReport, ...]
-
-
-def _bounds(bounds) -> None:
-    """Refuse bounds that are not a SearchBounds, naming the argument."""
-    _field({"bounds": bounds}, "bounds",
-           lambda b: isinstance(b, SearchBounds), "a SearchBounds")
 
 
 def hds_parameters(u: int) -> tuple[int, int, int]:
@@ -116,9 +111,8 @@ def search_hds(group: FiniteGroup, u: int,
     + 1, 2) keeps every field below 2^width.  Each depth-1 candidate's floor
     rides in the list it is tested from, apart from its subtree's list.
     """
-    _field({"group": group}, "group",
-           lambda g: isinstance(g, FiniteGroup), "a group")
-    _bounds(bounds)
+    _instance(group, FiniteGroup, "group", "a group")
+    _instance(bounds, SearchBounds, "bounds", "a SearchBounds")
     v, k, lam = hds_parameters(u)
     if group.order != v:
         raise OrderMismatchError(
@@ -237,8 +231,8 @@ def max_unit_y_search(ring: Ring,
     chosen, which is exactly the incremental form of the full condition.
     Each chosen y narrows the candidates with one array test.
     """
-    _field({"ring": ring}, "ring", lambda r: isinstance(r, Ring), "a ring")
-    _bounds(bounds)
+    _instance(ring, Ring, "ring", "a ring")
+    _instance(bounds, SearchBounds, "bounds", "a SearchBounds")
     started = time.monotonic()
     deadline = (started + bounds.time_budget_s
                 if bounds.time_budget_s is not None else None)

@@ -18,7 +18,8 @@ from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup
 from pdfam.multisets import (DF, DS, INVALID, PDF, RELATIVE_PDF, SDF,
                              DesignFamily, delta_block, delta_family,
                              make_family, verify)
-from pdfam.rings import EvenOrderError, GaloisField, ProductRing, Zmod
+from pdfam.rings import (EvenOrderError, GaloisField, ProductRing, Zmod,
+                         check_y_condition, starter_reps)
 from pdfam.serialize import (canonical_dumps, recipe_from_json,
                              recipe_to_json, result_to_json)
 
@@ -230,21 +231,68 @@ def test_make_recipe_explicit_y_checked():
 
 
 def test_validate_recipe_catches_tampering():
-    # the recipe refuses itself as it is built, before validate_recipe runs
+    # the recipe validates itself as it is built: a tampered one is never
+    # made, so no expansion can start from it
     rec = cons.make_recipe(trivial_hds_family(), GaloisField(7, 1))
-    with pytest.raises(cons.RecipeInvariantError):
-        cons.validate_recipe(cons.ExpansionRecipe(
-            rec.pdf, rec.ring, rec.y, (3, 3, 3, 6), rec.starters,
-            rec.completion))
-    with pytest.raises(cons.RecipeInvariantError):
-        cons.validate_recipe(cons.ExpansionRecipe(
-            rec.pdf, rec.ring, rec.y, rec.f_map, (1, 2, 6), rec.completion))
+    with pytest.raises(cons.RecipeInvariantError,
+                       match="repeats the value 3 inside one block"):
+        cons.ExpansionRecipe(rec.pdf, rec.ring, rec.y, (3, 3, 3, 6),
+                             rec.starters, rec.completion)
+    with pytest.raises(cons.RecipeInvariantError,
+                       match="starters must pick one element per"):
+        cons.ExpansionRecipe(rec.pdf, rec.ring, rec.y, rec.f_map, (1, 2, 6),
+                             rec.completion)
 
 
-def test_validate_recipe_returns_the_base_report():
+def test_validate_recipe_returns_the_base_report(monkeypatch):
+    # the expansion certifies its base with one _hadamard_report call, whose
+    # report is the verifier's report of the recipe's family
     rec = cons.make_recipe(trivial_hds_family(), GaloisField(7, 1))
-    rep = cons.validate_recipe(rec)
-    assert rep == verify(rec.pdf) and rep.hadamard
+    reports, hadamard_report = [], cons._hadamard_report
+    monkeypatch.setattr(cons, "_hadamard_report", lambda pdf: reports.append(
+        hadamard_report(pdf)) or reports[-1])
+    res = cons.expand_hadamard_pdf(rec)
+    assert reports[0] == verify(rec.pdf) and reports[0].hadamard
+    # double_sdf certifies the same base once more, through the same call
+    assert reports == [reports[0]] * 2 and res.certified
+
+
+def _recipe_with(**changes):
+    return replace(cons.make_recipe(trivial_hds_family(), GaloisField(7)),
+                   **changes)
+
+
+# each raised a bare AttributeError or TypeError before it was refused
+@pytest.mark.parametrize("call,says", [
+    (lambda: make_family("Z4", [[0]]), "group 'Z4' is not a group"),
+    (lambda: delta_block("Z4", [0]), "group 'Z4' is not a group"),
+    (lambda: cons.complement_pdf("Z4", [0]), "group 'Z4' is not a group"),
+    (lambda: cons.make_recipe(trivial_hds_family(), "F7"),
+     "ring 'F7' is not a ring"),
+    (lambda: starter_reps("F7"), "ring 'F7' is not a ring"),
+    (lambda: check_y_condition("F7", [1]), "ring 'F7' is not a ring"),
+    (lambda: _recipe_with(ring="F7"), "ring 'F7' is not a ring"),
+    (lambda: _recipe_with(pdf=None), "pdf None is not a DesignFamily"),
+    (lambda: verify(None), "family None is not a DesignFamily"),
+    (lambda: cons.double_sdf(None), "family None is not a DesignFamily"),
+    (lambda: cons.expand_hadamard_pdf(None),
+     "recipe None is not an ExpansionRecipe"),
+    (lambda: cons.complement_pdf(CyclicGroup(4), 5),
+     "block 5 is not an iterable of positions"),
+    (lambda: delta_block(CyclicGroup(4), None),
+     "block None is not an iterable of positions"),
+    (lambda: make_family(CyclicGroup(4), None),
+     "family None is not an iterable of blocks"),
+    (lambda: make_family(CyclicGroup(4), {0: [1]}),
+     "a family is an iterable of blocks, not a dict"),
+], ids=["make_family-group", "delta_block-group", "complement_pdf-group",
+        "make_recipe-ring", "starter_reps-ring", "check_y_condition-ring",
+        "recipe-ring", "recipe-pdf", "verify-family", "double_sdf-family",
+        "expand-recipe", "complement_pdf-block", "delta_block-block",
+        "make_family-blocks", "make_family-dict"])
+def test_entry_points_refuse_a_wrong_type_argument(call, says):
+    with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+        call()
 
 
 # one broken invariant of the canonical trivial-HDS recipe over F7 (Y = 3, 2,

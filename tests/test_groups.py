@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdfam import groups
 from pdfam.groups import (CyclicGroup, DiffConvention, ElementOutOfRangeError,
                           FiniteGroup, NoIdentityError, NonAssociativeError,
                           ProductGroup, Semidirect32, TableGroup,
@@ -417,6 +418,40 @@ def test_semidirect32_matches_written_out_law():
             x2, y2 = divmod(b, 8)
             want = 8 * ((x1 + x2) % 4) + (5 ** x2 * y1 + y2) % 8
             assert table[a, b] == g.op(a, b) == want
+
+
+def _semidirect32_bit_op(a, b):
+    """The group law as Semidirect32 computed it before it was a table."""
+    x1, y1 = divmod(a, 8)
+    x2, y2 = divmod(b, 8)
+    return (((x1 + x2) & 3) << 3) | ((y1 * (1 + 4 * (x2 & 1)) + y2) & 7)
+
+
+def _semidirect32_bit_neg(a):
+    x, y = divmod(a, 8)
+    xn = (-x) & 3
+    return (xn << 3) | ((-y * (1 + 4 * (xn & 1))) & 7)
+
+
+def test_semidirect32_table_matches_the_bit_formulas(monkeypatch):
+    """Semidirect32 is a TableGroup whose table, validated as any table
+    is, agrees with the bit formulas it replaced on all 32 x 32 pairs."""
+    checked = []
+    associativity = groups._check_associativity
+    monkeypatch.setattr(groups, "_check_associativity",
+                        lambda g: checked.append(g) or associativity(g))
+    g = Semidirect32()
+    assert isinstance(g, TableGroup) and checked == [g]
+    idx = np.arange(32)
+    assert np.array_equal(g.op(idx[:, None], idx[None, :]),
+                          _semidirect32_bit_op(idx[:, None], idx[None, :]))
+    assert np.array_equal(g.neg(idx), _semidirect32_bit_neg(idx))
+    for a in range(32):
+        assert g.neg(a) == _semidirect32_bit_neg(a)
+        assert [g.op(a, b) for b in range(32)] == [
+            _semidirect32_bit_op(a, b) for b in range(32)]
+    assert (g.identity, g.arity, g.descriptor(), repr(g)) == (
+        0, 2, {"type": "semidirect32"}, "Semidirect32")
 
 
 _GENERATED_GROUPS = [CyclicGroup(n) for n in range(1, 25)] + [

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import reprlib
 
 import numpy as np
 
@@ -36,6 +37,19 @@ def ring_pow(ring, a, e):
 def test_rings_refuse_bad_input(build, error, says):
     with pytest.raises(error, match=f"^{says}$"):
         build()
+
+
+@pytest.mark.parametrize("call", [is_prime, factorize,
+                                  maximal_prime_power_divisors],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", [7.5, True, np.float64(9.0)],
+                         ids=["float", "bool", "numpy-float"])
+def test_integer_functions_refuse_a_non_integer(call, n):
+    # is_prime(7.5) read True, factorize(7.5) {7.5: 1} and factorize(True) {}
+    with pytest.raises(ValueError, match=rf"^n {re.escape(reprlib.repr(n))} "
+                                         "is not an integer$"):
+        call(n)
+    assert call(np.int64(45)) == call(45)
 
 
 def test_factorize_and_divisors():

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import pdfam
+from pdfam.groups import (CyclicGroup, FiniteGroup, ProductGroup,
+                          Semidirect32, TableGroup)
 
 PACKAGE = Path(pdfam.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -218,3 +220,24 @@ def test_tests_import_only_declared_dependencies():
     used = set().union(*(_third_party_imports(p.read_text(), local)
                          for p in TESTS.glob("*.py")))
     assert used - declared == set()
+
+
+def _subclasses(cls: type) -> set[type]:
+    """Every subclass of cls, at any depth."""
+    direct = set(cls.__subclasses__())
+    return direct.union(*map(_subclasses, direct))
+
+
+def test_non_abelian_arithmetic_is_a_table():
+    """One arithmetic path for non-cyclic leaves: every group class of the
+    library is cyclic, a product or a Cayley table, and a named table such
+    as Semidirect32 defines its naming (descriptor, repr, coordinates) but
+    no op or neg of its own."""
+    library = {c for c in _subclasses(FiniteGroup)
+               if c.__module__.startswith("pdfam")}
+    assert Semidirect32 in library
+    assert {c for c in library if c not in (CyclicGroup, ProductGroup)
+            and not issubclass(c, TableGroup)} == set()
+    assert {(c.__name__, m) for c in library
+            if issubclass(c, TableGroup) and c is not TableGroup
+            for m in ("op", "neg") if m in vars(c)} == set()
