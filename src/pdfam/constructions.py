@@ -65,6 +65,10 @@ class NoHdsError(ConstructionError):
     pass
 
 
+# the largest modulus accepted: its ring's tables hold m entries each,
+# and factorize's trial division takes up to sqrt(m) steps
+MAX_MODULUS = 10**6
+
 COMPLETION_SINGLE = "single"
 COMPLETION_PER_BLOCK = "per-block"
 COMPLETIONS = (COMPLETION_SINGLE, COMPLETION_PER_BLOCK)
@@ -334,11 +338,18 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     extends the relative one, so only the zero fiber is tallied again.
     """
     _instance(recipe, ExpansionRecipe, "recipe", "an ExpansionRecipe")
+    return _expand(recipe, ProductGroup([recipe.pdf.group,
+                                         recipe.ring.additive]))
+
+
+def _expand(recipe: ExpansionRecipe, ambient: ProductGroup
+            ) -> ExpansionResult:
+    """expand_hadamard_pdf over the ambient group G x R+ of the recipe,
+    which the completions of one base and ring share."""
     base = _hadamard_report(recipe.pdf)
     lam, n = base.lambda_or_mu, len(recipe.starters)
     g_group, conv = recipe.pdf.group, recipe.pdf.convention
     ring, h_group = recipe.ring, recipe.ring.additive
-    ambient = ProductGroup([g_group, h_group])
 
     # lifted block i: (d, f(d)), (d, -f(d)) for d in block i, in order
     pdf = recipe.pdf
@@ -381,8 +392,12 @@ def ring_for_modulus(m: int) -> Ring:
 
 
 def _check_modulus(m: int) -> None:
+    """Refuse m unless it is an odd integer in [3, MAX_MODULUS], before
+    anything factors it or builds its ring."""
     if not _is_int(m) or m < 3 or m % 2 == 0:
         raise ValueError("modulus must be odd and at least 3")
+    if m > MAX_MODULUS:
+        raise ValueError(f"modulus {m} exceeds the bound {MAX_MODULUS}")
 
 
 def _check_divisors(m: int, bound: int) -> None:
@@ -417,9 +432,10 @@ def hadamard_pdf_from_hds(u: int, group: FiniteGroup | None = None,
 def _both_completions(pdf: DesignFamily, m: int
                       ) -> tuple[ExpansionResult, ExpansionResult]:
     """The single and per-block expansions of a Hadamard PDF by the ring
-    of the modulus m."""
+    of the modulus m, over one ambient group."""
     ring = ring_for_modulus(m)
-    return tuple(expand_hadamard_pdf(make_recipe(pdf, ring, completion))
+    ambient = ProductGroup([pdf.group, ring.additive])
+    return tuple(_expand(make_recipe(pdf, ring, completion), ambient)
                  for completion in COMPLETIONS)
 
 

@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 from numbers import Real
-from operator import add
 
 import numpy as np
 
@@ -21,6 +19,10 @@ from .rings import Ring
 
 class OrderMismatchError(ValueError):
     pass
+
+
+# rows per chunk of the HDS search's frontier; see search_hds on memory
+FRONTIER_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -102,14 +104,33 @@ def search_hds(group: FiniteGroup, u: int,
     lambda to the count of every label below d1 but e0, and a difference
     landing there then exceeds lambda like any other.
 
-    The counts are packed into one int, a width-bit field per element
-    starting at 2^(width-1) - 1 - lambda, so a count above lambda sets its
-    top bit; each walk position carries the packed differences its element
-    would add, so a candidate costs one add and one mask.  A candidate adds
-    at most 2 to a count (e - d = g and d - e = g each have one solution
-    d) that is at most lambda, floor included, so 2^(width-1) >= max(lambda
-    + 1, 2) keeps every field below 2^width.  Each depth-1 candidate's floor
-    rides in the list it is tested from, apart from its subtree's list.
+    The walk is a preorder stack of frontier chunks of at most
+    FRONTIER_ROWS rows, each row a partial set: its walk positions, its
+    difference counts (the floor included from depth 1 on), kept by walk
+    position, and how many of the tests made so far come after it in
+    preorder.  A row's parent, in the chunk it came from, has a v x v block
+    of the counts each walk position would add to its set.  Popping a
+    chunk tests every candidate of every row at once: new = counts +
+    block[candidate] + pair[last, candidate], plus floor[candidate] at
+    depth 1, and the candidate is kept when no count passes lambda.  Each
+    candidate tested is a node.  The rows with a child get their own
+    blocks, and the survivors are pushed back in reverse, in chunks of at
+    most FRONTIER_ROWS rows, so the leaves come out in walk order; a leaf
+    goes straight to the canonical test and the pending stack.  When
+    max_results stops the walk at a leaf, the tests it carries as coming
+    after it are taken back off, so nodes is the count of a walk that
+    tests one candidate at a time.  The deadline is checked before each
+    chunk.
+
+    Memory: pair holds v^3 counts (46 KB at order 36, 16 MB at order
+    256).  A pop tests at most FRONTIER_ROWS * v candidates, and the stack
+    holds, at each of at most k - 1 depths, the rest of one pop's
+    survivors (at most FRONTIER_ROWS * v rows of k + v + 16 bytes) and
+    its block of at most FRONTIER_ROWS * v^2 counts.  A candidate adds at
+    most 2 to a count (e - d = g and d - e = g each have one solution d)
+    that is at most lambda, floor included, so counts plus adds stay at or
+    below lambda + 2: int8 holds every u <= 11, and a larger u counts in
+    int16.
     """
     _instance(group, FiniteGroup, "group", "a group")
     _instance(bounds, SearchBounds, "bounds", "a SearchBounds")
@@ -125,19 +146,21 @@ def search_hds(group: FiniteGroup, u: int,
     back = np.empty_like(table)  # back[x][g]: the e with diff[e][x] = g
     back[idx[None, :], table] = idx[:, None]
     diff, back = table.tolist(), back.tolist()
-    walk = [group.identity] + [x for x in range(v) if x != group.identity]
-    width = max(lam, 1).bit_length() + 1
-    unit = [1 << (width * g) for g in range(v)]
-    ones = sum(unit)
-    top = ones << (width - 1)
-    bias = ones * ((1 << (width - 1)) - 1 - lam)
-    # pair[e][j]: the packed differences e and walk[j] make with each other
-    pair = [[unit[diff[e][d]] + unit[diff[d][e]] for d in walk]
-            for e in range(v)]
-    # floor[j]: lambda at every label below walk[j + 1] but the identity,
-    # which are walk[1:j + 1] since the walk ascends after the identity
-    floor = list(accumulate((lam * unit[x] for x in walk[1:-1]), initial=0))
-    chosen = [group.identity]
+    walk = np.array([group.identity] + [x for x in range(v)
+                                        if x != group.identity])
+    at = np.empty_like(walk)  # at[x]: the walk position of element x
+    at[walk] = idx
+    count = np.int8 if lam + 2 <= np.iinfo(np.int8).max else np.int16
+    # counts are kept by walk position, so the identity's is column 0;
+    # pair[i, j]: the counts walk[i] and walk[j] add to each other's set
+    step = at[table[np.ix_(walk, walk)]]
+    one = np.eye(v, dtype=count)
+    pair = one[step]
+    pair += one[step.T]
+    # floor[i]: lambda at walk[1:i], every label below walk[i] but the
+    # identity, since the walk ascends after the identity
+    floor = np.where(idx < idx[:, None], count(lam), count(0))
+    floor[:, 0] = 0
     leaf_offsets = np.array([0, k])
     results: list[tuple[int, ...]] = []
     reports: list[VerificationReport] = []
@@ -164,10 +187,9 @@ def search_hds(group: FiniteGroup, u: int,
                 reports.append(rep)
         pending.clear()
 
-    def emit() -> bool:
-        d = tuple(sorted(chosen))
+    def emit(d: tuple[int, ...], d1: int | None) -> bool:
         # a one-element set is its only translate
-        if k > 1 and not _least_translate(diff, back, d, chosen[1]):
+        if k > 1 and not _least_translate(diff, back, d, d1):
             return True
         pending.append(d)
         if (bounds.max_results is not None
@@ -179,33 +201,57 @@ def search_hds(group: FiniteGroup, u: int,
             certify()
         return True
 
-    def extend(start: int, counts: int, adds: list[int],
-               base: list[int]) -> bool:
-        """counts: the chosen set's packed difference counts; adds[j]:
-        those walk[start + j] would add to them, with its floor at depth
-        1; base[j]: the same without the floor, for its subtree."""
-        nonlocal nodes, truncated
-        if len(chosen) == k:
-            return emit()
+    # a chunk: its depth, its rows' walk positions, counts and tests after
+    # them, each row's parent, and the block of adds of the parents' rows;
+    # the root, the identity alone, has an empty parent that adds nothing
+    frontier = [(1, np.zeros((1, k), dtype=np.min_scalar_type(v - 1)),
+                 np.zeros((1, v), count),
+                 np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp),
+                 np.zeros((1, v, v), count))]
+    exhausted = True
+    if k == 1:  # the identity alone is the one leaf
+        exhausted, frontier = emit((group.identity,), None), []
+    while frontier and exhausted:
         if deadline is not None and time.monotonic() > deadline:
             truncated = True
-            return False
-        for i, more in zip(range(start, v - (k - len(chosen)) + 1), adds):
-            nodes += 1
-            grown = counts + more
-            if grown & top:
-                continue
-            e = walk[i]
-            chosen.append(e)
-            below = list(map(add, base[i + 1 - start:], pair[e][i + 1:]))
-            ok = extend(i + 1, grown, below, below)
-            chosen.pop()
-            if not ok:
-                return False
-        return True
-
-    first = pair[group.identity][1:]
-    exhausted = extend(1, bias, list(map(add, first, floor)), first)
+            break
+        depth, pos, counts, after, parent, up = frontier.pop()
+        last = pos[:, depth - 1].astype(np.intp)
+        # a row's candidates: the positions after its last one that leave
+        # room for the k - depth - 1 elements still to choose
+        row, cand = np.nonzero((last[:, None] < idx)
+                               & (idx <= v - k + depth))
+        nodes += len(row)
+        new = (counts.take(row, 0)
+               + up.reshape(-1, v).take(parent[row] * v + cand, 0)
+               + pair.reshape(-1, v).take(last[row] * v + cand, 0))
+        if depth == 1:
+            new += floor[cand]
+        # argmax finds a row's first count above lambda, and none is the
+        # identity's, column 0, which no difference of distinct elements
+        # reaches: a candidate fits when it finds none
+        fits = np.flatnonzero((new > lam).argmax(1) == 0)
+        row = row[fits]
+        pos = pos[row]
+        pos[:, depth] = cand[fits]
+        after = after[row] + (len(cand) - 1 - fits)
+        if depth + 1 < k:
+            # the blocks of adds of the rows with a child, only
+            kin = np.zeros(len(last), dtype=bool)
+            kin[row] = True
+            row = (np.cumsum(kin) - 1)[row]
+            adds = up[parent[kin]] + pair[last[kin]]
+            for s in reversed(range(0, len(fits), FRONTIER_ROWS)):
+                cut = slice(s, s + FRONTIER_ROWS)
+                frontier.append((depth + 1, pos[cut], new[fits[cut]],
+                                 after[cut], row[cut], adds))
+            continue
+        leaves = walk[pos]
+        for d, later in zip(leaves.tolist(), after.tolist()):
+            if not emit(tuple(sorted(d)), d[1]):
+                nodes -= later
+                exhausted = False
+                break
     certify()
     complete = exhausted and not truncated
     return HdsSearchResult(tuple(results), complete, nodes,

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,18 @@ def test_corollary_hds_small_divisor_rejected(capsys):
     code, out = run(capsys, "construct", "corollary-hds",
                     "--u", "2", "--m", "9")
     assert code == 1
+
+
+@pytest.mark.parametrize("m", ["1000000000000000003",
+                               "99999999999999999999"])
+def test_corollary_hds_oversized_modulus_exits_1_at_once(capsys, m):
+    # the prime hung in factorize's trial division, and the other exited
+    # with numpy's "Maximum allowed size exceeded"
+    started = time.monotonic()
+    _exits_1_with_one_line(
+        capsys, ["construct", "corollary-hds", "--u", "1", "--m", m],
+        f"modulus {m} exceeds the bound 1000000")
+    assert time.monotonic() - started < 1
 
 
 def test_corollary_hds_u1(capsys):

@@ -433,6 +433,17 @@ def test_ring_for_modulus_refuses_an_even_or_small_modulus(m):
         cons.ring_for_modulus(m)
 
 
+def test_modulus_bound_keeps_the_largest_odd_modulus_under_it():
+    assert cons.MAX_MODULUS == 10**6
+    assert cons.ring_for_modulus(199_999).order == 199_999
+    assert cons.ring_for_modulus(cons.MAX_MODULUS - 1).order == 999_999
+    for call in (lambda m: cons.ring_for_modulus(m),
+                 lambda m: cons.expand_from_hds(1, m)):
+        with pytest.raises(ValueError, match="^modulus 1000001 exceeds the "
+                                             "bound 1000000$"):
+            call(cons.MAX_MODULUS + 1)
+
+
 def test_expansion_left_convention_also_works_for_abelian_base():
     rec = cons.make_recipe(
         replace(trivial_hds_family(), convention=DiffConvention.LEFT_INVERSE),

@@ -565,3 +565,37 @@ def test_max_unit_y_f7():
 def test_max_unit_y_time_budget_zero():
     res = max_unit_y_search(Zmod(49), SearchBounds(time_budget_s=0.0))
     assert not res.exhaustive
+
+
+# -- the frontier walk ------------------------------------------------------
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_search_hds_frontier_rows_do_not_change_the_search(monkeypatch, rows):
+    """Chunks of one row and of three give the searches of the default
+    chunk size: the same hits, reports, nodes and completeness."""
+    z6xz6 = ProductGroup([CyclicGroup(6), CyclicGroup(6)])
+    cases = [(g, 2, SearchBounds(), convention)
+             for g in ORDER16_GROUPS.values() for convention in DiffConvention]
+    cases.append((z6xz6, 3, SearchBounds(max_results=2),
+                  DiffConvention.RIGHT_INVERSE))
+    default = [search_hds(*case) for case in cases]
+    assert default[-1].nodes == 193724
+    monkeypatch.setattr(search, "FRONTIER_ROWS", rows)
+    for case, want in zip(cases, default):
+        got = search_hds(*case)
+        assert (got.results, got.reports, got.nodes, got.complete) == (
+            want.results, want.reports, want.nodes, want.complete)
+
+
+@pytest.mark.parametrize("convention", list(DiffConvention),
+                         ids=lambda c: c.value)
+def test_search_hds_stops_like_the_oracle_at_every_hit(convention):
+    """Stopped after each hit in turn, and one past the last, the search
+    keeps the oracle's hits, completeness and node count."""
+    for g in _random_relabelings(41, 8):
+        hits = len(_reference_search_hds(g, 2, convention=convention)[0])
+        for max_results in range(1, hits + 2):
+            res = search_hds(g, 2, SearchBounds(max_results=max_results),
+                             convention)
+            assert (res.results, res.complete, res.nodes) == \
+                _reference_search_hds(g, 2, max_results, convention)
