@@ -73,7 +73,8 @@ def _certify(name: str, convention: DiffConvention) -> CatalogCertification:
     if fam.convention is not convention:
         fam = _family(fam.group, fam.positions, fam.offsets, fam.forbidden,
                       convention)
-    # a family built and verified under this convention judges its kept tally
+    # a family built and verified under this convention returns its kept
+    # report
     return CatalogCertification(name, convention, verify(fam))
 
 

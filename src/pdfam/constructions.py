@@ -277,7 +277,8 @@ class ExpansionRecipe:
         starters = _indices(ring.additive, list(self.starters))
         if 0 in starters:
             raise RecipeInvariantError("0 is not a starter")
-        if np.isin(ring.neg(np.array(starters)), starters).any():
+        negs = ring.neg(np.array(starters)).tolist()
+        if not set(starters).isdisjoint(negs):
             raise RecipeInvariantError(
                 "starters must pick one element per {h,-h} pair")
         # every entry is checked to be an integer; numpy integers are

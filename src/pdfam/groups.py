@@ -19,6 +19,7 @@ DifferencePlan, which tallies pairs on the digits of its leaf factors.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import reprlib
 from enum import Enum
@@ -331,6 +332,11 @@ def _leaves(group: FiniteGroup, stride: int = 1):
         yield group, stride
 
 
+# the most cells a DifferencePlan's grid may have: its tables and a
+# tally's counts are grid-sized int64 arrays (512 MiB each at the bound)
+MAX_GRID_CELLS = 2 ** 26
+
+
 class DifferencePlan:
     """Differences a - b in one group under one convention, tallied on leaf
     digits rather than through op and neg.
@@ -342,7 +348,9 @@ class DifferencePlan:
     |L| x |L| difference table.  The cell of a pair is therefore
     left[a] + right[b] plus one table read per non-cyclic leaf, and fold
     maps every cell to its group element.  A direct product's differences
-    are its leaves' differences, under either convention.
+    are its leaves' differences, under either convention.  A grid of more
+    than MAX_GRID_CELLS cells, which also bounds the group's order, is
+    refused before any array is built.
     """
 
     def __init__(self, group: FiniteGroup, convention: DiffConvention):
@@ -350,9 +358,12 @@ class DifferencePlan:
                   for leaf, stride in _leaves(group)]
         sizes = [2 * leaf.order - 1 if cyclic else leaf.order
                  for leaf, _, cyclic in leaves]
+        self.grid = math.prod(sizes)
+        if self.grid > MAX_GRID_CELLS:
+            raise ValueError(f"difference grid of {self.grid} cells exceeds "
+                             f"the bound {MAX_GRID_CELLS}")
         cell_strides = np.cumprod([1] + sizes[:0:-1])[::-1].tolist()
         self.order = group.order
-        self.grid = int(np.prod(sizes))
         # per leaf: left and right codes of its digits, the element each of
         # its cells folds to; entry i of an outer sum over the leaves adds
         # up the parts at the digits of i

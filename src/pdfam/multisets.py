@@ -10,13 +10,13 @@ block is a read-only slice of it.  Outside positions reach a block or a
 family by one checked path (_placed; _block for one block, _checked for a
 family) once their types are checked, here or by the JSON decoder in its
 own pass; positions a construction computed itself are laid out
-unchecked (_family).  verify is a tally (_tally), kept on the family
-object (_family_tally) so later calls judge it again, and a judge
-(_judge).  An extension (_extend) is tallied as the kept tally of the
-family it extends plus the tally of the added blocks alone.  A stack of
-one-block families of one size (the HDS search's hits) is tallied in one
-pass with a count array per row (_row_tallies), each row kept (_keep) on
-its own family for verify to judge.
+unchecked (_family).  verify is a tally (_tally) and a judge (_judge),
+kept together on the family object (_Kept) so that a later call returns
+the kept report.  An extension (_extend) is tallied as the kept tally of
+the family it extends plus the tally of the added blocks alone.  A stack
+of one-block families of one size (the HDS search's hits) is tallied in
+one pass with a count array per row (_row_tallies), each row kept (_keep)
+on its own family for verify to judge.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ class DesignFamily:
                      for a, b in pairwise(self.offsets.tolist()))
 
     # set on the instance, outside the fields, by _keep
-    _kept_tally = None
+    _kept = None
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -280,27 +280,42 @@ def _extend(family: DesignFamily, positions: np.ndarray,
     return ext
 
 
+class _Kept:
+    """A family's tally (counts, cover, sorted sizes) and verify's report
+    on it, None until the first verify judges the tally."""
+
+    __slots__ = ("tally", "report")
+
+    def __init__(self, tally: tuple[np.ndarray, np.ndarray, tuple[int, ...]]):
+        self.tally, self.report = tally, None
+
+
+def _record(family: DesignFamily) -> _Kept:
+    """The family's kept record, its tally counted on first use."""
+    kept = family._kept
+    if kept is None:
+        kept = _keep(family, *_tally(family.group, family.positions,
+                                     family.offsets, family.convention))
+    return kept
+
+
 def _family_tally(family: DesignFamily
                   ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """_tally of the family, counted on first use and then kept."""
-    kept = family._kept_tally
-    if kept is not None:
-        return kept
-    return _keep(family, *_tally(family.group, family.positions,
-                                 family.offsets, family.convention))
+    return _record(family).tally
 
 
 def _keep(family: DesignFamily, counts: np.ndarray, cover: np.ndarray,
-          sizes: tuple[int, ...]
-          ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+          sizes: tuple[int, ...]) -> _Kept:
     """Keep a tally on the family object, outside its fields (so equality,
-    repr, dataclasses.replace and the JSON never see it), read-only."""
+    repr, dataclasses.replace and the JSON never see it), read-only, in a
+    new record: a report judged from an earlier tally is dropped."""
     # write=False, passed by position: the keyword form costs a one-block
     # search leaf's verify about 0.2 us more
     counts.setflags(False)
     cover.setflags(False)
-    kept = counts, cover, sizes
-    object.__setattr__(family, "_kept_tally", kept)
+    kept = _Kept((counts, cover, sizes))
+    object.__setattr__(family, "_kept", kept)
     return kept
 
 
@@ -371,16 +386,22 @@ def verify(family: DesignFamily) -> VerificationReport:
     count is wrong, unless an element covered twice comes before it.
 
     The tally (_tally) counts the differences, the cover and the block
-    sizes, and the judge (_judge) reads only those.  The tally is kept on
-    the family (_family_tally), which is sound while the family's two
-    read-only arrays, and the block slices that view them, stay as built;
-    a caller that makes one writeable and writes to it must build a new
-    family to verify.
+    sizes, and the judge (_judge) reads only those and the family's group
+    and forbidden set.  Both are kept on the family (_Kept): the first call
+    judges, and a repeated call returns the same report object.  So
+    expand_from_hds(1, m) judges 9 times in its 17 verify calls.  Keeping
+    is sound while the family's two read-only arrays, and the block slices
+    that view them, stay as built; a caller that makes one writeable and
+    writes to it must build a new family to verify.
     """
     if not isinstance(family, DesignFamily):  # no _field dict: verify is hot
         raise ValueError(
             f"family {reprlib.repr(family)} is not a DesignFamily")
-    return _judge(family, *_family_tally(family))
+    kept = _record(family)
+    report = kept.report
+    if report is None:
+        report = kept.report = _judge(family, *kept.tally)
+    return report
 
 
 def _judge(family: DesignFamily, delta: np.ndarray, cover: np.ndarray,

@@ -24,6 +24,11 @@ class OrderMismatchError(ValueError):
 # rows per chunk of the HDS search's frontier; see search_hds on memory
 FRONTIER_ROWS = 512
 
+# the largest pair table, v^3 counts, that search_hds builds: 2^28 bytes
+# hold int8 counts up to order 645, which takes in every u <= 11 (order
+# 484, 113 MB); u = 12 counts in int16, 382 MB
+MAX_PAIR_BYTES = 2 ** 28
+
 
 @dataclass(frozen=True)
 class SearchBounds:
@@ -122,15 +127,21 @@ def search_hds(group: FiniteGroup, u: int,
     tests one candidate at a time.  The deadline is checked before each
     chunk.
 
-    Memory: pair holds v^3 counts (46 KB at order 36, 16 MB at order
-    256).  A pop tests at most FRONTIER_ROWS * v candidates, and the stack
-    holds, at each of at most k - 1 depths, the rest of one pop's
-    survivors (at most FRONTIER_ROWS * v rows of k + v + 16 bytes) and
-    its block of at most FRONTIER_ROWS * v^2 counts.  A candidate adds at
-    most 2 to a count (e - d = g and d - e = g each have one solution d)
-    that is at most lambda, floor included, so counts plus adds stay at or
-    below lambda + 2: int8 holds every u <= 11, and a larger u counts in
-    int16.
+    For k = 1 (u = 1) there is no walk: the identity's one-element leaf,
+    its own only translate, is certified through the same single verify
+    call, and no table is built; nodes is 0, and the search is complete
+    unless max_results = 1 stops it at that hit.
+
+    Memory: pair holds v^3 counts (46 KB at order 36, 16 MB at order 256),
+    and an order whose pair table would pass MAX_PAIR_BYTES is refused
+    before any v x v or v^3 array is built.  A pop tests at most
+    FRONTIER_ROWS * v candidates, and the stack holds, at each of at most
+    k - 1 depths, the rest of one pop's survivors (at most FRONTIER_ROWS *
+    v rows of k + v + 16 bytes) and its block of at most FRONTIER_ROWS *
+    v^2 counts.  A candidate adds at most 2 to a count (e - d = g and
+    d - e = g each have one solution d) that is at most lambda, floor
+    included, so counts plus adds stay at or below lambda + 2: int8 holds
+    every u <= 11, and a larger u counts in int16.
     """
     _instance(group, FiniteGroup, "group", "a group")
     _instance(bounds, SearchBounds, "bounds", "a SearchBounds")
@@ -138,29 +149,15 @@ def search_hds(group: FiniteGroup, u: int,
     if group.order != v:
         raise OrderMismatchError(
             f"group order {group.order} != 4u^2 = {v}")
+    count = np.int8 if lam + 2 <= np.iinfo(np.int8).max else np.int16
+    pair_bytes = v ** 3 * np.dtype(count).itemsize
+    if pair_bytes > MAX_PAIR_BYTES:
+        raise ValueError(f"search of order {v} needs a pair table of "
+                         f"{pair_bytes} bytes, above the bound "
+                         f"{MAX_PAIR_BYTES}")
     started = time.monotonic()
     deadline = (started + bounds.time_budget_s
                 if bounds.time_budget_s is not None else None)
-    idx = np.arange(v)
-    table = group.difference(idx[:, None], idx[None, :], convention)
-    back = np.empty_like(table)  # back[x][g]: the e with diff[e][x] = g
-    back[idx[None, :], table] = idx[:, None]
-    diff, back = table.tolist(), back.tolist()
-    walk = np.array([group.identity] + [x for x in range(v)
-                                        if x != group.identity])
-    at = np.empty_like(walk)  # at[x]: the walk position of element x
-    at[walk] = idx
-    count = np.int8 if lam + 2 <= np.iinfo(np.int8).max else np.int16
-    # counts are kept by walk position, so the identity's is column 0;
-    # pair[i, j]: the counts walk[i] and walk[j] add to each other's set
-    step = at[table[np.ix_(walk, walk)]]
-    one = np.eye(v, dtype=count)
-    pair = one[step]
-    pair += one[step.T]
-    # floor[i]: lambda at walk[1:i], every label below walk[i] but the
-    # identity, since the walk ascends after the identity
-    floor = np.where(idx < idx[:, None], count(lam), count(0))
-    floor[:, 0] = 0
     leaf_offsets = np.array([0, k])
     results: list[tuple[int, ...]] = []
     reports: list[VerificationReport] = []
@@ -201,6 +198,32 @@ def search_hds(group: FiniteGroup, u: int,
             certify()
         return True
 
+    if k == 1:  # the identity alone is the one leaf, and there is no walk
+        exhausted = emit((group.identity,), None)
+        certify()
+        return HdsSearchResult(tuple(results), exhausted, nodes,
+                               time.monotonic() - started, tuple(reports))
+
+    idx = np.arange(v)
+    table = group.difference(idx[:, None], idx[None, :], convention)
+    back = np.empty_like(table)  # back[x][g]: the e with diff[e][x] = g
+    back[idx[None, :], table] = idx[:, None]
+    diff, back = table.tolist(), back.tolist()
+    walk = np.array([group.identity] + [x for x in range(v)
+                                        if x != group.identity])
+    at = np.empty_like(walk)  # at[x]: the walk position of element x
+    at[walk] = idx
+    # counts are kept by walk position, so the identity's is column 0;
+    # pair[i, j]: the counts walk[i] and walk[j] add to each other's set
+    step = at[table[np.ix_(walk, walk)]]
+    one = np.eye(v, dtype=count)
+    pair = one[step]
+    pair += one[step.T]
+    # floor[i]: lambda at walk[1:i], every label below walk[i] but the
+    # identity, since the walk ascends after the identity
+    floor = np.where(idx < idx[:, None], count(lam), count(0))
+    floor[:, 0] = 0
+
     # a chunk: its depth, its rows' walk positions, counts and tests after
     # them, each row's parent, and the block of adds of the parents' rows;
     # the root, the identity alone, has an empty parent that adds nothing
@@ -209,8 +232,6 @@ def search_hds(group: FiniteGroup, u: int,
                  np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp),
                  np.zeros((1, v, v), count))]
     exhausted = True
-    if k == 1:  # the identity alone is the one leaf
-        exhausted, frontier = emit((group.identity,), None), []
     while frontier and exhausted:
         if deadline is not None and time.monotonic() > deadline:
             truncated = True

@@ -24,8 +24,10 @@ from .rings import make_ring
 
 def canonical_dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) plus a newline, byte for
-    byte, with the same exception where it raises one; an array of ints is
-    joined in one pass instead of one encoder step per entry."""
+    byte, with the same exception where it raises one.  null, true and
+    false are written here, an array of ints is joined in one pass instead
+    of one encoder step per entry, and an array of non-empty int arrays (a
+    family's blocks) as one joined string per inner array."""
     try:
         return _write(obj, "") + "\n"
     except RecursionError:  # circular or very deep: the stdlib's answer
@@ -35,20 +37,32 @@ def canonical_dumps(obj) -> str:
 def _write(x, pad: str) -> str:
     """x as the stdlib's sort_keys=True, indent=2 text at indentation pad.
 
-    Exact ints and strs, int-only arrays and str-keyed objects are written
-    here; any other value goes to the stdlib, re-indented, which is exact
-    because JSON text holds no raw newline inside a string.
+    Exact ints and strs, None, True, False, arrays and str-keyed objects
+    are written here; any other value goes to the stdlib, re-indented,
+    which is exact because JSON text holds no raw newline inside a string.
     """
     t = type(x)
     if t is int:
         return int.__repr__(x)
     if t is str:
         return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if t is bool:
+        return "true" if x else "false"
     inner = pad + "  "
     sep = ",\n" + inner
     if (t is list or t is tuple) and x:
-        if set(map(type, x)) == {int}:
+        types = set(map(type, x))
+        if types == {int}:
             body = sep.join(map(int.__repr__, x))
+        elif (types <= {list, tuple} and all(x)
+              and set(map(type, chain.from_iterable(x))) == {int}):
+            # one joined string per row, and the rows joined in one pass
+            deeper = inner + "  "
+            body = f"\n{inner}]{sep}[\n{deeper}".join(
+                [f",\n{deeper}".join(map(int.__repr__, row)) for row in x])
+            return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
         else:
             body = sep.join([_write(v, inner) for v in x])
         return f"[\n{inner}{body}\n{pad}]"

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pdfam
-from pdfam import groups, serialize
+from pdfam import groups, search, serialize
 from pdfam.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -772,6 +772,66 @@ def test_out_of_memory_exits_1_with_one_line():
     assert done.stdout == ""
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1
+
+
+def _capped_pdfam(*argv) -> tuple[subprocess.CompletedProcess, float]:
+    """pdfam argv run in a child capped at the 2 GiB address space of
+    test_out_of_memory_exits_1_with_one_line, and its wall time."""
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "pdfam", *argv], capture_output=True,
+        text=True, preexec_fn=cap_address_space,
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    return done, time.monotonic() - started
+
+
+def _one_error_line(done: subprocess.CompletedProcess) -> str:
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
+    return done.stderr
+
+
+def test_out_of_memory_below_the_grid_bound_exits_1_with_one_line(tmp_path):
+    """A forbidden set over Z100000000000 is checked with an order-sized
+    membership array before any tally: numpy's MemoryError, in one line."""
+    path = tmp_path / "forbidden.json"
+    path.write_text(json.dumps({"group": {"type": "cyclic",
+                                          "n": 100000000000},
+                                "blocks": [[0, 1]], "forbidden": [0]}))
+    err = _one_error_line(_capped_pdfam("verify", str(path))[0])
+    assert "difference grid" not in err
+
+
+def test_oversized_tally_grid_exits_1_at_once(tmp_path):
+    """[[0, 1]] over Z2^15 peaked at 360 MB, and each further Z2 factor
+    triples the grid: Z2^30 is refused before any array is built."""
+    path = tmp_path / "z2-30.json"
+    path.write_text(json.dumps({"group": {"type": "product", "factors": [
+        {"type": "cyclic", "n": 2}] * 30}, "blocks": [[0, 1]]}))
+    done, elapsed = _capped_pdfam("verify", str(path))
+    assert _one_error_line(done) == (
+        f"error: difference grid of {3 ** 30} cells exceeds the bound "
+        f"{groups.MAX_GRID_CELLS}\n")
+    assert elapsed < 1
+
+
+def test_oversized_hds_search_exits_1_at_once():
+    """Z1600 (u = 20) would build 8 GB of int16 pair counts before its
+    first node; it is refused before any table is built."""
+    done, elapsed = _capped_pdfam("search-hds", "--group", "Z1600", "--u",
+                                  "20", "--time-budget", "0")
+    assert _one_error_line(done) == (
+        f"error: search of order 1600 needs a pair table of {2 * 1600 ** 3} "
+        f"bytes, above the bound {search.MAX_PAIR_BYTES}\n")
+    assert elapsed < 1
 
 
 def test_paley_6007_certifies_under_100_mb():

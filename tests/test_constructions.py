@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdfam import constructions as cons
-from pdfam import groups, multisets
+from pdfam import groups, multisets, search
 from pdfam.catalog import order32_family, trivial_hds_family
 from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup
 from pdfam.multisets import (DF, DS, INVALID, PDF, RELATIVE_PDF, SDF,
@@ -548,9 +548,11 @@ def test_extended_families_read_as_fresh_ones(name, conv):
 
 
 def test_each_family_is_tallied_once(monkeypatch):
-    # _tally's calls and pairs, and verify's calls as _judge's (one each)
+    # _tally's calls and pairs, _judge's calls, and verify's calls through
+    # the names constructions and search bind
     seen = Counter()
     real_tally, real_judge = multisets._tally, multisets._judge
+    real_verify = multisets.verify
 
     def tally(group, positions, offsets, convention):
         sizes = np.diff(offsets)
@@ -559,18 +561,26 @@ def test_each_family_is_tallied_once(monkeypatch):
         return real_tally(group, positions, offsets, convention)
 
     def judge(*args):
-        seen["verify"] += 1
+        seen["judge"] += 1
         return real_judge(*args)
+
+    def counted_verify(family):
+        seen["verify"] += 1
+        return real_verify(family)
 
     monkeypatch.setattr(multisets, "_tally", tally)
     monkeypatch.setattr(multisets, "_judge", judge)
+    monkeypatch.setattr(cons, "verify", counted_verify)
+    monkeypatch.setattr(search, "verify", counted_verify)
     cons.expand_from_hds(1, 7)
     # 17 verify calls: the search leaf, the difference set and its pair,
     # and per completion the pair (the base) three times, the doubled
-    # family twice, the relative family and the final one.  9 tallies: the
-    # leaf, the set, the pair's added block, and per completion the doubled
-    # family, the relative family and the final family's zero fiber
+    # family twice, the relative family and the final one.  9 tallies and
+    # 9 judges, since a family keeps its report: the leaf, the set, the
+    # pair (its added block), and per completion the doubled family, the
+    # relative family and the final family (its zero fiber)
     assert seen["verify"] == 17
+    assert seen["judge"] == 9
     assert seen["tallies"] <= 9
     seen.clear()
     cons.expand_nonabelian32(47)

@@ -710,6 +710,45 @@ def test_a_family_cannot_change_under_its_kept_tally():
     assert "kept" not in repr(fam)
 
 
+def _judges(monkeypatch) -> Counter:
+    """A count of the judge's calls, kept while the test runs."""
+    seen, real = Counter(), multisets._judge
+
+    def judge(*args):
+        seen["judge"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(multisets, "_judge", judge)
+    return seen
+
+
+def test_a_repeated_verify_returns_the_kept_report(monkeypatch):
+    seen = _judges(monkeypatch)
+    fam = make_family(CyclicGroup(7), [[1, 2, 4]])
+    first = verify(fam)
+    assert first.kind == DS
+    assert verify(fam) is first and verify(fam) is first
+    assert seen["judge"] == 1
+
+
+def test_keeping_a_tally_again_makes_verify_judge_again(monkeypatch):
+    seen = _judges(monkeypatch)
+    g = CyclicGroup(7)
+    fam = make_family(g, [[1, 2, 4]])
+    first = verify(fam)
+    multisets._keep(fam, *multisets._tally(g, fam.positions, fam.offsets,
+                                           fam.convention))
+    again = verify(fam)
+    assert again == first and again is not first
+    assert seen["judge"] == 2
+    # the report is read from the kept tally, whatever it holds
+    other = make_family(g, [[0, 1]])
+    multisets._keep(fam, *multisets._tally(g, other.positions, other.offsets,
+                                           other.convention))
+    assert verify(fam) == verify(other) and verify(fam).kind == INVALID
+    assert seen["judge"] == 4
+
+
 def test_replace_reads_the_new_convention_after_verify():
     g, left = Semidirect32(), DiffConvention.LEFT_INVERSE
     blocks = [[1, 10], [3, 12, 21]]

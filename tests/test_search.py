@@ -9,7 +9,8 @@ import pytest
 from pdfam import search
 from pdfam.constructions import hadamard_pdf_from_hds
 from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup, TableGroup
-from pdfam.multisets import DS, make_family, verify
+from pdfam.multisets import (DS, VerificationReport, make_family,
+                             verify)
 from pdfam.rings import GaloisField, Zmod, check_y_condition
 from pdfam.search import (HdsSearchResult, OrderMismatchError, SearchBounds,
                           _least_translate, abelian_groups_order16,
@@ -50,6 +51,28 @@ def test_search_hds_trivial_u1():
     assert res.results == ((0,),)
     assert res.complete
     assert res.nodes == 0
+
+
+@pytest.mark.parametrize("time_budget_s", [None, 0])
+@pytest.mark.parametrize("convention", list(DiffConvention),
+                         ids=lambda c: c.value)
+@pytest.mark.parametrize("make_group,identity", [
+    (lambda: CyclicGroup(4), 0),
+    (lambda: ProductGroup([CyclicGroup(2), CyclicGroup(2)]), 0),
+    (lambda: _relabeled(_cayley(CyclicGroup(4)), [2, 3, 0, 1]), 2),
+], ids=["Z4", "Z2xZ2", "Z4-identity-at-2"])
+def test_search_hds_u1_certifies_the_identity_without_a_walk(
+        make_group, identity, convention, time_budget_s):
+    # u = 1 has no walk, so a zero budget does not cut it short
+    g = make_group()
+    res = search_hds(g, 1, SearchBounds(time_budget_s=time_budget_s),
+                     convention)
+    assert res.results == ((identity,),)
+    assert res.reports == (VerificationReport(DS, 4, 1, (1,), 0),)
+    assert (res.nodes, res.complete) == (0, True)
+    first = search_hds(g, 1, SearchBounds(max_results=1), convention)
+    assert first.results == res.results and first.reports == res.reports
+    assert (first.nodes, first.complete) == (0, False)
 
 
 def test_search_hds_order_mismatch():

@@ -242,6 +242,15 @@ def _stdlib(value):
 
 
 _KEYS = st.one_of(st.integers(), st.booleans(), st.none(), st.floats())
+# arrays of int arrays, as a family's blocks, whose rows may be empty,
+# tuples, or hold a bool, a numpy integer or an int beyond int64
+_INT_ROWS = st.lists(st.one_of(
+    st.lists(st.integers(), min_size=1, max_size=5),
+    st.lists(st.integers(), max_size=3).map(tuple),
+    st.lists(st.one_of(st.integers(), st.booleans(),
+                       st.integers(-9, 9).map(np.int64),
+                       st.integers(2**63, 2**70)), max_size=4)),
+    min_size=1, max_size=4)
 _VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(),
               st.integers(-2**63, 2**63 - 1), st.integers(),
@@ -251,7 +260,7 @@ _VALUES = st.recursive(
               st.sampled_from(["\u00e9\u4e2d\n", "\x00\x1f\t\"\\"])),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
-        st.lists(st.integers(), max_size=6),
+        st.lists(st.integers(), max_size=6), _INT_ROWS,
         st.dictionaries(st.text(max_size=4), inner, max_size=4),
         st.dictionaries(_KEYS, inner, max_size=3)),
     max_leaves=12)
