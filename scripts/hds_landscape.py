@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Exhaustive (4u^2, 2u^2-u, u^2-u) difference-set search, over the abelian
 groups of order 16 by default (u = 2; any other u needs --group); each
-group's line gives its search nodes, nodes per second and normalized sets
-per second.  The nodes are the candidates tested under the search's
+group's line gives its search nodes, nodes per second, normalized sets
+per second and the process's peak RSS so far (VmHWM in /proc/self/status,
+n/a where there is none).  The nodes are the candidates tested under the search's
 difference floor, which cuts the subtrees that hold no least translate;
 with those cut, nodes per second no longer measures throughput, and sets
 per second does.
@@ -13,7 +14,8 @@ per second does.
 
 import sys
 
-from pdfam.cli import Parser, UsageError, parse_group_spec, run_guarded
+from pdfam.cli import (Parser, UsageError, parse_group_spec, peak_rss_mb,
+                       run_guarded)
 from pdfam.search import (SearchBounds, abelian_groups_order16,
                           hds_parameters, search_hds)
 
@@ -25,7 +27,7 @@ def sweep_group(name, group, u, bounds):
     print(f"{name:16s} {len(res.results):4d} normalized sets "
           f"({tag}, {res.nodes} nodes, {res.elapsed:.2f}s, "
           f"{res.nodes * per_s:,.0f} nodes/s, "
-          f"{len(res.results) * per_s:,.0f} sets/s)")
+          f"{len(res.results) * per_s:,.0f} sets/s, {peak_rss_mb()} MB)")
     for d in res.results[:3]:
         print(f"    {d}")
     if len(res.results) > 3:

@@ -26,7 +26,8 @@ from .groups import (DEFAULT_CONVENTION, CyclicGroup, ElementOutOfRangeError,
                      ProductGroup, Semidirect32, _ints, convention_from_name,
                      make_group)
 from .multisets import verify
-from .rings import GaloisField, ProductRing, Ring, Zmod, factorize, make_ring
+from .rings import (GaloisField, ProductRing, Ring, Zmod, _check_order,
+                    factorize, make_ring)
 from .search import SearchBounds, max_unit_y_search, search_hds
 from .serialize import (canonical_dumps, family_from_json,
                         family_to_json, prediction_from_json,
@@ -115,6 +116,7 @@ def parse_ring_spec(text: str) -> Ring:
         if not body.isdigit():
             raise UsageError(f"cannot parse ring spec {text!r}")
         q = int(body)
+        _check_order(q, f"{'field' if field else 'ring'} order {q}")
         if field:
             fact = factorize(q)
             if len(fact) != 1:

@@ -19,6 +19,8 @@ from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
 from .multisets import (DF, DIFFERENCE_MULTISET, DS, PDF, RELATIVE_PDF, SDF,
                         DesignFamily, VerificationReport, _block, _extend,
                         _family, _sort_blocks, make_family, verify)
+# the largest modulus accepted is the ring bound: m builds a ring of order m
+from .rings import MAX_ORDER as MAX_MODULUS
 from .rings import (EvenOrderError, GaloisField, ProductRing, Ring,
                     build_y_powers, check_y_condition, factorize, is_prime,
                     maximal_prime_power_divisors, starter_reps)
@@ -64,10 +66,6 @@ class DivisorTooSmallError(ConstructionError):
 class NoHdsError(ConstructionError):
     pass
 
-
-# the largest modulus accepted: its ring's tables hold m entries each,
-# and factorize's trial division takes up to sqrt(m) steps
-MAX_MODULUS = 10**6
 
 COMPLETION_SINGLE = "single"
 COMPLETION_PER_BLOCK = "per-block"

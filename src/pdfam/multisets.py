@@ -13,10 +13,9 @@ own pass; positions a construction computed itself are laid out
 unchecked (_family).  verify is a tally (_tally) and a judge (_judge),
 kept together on the family object (_Kept) so that a later call returns
 the kept report.  An extension (_extend) is tallied as the kept tally of
-the family it extends plus the tally of the added blocks alone.  A stack
-of one-block families of one size (the HDS search's hits) is tallied in
-one pass with a count array per row (_row_tallies), each row kept (_keep)
-on its own family for verify to judge.
+the family it extends plus the tally of the added blocks alone.  The HDS
+search's leaves, one-block families of one size, are tallied in stacks
+(_row_tallies), kept and judged by verify here alone (_row_reports).
 """
 
 from __future__ import annotations
@@ -165,8 +164,7 @@ def _row_tallies(group: FiniteGroup, x: np.ndarray,
     """_tally's counts and cover of each row of the (n, k) stack x as a
     one-block family, as rows of two (n, order) arrays: one pass of pair
     codes, folded to elements and counted by one bincount with row i
-    offset by i * order.  The stack is not chunked: its n * k * k pairs are
-    the caller's to bound.
+    offset by i * order.  The stack is not chunked: _row_reports bounds it.
     """
     n, k = x.shape
     v = group.order
@@ -177,6 +175,24 @@ def _row_tallies(group: FiniteGroup, x: np.ndarray,
     counts[:, group.identity] -= k
     cover = np.bincount((x + shift[:, None]).ravel(), minlength=n * v)
     return counts, cover.reshape(n, v)
+
+
+def _row_reports(group: FiniteGroup, x: np.ndarray,
+                 convention: DiffConvention):
+    """verify's report on each row of the (n, k) stack x (positions in
+    range, distinct and sorted) as a one-block family, in row order: rows
+    are tallied (_row_tallies) in stacks of at most max(CHUNK_CELLS, k * k)
+    pairs, each when its first report is asked for, and kept for verify."""
+    n, k = x.shape
+    step = max(1, CHUNK_CELLS // (k * k))
+    offsets = np.array([0, k])
+    for s in range(0, n, step):
+        stack = x[s:s + step]
+        counts, cover = _row_tallies(group, stack, convention)
+        for row, delta, covered in zip(stack, counts, cover):
+            family = _family(group, row, offsets, None, convention)
+            _keep(family, delta, covered, (k,))
+            yield verify(family)
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -13,12 +13,23 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .groups import (CyclicGroup, FiniteGroup, ProductGroup, _factors,
                      _indices, _instance, _int_field, _is_int,
                      _scalar_or_array)
+
+
+# the largest ring order built: tables of order entries, sqrt(order) divisions
+MAX_ORDER = 10**6
+
+
+def _check_order(order: int, what: str) -> None:
+    """Refuse a ring (named by what) of more than MAX_ORDER elements."""
+    if order > MAX_ORDER:
+        raise ValueError(f"{what} exceeds the bound {MAX_ORDER}")
 
 
 class NotPrimeError(ValueError):
@@ -138,6 +149,7 @@ class Zmod(Ring):
         n = _int_field({"n": n}, "n")
         if n < 2:
             raise ValueError("modulus must be at least 2")
+        _check_order(n, f"ring order {n}")
         super().__init__(CyclicGroup(n))
         self.one = 1
 
@@ -203,6 +215,9 @@ class GaloisField(Ring):
 
     def __init__(self, p: int, k: int = 1):
         p, k = _int_field({"p": p}, "p"), _int_field({"k": k}, "k")
+        if p > 1 and k > 0:  # 2^k passes the bound at this k, so p^k does
+            _check_order(p ** min(k, MAX_ORDER.bit_length()),
+                         f"field order {p}^{k}")
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         if k < 1:
@@ -298,6 +313,8 @@ class ProductRing(Ring):
             if not isinstance(f, Ring):
                 raise ValueError(f"product factor {reprlib.repr(f)} is not "
                                  "a ring")
+        order = prod(f.order for f in self.factors)
+        _check_order(order, f"ring order {order}")
         super().__init__(ProductGroup(f.additive for f in self.factors))
         self.one = self.additive.join(f.one for f in self.factors)
 

@@ -12,8 +12,7 @@ import numpy as np
 from .groups import (DEFAULT_CONVENTION, CyclicGroup, DiffConvention,
                      FiniteGroup, ProductGroup, _field, _instance,
                      _int_field, _is_int)
-from .multisets import (CHUNK_CELLS, DS, VerificationReport, _family, _keep,
-                        _row_tallies, verify)
+from .multisets import DS, VerificationReport, _row_reports
 from .rings import Ring
 
 
@@ -21,8 +20,9 @@ class OrderMismatchError(ValueError):
     pass
 
 
-# rows per chunk of the HDS search's frontier; see search_hds on memory
-FRONTIER_ROWS = 512
+# counts per block of the HDS search's frontier chunks, of max(1,
+# FRONTIER_CELLS // v^2) rows each: 512 at order 36; see search_hds
+FRONTIER_CELLS = 512 * 36 * 36
 
 # the largest pair table, v^3 counts, that search_hds builds: 2^28 bytes
 # hold int8 counts up to order 645, which takes in every u <= 11 (order
@@ -66,22 +66,16 @@ def hds_parameters(u: int) -> tuple[int, int, int]:
     return 4 * u * u, 2 * u * u - u, u * u - u
 
 
-def _least_translate(diff: list[list[int]], back: list[list[int]],
-                     d: tuple[int, ...], d1: int) -> bool:
-    """True when the sorted leaf d is the least of its identity-containing
-    translates {e - x : e in d}, x in d, read from diff[e][x] = e - x.
-
-    These are the translates under the table's own convention, which
-    preserve its differences.  A leaf has no non-identity difference below
-    d1, its least non-identity element, so only the translates holding d1
-    (back[x][d1], the e with diff[e][x] = d1, in d) can sort below d.
-    """
-    ident = diff[d1][d1]  # x - x, for any x
-    for x in d:
-        if (x != ident and back[x][d1] in d
-                and tuple(sorted(diff[e][x] for e in d)) < d):
-            return False
-    return True
+def _least_translates(table: np.ndarray, leaves: np.ndarray) -> np.ndarray:
+    """Which rows of the (n, k) array of sorted leaves D are the least of
+    their identity-containing translates D - x, x in D (table[e, x] = e -
+    x): one gather gives every translate, sorted, and one sorts below its
+    leaf when it is the smaller at their first differing entry."""
+    shifted = np.sort(table[leaves[:, None, :], leaves[:, :, None]], 2)
+    first = (shifted != leaves[:, None, :]).argmax(2)
+    below = (np.take_along_axis(shifted, first[..., None], 2)[..., 0]
+             < np.take_along_axis(leaves, first, 1))
+    return ~below.any(1)
 
 
 def search_hds(group: FiniteGroup, u: int,
@@ -93,55 +87,53 @@ def search_hds(group: FiniteGroup, u: int,
     Depth-first from the identity e0 over the other elements in ascending
     index order, pruning as soon as any non-identity difference count
     exceeds lambda = u^2-u.  Hits are returned sorted, each re-certified by
-    the verifier, with its report.  Canonical leaves wait in a stack that is
-    tallied in one pass (multisets._row_tallies) when max_results would be
-    reached with it, when its pairs would pass CHUNK_CELLS with one more
-    leaf, and after the walk; each row is then kept on its leaf's one-block
-    family and judged by one verify call, in walk order.  A leaf the
-    verifier refuses is not a hit, and the walk goes on.
+    the verifier, with its report.  A leaf the verifier refuses is not a
+    hit, and the walk goes on.
 
-    Only canonical sets (the least of their identity-containing translates,
-    _least_translate) are kept, and the walk prunes the rest early: with
+    Only canonical sets (the least of their identity-containing translates
+    D - x, x in D) are kept, and the walk prunes the rest early: with
     d1 = min(D - {e0}), chosen at depth 1, a canonical D has no
-    non-identity difference g = diff[e][x] below d1, for then D - x < D
+    non-identity difference g = e - x below d1, for then D - x < D
     (if e0 < g, sorted(D - x) has a second entry <= g < d1 where sorted(D)
     starts (e0, d1); else min(D - x) <= g < min(D)).  So choosing d1 adds
     lambda to the count of every label below d1 but e0, and a difference
     landing there then exceeds lambda like any other.
 
-    The walk is a preorder stack of frontier chunks of at most
-    FRONTIER_ROWS rows, each row a partial set: its walk positions, its
-    difference counts (the floor included from depth 1 on), kept by walk
-    position, and how many of the tests made so far come after it in
-    preorder.  A row's parent, in the chunk it came from, has a v x v block
-    of the counts each walk position would add to its set.  Popping a
-    chunk tests every candidate of every row at once: new = counts +
-    block[candidate] + pair[last, candidate], plus floor[candidate] at
-    depth 1, and the candidate is kept when no count passes lambda.  Each
-    candidate tested is a node.  The rows with a child get their own
+    The walk is a preorder stack of frontier chunks of at most R =
+    max(1, FRONTIER_CELLS // v^2) rows, each row a partial set: its walk
+    positions, its difference counts (the floor included from depth 1 on),
+    kept by walk position, and how many of the tests made so far come
+    after it in preorder.  A row's parent, in the chunk it came from, has
+    a v x v block of the counts each walk position would add to its set.
+    Popping a chunk tests every candidate of every row at once: new =
+    counts + block[candidate] + pair[last, candidate], plus floor[candidate]
+    at depth 1, and the candidate is kept when no count passes lambda.
+    Each candidate tested is a node.  The rows with a child get their own
     blocks, and the survivors are pushed back in reverse, in chunks of at
-    most FRONTIER_ROWS rows, so the leaves come out in walk order; a leaf
-    goes straight to the canonical test and the pending stack.  When
-    max_results stops the walk at a leaf, the tests it carries as coming
-    after it are taken back off, so nodes is the count of a walk that
-    tests one candidate at a time.  The deadline is checked before each
-    chunk.
+    most R rows, so the leaves come out in walk order.  The deadline is
+    checked before each chunk, so a stopped walk's state is exactly its
+    unpopped chunks.
 
-    For k = 1 (u = 1) there is no walk: the identity's one-element leaf,
-    its own only translate, is certified through the same single verify
-    call, and no table is built; nodes is 0, and the search is complete
-    unless max_results = 1 stops it at that hit.
+    A leaf-depth pop's leaves are one sorted (n, k) array, tested for
+    canonical form at once (_least_translates); a pop with no leaves skips
+    the test.  The canonical ones go, in walk order, to
+    multisets._row_reports for verify's report on each as a one-block
+    family.  When max_results stops the walk at a hit, no later leaf is
+    tallied or judged, and the tests after that leaf are taken back off
+    nodes, which counts a walk that tests one candidate at a time.  For
+    u = 1 there is no walk or table: the identity's one-element leaf, its
+    own only translate, takes the same path, with 0 nodes.
 
     Memory: pair holds v^3 counts (46 KB at order 36, 16 MB at order 256),
     and an order whose pair table would pass MAX_PAIR_BYTES is refused
-    before any v x v or v^3 array is built.  A pop tests at most
-    FRONTIER_ROWS * v candidates, and the stack holds, at each of at most
-    k - 1 depths, the rest of one pop's survivors (at most FRONTIER_ROWS *
-    v rows of k + v + 16 bytes) and its block of at most FRONTIER_ROWS *
-    v^2 counts.  A candidate adds at most 2 to a count (e - d = g and
-    d - e = g each have one solution d) that is at most lambda, floor
-    included, so counts plus adds stay at or below lambda + 2: int8 holds
-    every u <= 11, and a larger u counts in int16.
+    before any v x v or v^3 array is built.  A pop tests at most R * v
+    candidates, and the stack holds, at each of at most k - 1 depths, the
+    rest of one pop's survivors (at most R * v rows of k + v + 16 bytes)
+    and its block of R * v^2 <= max(FRONTIER_CELLS, v^2) counts.  A
+    candidate adds at most 2 to a count (e - d = g and d - e = g each have
+    one solution d) that is at most lambda, floor included, so counts plus
+    adds stay at or below lambda + 2: int8 holds every u <= 11, and a
+    larger u counts in int16.
     """
     _instance(group, FiniteGroup, "group", "a group")
     _instance(bounds, SearchBounds, "bounds", "a SearchBounds")
@@ -158,57 +150,30 @@ def search_hds(group: FiniteGroup, u: int,
     started = time.monotonic()
     deadline = (started + bounds.time_budget_s
                 if bounds.time_budget_s is not None else None)
-    leaf_offsets = np.array([0, k])
+    rows = max(1, FRONTIER_CELLS // (v * v))
     results: list[tuple[int, ...]] = []
     reports: list[VerificationReport] = []
-    pending: list[tuple[int, ...]] = []
     nodes = 0
-    truncated = False
 
-    def certify() -> None:
-        """Certify the pending leaves, in walk order: one stacked tally,
-        each row kept on its leaf's one-block family and judged by verify."""
-        if not pending:
-            return
-        # the walk's indices are in range, distinct and sorted: each block
-        # is laid out directly, without make_family's input checks
-        stack = np.array(pending, dtype=np.int64)
-        counts, cover = _row_tallies(group, stack, convention)
-        for d, x, delta, covered in zip(pending, stack, counts, cover):
-            fam = _family(group, x, leaf_offsets, None, convention)
-            _keep(fam, delta, covered, (k,))
-            rep = verify(fam)
+    def take(leaves: np.ndarray) -> int | None:
+        """Keep, in order, the sorted leaves that verify certifies as hits;
+        the index of the leaf whose hit reaches max_results, or None."""
+        for i, rep in enumerate(_row_reports(group, leaves, convention)):
             if (rep.kind == DS and rep.h == 1 and rep.v == v
                     and rep.lambda_or_mu == lam):
-                results.append(d)
+                results.append(tuple(leaves[i].tolist()))
                 reports.append(rep)
-        pending.clear()
-
-    def emit(d: tuple[int, ...], d1: int | None) -> bool:
-        # a one-element set is its only translate
-        if k > 1 and not _least_translate(diff, back, d, d1):
-            return True
-        pending.append(d)
-        if (bounds.max_results is not None
-                and len(results) + len(pending) >= bounds.max_results):
-            certify()
-            return len(results) < bounds.max_results
-        # the stack's pairs stay within max(CHUNK_CELLS, k * k)
-        if (len(pending) + 1) * k * k > CHUNK_CELLS:
-            certify()
-        return True
+                if len(results) == bounds.max_results:
+                    return i
+        return None
 
     if k == 1:  # the identity alone is the one leaf, and there is no walk
-        exhausted = emit((group.identity,), None)
-        certify()
-        return HdsSearchResult(tuple(results), exhausted, nodes,
+        stop = take(np.array([[group.identity]]))
+        return HdsSearchResult(tuple(results), stop is None, nodes,
                                time.monotonic() - started, tuple(reports))
 
     idx = np.arange(v)
     table = group.difference(idx[:, None], idx[None, :], convention)
-    back = np.empty_like(table)  # back[x][g]: the e with diff[e][x] = g
-    back[idx[None, :], table] = idx[:, None]
-    diff, back = table.tolist(), back.tolist()
     walk = np.array([group.identity] + [x for x in range(v)
                                         if x != group.identity])
     at = np.empty_like(walk)  # at[x]: the walk position of element x
@@ -231,10 +196,10 @@ def search_hds(group: FiniteGroup, u: int,
                  np.zeros((1, v), count),
                  np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp),
                  np.zeros((1, v, v), count))]
-    exhausted = True
-    while frontier and exhausted:
+    complete = True
+    while frontier and complete:
         if deadline is not None and time.monotonic() > deadline:
-            truncated = True
+            complete = False
             break
         depth, pos, counts, after, parent, up = frontier.pop()
         last = pos[:, depth - 1].astype(np.intp)
@@ -262,19 +227,19 @@ def search_hds(group: FiniteGroup, u: int,
             kin[row] = True
             row = (np.cumsum(kin) - 1)[row]
             adds = up[parent[kin]] + pair[last[kin]]
-            for s in reversed(range(0, len(fits), FRONTIER_ROWS)):
-                cut = slice(s, s + FRONTIER_ROWS)
+            for s in reversed(range(0, len(fits), rows)):
+                cut = slice(s, s + rows)
                 frontier.append((depth + 1, pos[cut], new[fits[cut]],
                                  after[cut], row[cut], adds))
             continue
-        leaves = walk[pos]
-        for d, later in zip(leaves.tolist(), after.tolist()):
-            if not emit(tuple(sorted(d)), d[1]):
-                nodes -= later
-                exhausted = False
-                break
-    certify()
-    complete = exhausted and not truncated
+        if not len(pos):
+            continue
+        leaves = np.sort(walk[pos], 1)
+        canonical = _least_translates(table, leaves)
+        stop = take(leaves[canonical])
+        if stop is not None:
+            nodes -= int(after[canonical][stop])
+            complete = False
     return HdsSearchResult(tuple(results), complete, nodes,
                            time.monotonic() - started, tuple(reports))
 

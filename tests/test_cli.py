@@ -121,6 +121,23 @@ def test_corollary_hds_oversized_modulus_exits_1_at_once(capsys, m):
     assert time.monotonic() - started < 1
 
 
+@pytest.mark.parametrize("argv,says", [
+    # hung in factorize's trial division
+    (["search-y", "--ring", "F1000000000000000003"],
+     "field order 1000000000000000003 exceeds the bound 1000000"),
+    # hung in GaloisField's orbit walk
+    (["construct", "expand", "--u", "1", "--ring", "F1000000007"],
+     "field order 1000000007 exceeds the bound 1000000"),
+    # exited with numpy's "Unable to allocate 7.28 TiB"
+    (["search-y", "--ring", "Z1000000000000"],
+     "ring order 1000000000000 exceeds the bound 1000000"),
+], ids=["search-y-field", "expand-field", "search-y-zmod"])
+def test_an_oversized_ring_exits_1_at_once(capsys, argv, says):
+    started = time.monotonic()
+    _exits_1_with_one_line(capsys, argv, says)
+    assert time.monotonic() - started < 1
+
+
 def test_corollary_hds_u1(capsys):
     code, doc = run_json(capsys, "construct", "corollary-hds",
                          "--u", "1", "--m", "11")

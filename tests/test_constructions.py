@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdfam import constructions as cons
-from pdfam import groups, multisets, search
+from pdfam import groups, multisets
 from pdfam.catalog import order32_family, trivial_hds_family
 from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup
 from pdfam.multisets import (DF, DS, INVALID, PDF, RELATIVE_PDF, SDF,
@@ -549,7 +549,7 @@ def test_extended_families_read_as_fresh_ones(name, conv):
 
 def test_each_family_is_tallied_once(monkeypatch):
     # _tally's calls and pairs, _judge's calls, and verify's calls through
-    # the names constructions and search bind
+    # the names constructions binds and multisets calls for a search leaf
     seen = Counter()
     real_tally, real_judge = multisets._tally, multisets._judge
     real_verify = multisets.verify
@@ -571,7 +571,7 @@ def test_each_family_is_tallied_once(monkeypatch):
     monkeypatch.setattr(multisets, "_tally", tally)
     monkeypatch.setattr(multisets, "_judge", judge)
     monkeypatch.setattr(cons, "verify", counted_verify)
-    monkeypatch.setattr(search, "verify", counted_verify)
+    monkeypatch.setattr(multisets, "verify", counted_verify)
     cons.expand_from_hds(1, 7)
     # 17 verify calls: the search leaf, the difference set and its pair,
     # and per completion the pair (the base) three times, the doubled

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdfam import rings
 from pdfam.groups import CyclicGroup, ElementOutOfRangeError, ProductGroup
 from pdfam.rings import (EvenOrderError, GaloisField, NotPrimeError,
                          ProductRing, Zmod, build_y_powers, check_y_condition,
@@ -511,3 +512,29 @@ def test_ring_constructors_store_numpy_integers_as_ints():
     assert type(f.p) is int and type(f.k) is int and type(z.order) is int
     assert f.descriptor() == {"type": "gf", "p": 7, "k": 2}
     assert z.descriptor() == {"type": "zmod", "n": 9}
+
+
+@pytest.mark.parametrize("build,says", [
+    (lambda: Zmod(10**6 + 1), "ring order 1000001"),
+    (lambda: make_ring({"type": "zmod", "n": 10**12}),
+     "ring order 1000000000000"),
+    (lambda: GaloisField(1_000_003), "field order 1000003^1"),
+    (lambda: GaloisField(1009, 2), "field order 1009^2"),
+    (lambda: GaloisField(2, 20), "field order 2^20"),
+    # refused before is_prime, and without computing 4^(10^18)
+    (lambda: GaloisField(4, 10**18), "field order 4^1000000000000000000"),
+    (lambda: make_ring({"type": "gf", "p": 10**18 + 9, "k": 1}),
+     "field order 1000000000000000009^1"),
+    (lambda: ProductRing([Zmod(1000), Zmod(1001)]), "ring order 1001000"),
+], ids=["zmod", "zmod-descriptor", "prime-field", "GF1009^2", "GF2^20",
+        "huge-degree", "gf-descriptor", "product"])
+def test_rings_above_the_order_bound_are_refused_at_once(build, says):
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(says)} exceeds the bound 1000000$"):
+        build()
+
+
+def test_rings_at_the_order_bound_are_built():
+    assert rings.MAX_ORDER == 10**6
+    assert Zmod(10**6).order == 10**6
+    assert ProductRing([Zmod(1000), Zmod(1000)]).order == 10**6

@@ -84,11 +84,20 @@ def test_expansion_sweep_covers_every_admissible_modulus():
 def test_hds_landscape_default_sweep_counts_the_known_sets():
     done = run_script("hds_landscape.py")
     assert done.returncode == 0, done.stderr
-    counts = re.findall(r"^(\S+)\s+(\d+) normalized sets \(complete, "
-                        r"\d+ nodes, .* nodes/s, .* sets/s\)$",
-                        done.stdout, re.M)
-    assert counts == [("Z16", "0"), ("Z2xZ8", "12"), ("Z4xZ4", "12"),
-                      ("Z2xZ2xZ4", "28"), ("Z2xZ2xZ2xZ2", "28")]
+    lines = re.findall(r"^(\S+)\s+(\d+) normalized sets \(complete, "
+                       r"\d+ nodes, .* nodes/s, .* sets/s, (\S+) MB\)$",
+                       done.stdout, re.M)
+    assert [line[:2] for line in lines] == [
+        ("Z16", "0"), ("Z2xZ8", "12"), ("Z4xZ4", "12"),
+        ("Z2xZ2xZ4", "28"), ("Z2xZ2xZ2xZ2", "28")]
+    # each group's peak is the process's own so far, from VmHWM
+    peaks = [peak for *_, peak in lines]
+    if not Path("/proc/self/status").exists():
+        assert peaks == ["n/a"] * len(lines)
+        return
+    peaks = [float(peak) for peak in peaks]
+    assert peaks == sorted(peaks)
+    assert peaks[-1] < 100
 
 
 def test_verify_rate_reports_each_family_with_its_peak_rss():

@@ -6,15 +6,15 @@ from math import gcd
 import numpy as np
 import pytest
 
-from pdfam import search
+from pdfam import multisets, search
 from pdfam.constructions import hadamard_pdf_from_hds
 from pdfam.groups import CyclicGroup, DiffConvention, ProductGroup, TableGroup
 from pdfam.multisets import (DS, VerificationReport, make_family,
                              verify)
 from pdfam.rings import GaloisField, Zmod, check_y_condition
 from pdfam.search import (HdsSearchResult, OrderMismatchError, SearchBounds,
-                          _least_translate, abelian_groups_order16,
-                          hds_parameters, max_unit_y_search, search_hds)
+                          abelian_groups_order16, hds_parameters,
+                          max_unit_y_search, search_hds)
 
 
 def _canonical_translate(diff, d):
@@ -421,16 +421,18 @@ def test_search_hds_floor_keeps_results_and_never_adds_nodes(convention):
                          ids=lambda c: c.value)
 def test_leaf_test_agrees_with_the_full_translate_oracle(monkeypatch,
                                                          convention):
-    """At every leaf the walk reaches, testing only the translates that
-    hold d1 accepts exactly when comparing every translate does."""
-    real, seen = search._least_translate, []
+    """At every leaf the walk reaches, the array test of a pop's leaves
+    accepts exactly when comparing every translate one at a time does."""
+    real, seen = search._least_translates, []
 
-    def judged(diff, back, d, d1):
-        got = real(diff, back, d, d1)
-        seen.append((got, _canonical_translate(diff, d)))
+    def judged(table, leaves):
+        got = real(table, leaves)
+        diff = table.tolist()
+        seen.extend((bool(ok), _canonical_translate(diff, tuple(d)))
+                    for ok, d in zip(got, leaves.tolist()))
         return got
 
-    monkeypatch.setattr(search, "_least_translate", judged)
+    monkeypatch.setattr(search, "_least_translates", judged)
     relabeled = [g for g in _random_relabelings(29, 12) if g.identity != 0]
     assert len(relabeled) >= 8
     for g in [g for _, g in abelian_groups_order16()] + relabeled:
@@ -465,14 +467,14 @@ def test_search_hds_certifies_the_same_in_smaller_stacks(monkeypatch,
     the same, and no stack holds more than max(CHUNK_CELLS, k * k) pairs."""
     stacked = {name: search_hds(g, 2, convention=convention)
                for name, g in ORDER16_GROUPS.items()}
-    real, stacks = search._row_tallies, []
+    real, stacks = multisets._row_tallies, []
 
     def recorded(group, x, convention):
         stacks.append(x.shape)
         return real(group, x, convention)
 
-    monkeypatch.setattr(search, "CHUNK_CELLS", cells)
-    monkeypatch.setattr(search, "_row_tallies", recorded)
+    monkeypatch.setattr(multisets, "CHUNK_CELLS", cells)
+    monkeypatch.setattr(multisets, "_row_tallies", recorded)
     for name, g in ORDER16_GROUPS.items():
         small, res = search_hds(g, 2, convention=convention), stacked[name]
         assert (small.results, small.reports, small.nodes, small.complete) \
@@ -484,10 +486,17 @@ def test_search_hds_certifies_the_same_in_smaller_stacks(monkeypatch,
 
 def test_search_hds_a_refused_leaf_is_not_a_hit(monkeypatch):
     """A leaf whose stacked tally is off is judged Invalid and not counted
-    against max_results: the walk goes on to the next two hits."""
+    against max_results: the walk goes on to the next two hits, and judges
+    no leaf after the second.  All 12 canonical leaves of Z4xZ4 come from
+    one pop, so they are one stack."""
     g = ProductGroup([CyclicGroup(4), CyclicGroup(4)])
     full = search_hds(g, 2)
-    real, flushes = search._row_tallies, []
+    real, flushes, judged = multisets._row_tallies, [], []
+    real_verify = multisets.verify
+
+    def counted_verify(family):
+        judged.append(family.positions.tolist())
+        return real_verify(family)
 
     def off_by_one(group, x, convention):
         counts, cover = real(group, x, convention)
@@ -496,12 +505,14 @@ def test_search_hds_a_refused_leaf_is_not_a_hit(monkeypatch):
         flushes.append(len(x))
         return counts, cover
 
-    monkeypatch.setattr(search, "_row_tallies", off_by_one)
+    monkeypatch.setattr(multisets, "_row_tallies", off_by_one)
+    monkeypatch.setattr(multisets, "verify", counted_verify)
     res = search_hds(g, 2, SearchBounds(max_results=2))
     assert res.results == full.results[1:3]
     assert res.reports == full.reports[1:3]
     assert not res.complete
-    assert flushes == [2, 1]
+    assert flushes == [12]
+    assert judged == [list(d) for d in full.results[:3]]
 
 
 @pytest.mark.parametrize("convention", list(DiffConvention),
@@ -594,8 +605,9 @@ def test_max_unit_y_time_budget_zero():
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_search_hds_frontier_rows_do_not_change_the_search(monkeypatch, rows):
-    """Chunks of one row and of three give the searches of the default
-    chunk size: the same hits, reports, nodes and completeness."""
+    """Chunks of one row and of three at order 16 (and of one at order 36)
+    give the searches of the default cell budget: the same hits, reports,
+    nodes and completeness."""
     z6xz6 = ProductGroup([CyclicGroup(6), CyclicGroup(6)])
     cases = [(g, 2, SearchBounds(), convention)
              for g in ORDER16_GROUPS.values() for convention in DiffConvention]
@@ -603,7 +615,7 @@ def test_search_hds_frontier_rows_do_not_change_the_search(monkeypatch, rows):
                   DiffConvention.RIGHT_INVERSE))
     default = [search_hds(*case) for case in cases]
     assert default[-1].nodes == 193724
-    monkeypatch.setattr(search, "FRONTIER_ROWS", rows)
+    monkeypatch.setattr(search, "FRONTIER_CELLS", rows * 16 * 16)
     for case, want in zip(cases, default):
         got = search_hds(*case)
         assert (got.results, got.reports, got.nodes, got.complete) == (

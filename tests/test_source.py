@@ -241,3 +241,37 @@ def test_non_abelian_arithmetic_is_a_table():
     assert {(c.__name__, m) for c in library
             if issubclass(c, TableGroup) and c is not TableGroup
             for m in ("op", "neg") if m in vars(c)} == set()
+
+
+KEPT_TALLY = {"_keep", "_Kept", "_row_tallies", "CHUNK_CELLS"}
+
+
+def _kept_tally_names(source: str) -> list[str]:
+    """The kept-tally names a source imports, reads or writes, as a name,
+    an attribute or an imported alias, in order of appearance."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.append((node.lineno, node.col_offset, node.id))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.lineno, node.col_offset, node.attr))
+        elif isinstance(node, ast.alias):
+            found.append((node.lineno, node.col_offset, node.name))
+    return [name for *_, name in sorted(found) if name in KEPT_TALLY]
+
+
+def test_kept_tally_check_flags_every_spelling():
+    assert _kept_tally_names(
+        "from .multisets import _keep, verify\n"
+        "from . import multisets as m\n"
+        "cells = m.CHUNK_CELLS\n"
+        "_row_tallies = None\n"
+        "kept = '_Kept'\n") == ["_keep", "CHUNK_CELLS", "_row_tallies"]
+
+
+def test_only_multisets_knows_the_kept_tally_protocol():
+    """A family's kept tally is made, stacked and chunked in multisets
+    alone; the search reaches it through multisets._row_reports."""
+    assert {p.name: _kept_tally_names(p.read_text())
+            for p in PACKAGE.glob("*.py") if p.name != "multisets.py"
+            and _kept_tally_names(p.read_text())} == {}
