@@ -208,19 +208,20 @@ def _check_strong(sdf: DesignFamily, e: int, lam_h: int) -> None:
             f"mu*e = {rep.lambda_or_mu * e} but lambda*(|H|-1) = {lam_h}")
 
 
-def _lift(ambient: ProductGroup, gs, lengths, images, lam: int,
-          convention: DiffConvention) -> ConstructionResult:
-    """The verified relative family of the blocks {(gs[j], images[t, j])},
-    one per lifted block (the next lengths[i] positions) and table t; a
-    table that collapses a block repeats an element, which fails it."""
+def _lift(ambient: ProductGroup, doubled: DesignFamily, images, lam: int
+          ) -> ConstructionResult:
+    """The verified relative family, read under doubled's convention, of
+    the blocks {(g_j, images[t, j])}, one per doubled block i (positions
+    g_j) and table t; a table that collapses a block fails it."""
     g_group, h_group = ambient.factors
-    # block (i, t) is lifted block i under table t, laid out i-major
+    # block (i, t) is doubled block i under table t, laid out i-major
     flat = np.concatenate([part.ravel() for part in np.split(
-        ambient.join((gs, images)), np.cumsum(lengths)[:-1], axis=1)])
-    sizes = np.repeat(lengths, len(images)).tolist()
+        ambient.join((doubled.positions, images)), doubled.offsets[1:-1],
+        axis=1)])
+    sizes = np.repeat(np.diff(doubled.offsets), len(images)).tolist()
     forbidden = ambient.join((np.arange(g_group.order), h_group.identity))
     fam = _family(ambient, *_sort_blocks(flat, sizes, ambient.order),
-                  frozenset(forbidden.tolist()), convention)
+                  frozenset(forbidden.tolist()), doubled.convention)
     pred = Prediction(DF, ambient.order, tuple(sorted(sizes)), lam,
                       h=g_group.order)
     return ConstructionResult(fam, verify(fam), pred)
@@ -333,8 +334,9 @@ def expand_hadamard_pdf(recipe: ExpansionRecipe) -> ExpansionResult:
     elements d.  So every fiber holds 4*lam units, closed under negation,
     which the starters, one per {h,-h} pair, spread over H minus zero
     2*lam times; none sends 2f(d) to zero, and the images keep g, so each
-    block sweeps its own fiber once (the RELATIVE_PDF check below).  _lift's verify and the final one certify; the final family
-    extends the relative one, so only the zero fiber is tallied again.
+    block sweeps its own fiber once (the RELATIVE_PDF check below).
+    _lift's verify and the final one certify; the final family extends
+    the relative one, so only the zero fiber is tallied again.
     """
     _instance(recipe, ExpansionRecipe, "recipe", "an ExpansionRecipe")
     return _expand(recipe, ProductGroup([recipe.pdf.group,
@@ -347,22 +349,21 @@ def _expand(recipe: ExpansionRecipe, ambient: ProductGroup
     which the completions of one base and ring share."""
     base = _hadamard_report(recipe.pdf)
     lam, n = base.lambda_or_mu, len(recipe.starters)
-    g_group, conv = recipe.pdf.group, recipe.pdf.convention
-    ring, h_group = recipe.ring, recipe.ring.additive
+    g_group, ring, h_group = (recipe.pdf.group, recipe.ring,
+                              recipe.ring.additive)
 
-    # lifted block i: (d, f(d)), (d, -f(d)) for d in block i, in order
+    # lifted block i: (d, f(d)), (d, -f(d)) for d in block i, in order,
+    # over doubled block i, whose positions are d, d
     pdf = recipe.pdf
-    lengths = 2 * np.diff(pdf.offsets)
-    gs = np.repeat(pdf.positions, 2)
-    fd = np.asarray(recipe.f_map, dtype=np.int64)[gs[::2]]
+    doubled = double_sdf(pdf).family
+    fd = np.asarray(recipe.f_map, dtype=np.int64)[pdf.positions]
     hs = np.stack((fd, h_group.neg(fd)), axis=1).ravel()
 
-    _check_strong(double_sdf(pdf).family, n,
-                  2 * lam * (ring.order - 1))
+    _check_strong(doubled, n, 2 * lam * (ring.order - 1))
     tables = np.fromiter(
         (ring.mul(s, h) for s in recipe.starters for h in range(ring.order)),
         dtype=np.int64, count=n * ring.order).reshape(n, ring.order)
-    relative = _lift(ambient, gs, lengths, tables[:, hs], 2 * lam, conv)
+    relative = _lift(ambient, doubled, tables[:, hs], 2 * lam)
     # the images keep g: each block sweeps its own fiber iff they tile G x H-0
     if relative.report.kind != RELATIVE_PDF:
         raise RecipeInvariantError(

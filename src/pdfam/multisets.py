@@ -10,10 +10,10 @@ block is a read-only slice of it.  Outside positions reach a block or a
 family by one checked path (_placed; _block for one block, _checked for a
 family) once their types are checked, here or by the JSON decoder in its
 own pass; positions a construction computed itself are laid out
-unchecked (_family).  verify is a tally (_tally) and a judge (_judge),
-kept together on the family object (_Kept) so that a later call returns
-the kept report.  An extension (_extend) is tallied as the kept tally of
-the family it extends plus the tally of the added blocks alone.  The HDS
+unchecked (_family).  verify is a tally (_tally, kept by _kept_tally)
+and a judge (_judge), whose report is kept too, so that a later call
+returns it.  An extension (_extend) is tallied as the kept tally of the
+family it extends plus the tally of the added blocks alone.  The HDS
 search's leaves, one-block families of one size, are tallied in stacks
 (_row_tallies), kept and judged by verify here alone (_row_reports).
 """
@@ -220,9 +220,6 @@ class DesignFamily:
         return tuple(self.positions[a:b]
                      for a, b in pairwise(self.offsets.tolist()))
 
-    # set on the instance, outside the fields, by _keep
-    _kept = None
-
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(sorted(np.diff(self.offsets).tolist()))
@@ -290,49 +287,34 @@ def _extend(family: DesignFamily, positions: np.ndarray,
                   np.concatenate((family.offsets, offsets[1:] + end)), None,
                   conv)
     counts, cover, sizes = _tally(group, positions, offsets, conv)
-    before = _family_tally(family)
+    before = _kept_tally(family)
     _keep(ext, counts + before[0], cover + before[1],
           tuple(sorted(sizes + before[2])))
     return ext
 
 
-class _Kept:
-    """A family's tally (counts, cover, sorted sizes) and verify's report
-    on it, None until the first verify judges the tally."""
-
-    __slots__ = ("tally", "report")
-
-    def __init__(self, tally: tuple[np.ndarray, np.ndarray, tuple[int, ...]]):
-        self.tally, self.report = tally, None
-
-
-def _record(family: DesignFamily) -> _Kept:
-    """The family's kept record, its tally counted on first use."""
-    kept = family._kept
-    if kept is None:
-        kept = _keep(family, *_tally(family.group, family.positions,
-                                     family.offsets, family.convention))
-    return kept
-
-
-def _family_tally(family: DesignFamily
-                  ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+def _kept_tally(family: DesignFamily
+                ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """_tally of the family, counted on first use and then kept."""
-    return _record(family).tally
+    kept = family.__dict__
+    if "_kept_tally" not in kept:
+        _keep(family, *_tally(family.group, family.positions, family.offsets,
+                              family.convention))
+    return kept["_kept_tally"]
 
 
 def _keep(family: DesignFamily, counts: np.ndarray, cover: np.ndarray,
-          sizes: tuple[int, ...]) -> _Kept:
-    """Keep a tally on the family object, outside its fields (so equality,
-    repr, dataclasses.replace and the JSON never see it), read-only, in a
-    new record: a report judged from an earlier tally is dropped."""
+          sizes: tuple[int, ...]) -> None:
+    """Keep a tally (counts, cover, sorted sizes) read-only in the family's
+    instance dict, outside its fields (so equality, repr, replace and the
+    JSON never see it), and drop a report judged from an earlier tally."""
     # write=False, passed by position: the keyword form costs a one-block
     # search leaf's verify about 0.2 us more
     counts.setflags(False)
     cover.setflags(False)
-    kept = _Kept((counts, cover, sizes))
-    object.__setattr__(family, "_kept", kept)
-    return kept
+    kept = family.__dict__
+    kept["_kept_tally"] = (counts, cover, sizes)
+    kept.pop("_report", None)
 
 
 def delta_block(group: FiniteGroup, block,
@@ -349,7 +331,7 @@ def delta_block(group: FiniteGroup, block,
 def delta_family(family: DesignFamily) -> np.ndarray:
     """delta_block's counts summed over the family's blocks: a read-only
     view of its kept tally, which cannot be made writeable."""
-    return _family_tally(family)[0].view()
+    return _kept_tally(family)[0].view()
 
 
 @dataclass(frozen=True)
@@ -403,20 +385,21 @@ def verify(family: DesignFamily) -> VerificationReport:
 
     The tally (_tally) counts the differences, the cover and the block
     sizes, and the judge (_judge) reads only those and the family's group
-    and forbidden set.  Both are kept on the family (_Kept): the first call
-    judges, and a repeated call returns the same report object.  So
-    expand_from_hds(1, m) judges 9 times in its 17 verify calls.  Keeping
-    is sound while the family's two read-only arrays, and the block slices
-    that view them, stay as built; a caller that makes one writeable and
-    writes to it must build a new family to verify.
+    and forbidden set.  Both are kept in the family's instance dict
+    (_keep): the first call judges, and a repeated call returns the same
+    report object.  So expand_from_hds(1, m) judges 9 times in its 17
+    verify calls.  Keeping is sound while the family's two read-only
+    arrays, and the block slices that view them, stay as built; a caller
+    that makes one writeable and writes to it must build a new family to
+    verify.
     """
     if not isinstance(family, DesignFamily):  # no _field dict: verify is hot
         raise ValueError(
             f"family {reprlib.repr(family)} is not a DesignFamily")
-    kept = _record(family)
-    report = kept.report
+    kept = family.__dict__
+    report = kept.get("_report")
     if report is None:
-        report = kept.report = _judge(family, *kept.tally)
+        report = kept["_report"] = _judge(family, *_kept_tally(family))
     return report
 
 

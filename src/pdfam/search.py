@@ -24,11 +24,6 @@ class OrderMismatchError(ValueError):
 # FRONTIER_CELLS // v^2) rows each: 512 at order 36; see search_hds
 FRONTIER_CELLS = 512 * 36 * 36
 
-# the largest pair table, v^3 counts, that search_hds builds: 2^28 bytes
-# hold int8 counts up to order 645, which takes in every u <= 11 (order
-# 484, 113 MB); u = 12 counts in int16, 382 MB
-MAX_PAIR_BYTES = 2 ** 28
-
 
 @dataclass(frozen=True)
 class SearchBounds:
@@ -124,16 +119,15 @@ def search_hds(group: FiniteGroup, u: int,
     u = 1 there is no walk or table: the identity's one-element leaf, its
     own only translate, takes the same path, with 0 nodes.
 
-    Memory: pair holds v^3 counts (46 KB at order 36, 16 MB at order 256),
-    and an order whose pair table would pass MAX_PAIR_BYTES is refused
-    before any v x v or v^3 array is built.  A pop tests at most R * v
+    Memory: counts are int8.  A candidate adds at most 2 to a count (e - d
+    = g and d - e = g each have one solution d) that is at most lambda,
+    floor included, so counts plus adds stay at or below lambda + 2, which
+    int8 holds for every u <= 11; a larger u is refused before any table
+    is built.  pair holds v^3 counts (46 KB at order 36, 16 MB at order
+    256, 113 MB at order 484, u = 11).  A pop tests at most R * v
     candidates, and the stack holds, at each of at most k - 1 depths, the
     rest of one pop's survivors (at most R * v rows of k + v + 16 bytes)
-    and its block of R * v^2 <= max(FRONTIER_CELLS, v^2) counts.  A
-    candidate adds at most 2 to a count (e - d = g and d - e = g each have
-    one solution d) that is at most lambda, floor included, so counts plus
-    adds stay at or below lambda + 2: int8 holds every u <= 11, and a
-    larger u counts in int16.
+    and its block of R * v^2 <= max(FRONTIER_CELLS, v^2) counts.
     """
     _instance(group, FiniteGroup, "group", "a group")
     _instance(bounds, SearchBounds, "bounds", "a SearchBounds")
@@ -141,12 +135,9 @@ def search_hds(group: FiniteGroup, u: int,
     if group.order != v:
         raise OrderMismatchError(
             f"group order {group.order} != 4u^2 = {v}")
-    count = np.int8 if lam + 2 <= np.iinfo(np.int8).max else np.int16
-    pair_bytes = v ** 3 * np.dtype(count).itemsize
-    if pair_bytes > MAX_PAIR_BYTES:
-        raise ValueError(f"search of order {v} needs a pair table of "
-                         f"{pair_bytes} bytes, above the bound "
-                         f"{MAX_PAIR_BYTES}")
+    if lam + 2 > np.iinfo(np.int8).max:
+        raise ValueError(f"u = {u} is above 11, the largest u whose "
+                         f"search counts fit int8")
     started = time.monotonic()
     deadline = (started + bounds.time_budget_s
                 if bounds.time_budget_s is not None else None)
@@ -181,21 +172,21 @@ def search_hds(group: FiniteGroup, u: int,
     # counts are kept by walk position, so the identity's is column 0;
     # pair[i, j]: the counts walk[i] and walk[j] add to each other's set
     step = at[table[np.ix_(walk, walk)]]
-    one = np.eye(v, dtype=count)
+    one = np.eye(v, dtype=np.int8)
     pair = one[step]
     pair += one[step.T]
     # floor[i]: lambda at walk[1:i], every label below walk[i] but the
     # identity, since the walk ascends after the identity
-    floor = np.where(idx < idx[:, None], count(lam), count(0))
+    floor = np.where(idx < idx[:, None], np.int8(lam), np.int8(0))
     floor[:, 0] = 0
 
     # a chunk: its depth, its rows' walk positions, counts and tests after
     # them, each row's parent, and the block of adds of the parents' rows;
     # the root, the identity alone, has an empty parent that adds nothing
     frontier = [(1, np.zeros((1, k), dtype=np.min_scalar_type(v - 1)),
-                 np.zeros((1, v), count),
+                 np.zeros((1, v), np.int8),
                  np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp),
-                 np.zeros((1, v, v), count))]
+                 np.zeros((1, v, v), np.int8))]
     complete = True
     while frontier and complete:
         if deadline is not None and time.monotonic() > deadline:

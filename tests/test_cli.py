@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pdfam
-from pdfam import groups, search, serialize
+from pdfam import groups, serialize
 from pdfam.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +42,17 @@ def test_construct_complement_rejects_non_difference_set(capsys):
     code, out = run(capsys, "construct", "complement",
                     "--group", "Z7", "--block", "0,1")
     assert code == 1
+
+
+@pytest.mark.parametrize("group,block,v,K", [
+    ("semidirect32", "0", 32, [1, 31]), ("Z3", "[0, 1]", 3, [1, 2]),
+], ids=["semidirect32", "json-block"])
+def test_construct_complement_reads_text_specs(capsys, group, block, v, K):
+    code, doc = run_json(capsys, "construct", "complement",
+                         "--group", group, "--block", block)
+    assert code == 0 and doc["certified"] is True
+    assert (doc["report"]["kind"], doc["report"]["v"],
+            doc["report"]["K"]) == ("PDF", v, K)
 
 
 def test_construct_missing_required_flag(capsys):
@@ -841,13 +852,13 @@ def test_oversized_tally_grid_exits_1_at_once(tmp_path):
 
 
 def test_oversized_hds_search_exits_1_at_once():
-    """Z1600 (u = 20) would build 8 GB of int16 pair counts before its
-    first node; it is refused before any table is built."""
+    """Z1600 (u = 20) would need 4 GB of pair counts, past int8, before
+    its first node; it is refused before any table is built."""
     done, elapsed = _capped_pdfam("search-hds", "--group", "Z1600", "--u",
                                   "20", "--time-budget", "0")
     assert _one_error_line(done) == (
-        f"error: search of order 1600 needs a pair table of {2 * 1600 ** 3} "
-        f"bytes, above the bound {search.MAX_PAIR_BYTES}\n")
+        "error: u = 20 is above 11, the largest u whose search counts fit "
+        "int8\n")
     assert elapsed < 1
 
 

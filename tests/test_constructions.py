@@ -115,11 +115,13 @@ def _lift_fixture(starters):
     lifts = [[(0, f[0]), (0, (-f[0]) % 7)],
              [(d, s * f[d] % 7) for d in (1, 2, 3) for s in (1, -1)]]
     gs, hs = np.array([pair for block in lifts for pair in block]).T
+    doubled = cons.double_sdf(trivial_hds_family()).family
+    # _lift reads the lifts' G-coordinates and lengths from the doubled family
+    assert list(doubled.positions) == list(gs) == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert list(np.diff(doubled.offsets)) == list(map(len, lifts)) == [2, 6]
     images = np.array([[s * h % 7 for h in hs] for s in starters])
     ambient = ProductGroup([CyclicGroup(4), GaloisField(7, 1).additive])
-    res = cons._lift(ambient, gs, [len(b) for b in lifts], images, 4,
-                     trivial_hds_family().convention)
-    return lifts, res
+    return lifts, cons._lift(ambient, doubled, images, 4)
 
 
 def test_sdf_lift_certifies_relative():
@@ -129,6 +131,17 @@ def test_sdf_lift_certifies_relative():
     assert r.kind == RELATIVE_PDF
     assert (r.v, r.h, r.lambda_or_mu) == (28, 4, 4)
     assert tuple(r.K) == (2, 2, 2, 6, 6, 6)
+
+
+def test_expansion_refuses_starters_that_do_not_sweep_the_fiber():
+    """No recipe that passes its own checks reaches this refusal (recipes
+    over Zmod(49), Zmod(77), Zmod(91) and Zmod(119) with |Y| = 3 all
+    certify), so the repeated starters (1, 1, 1) are forced in."""
+    rec = cons.make_recipe(trivial_hds_family(), GaloisField(7, 1))
+    object.__setattr__(rec, "starters", (1, 1, 1))
+    with pytest.raises(cons.RecipeInvariantError, match="^starter images do "
+                       "not sweep the block fiber exactly once$"):
+        cons.expand_hadamard_pdf(rec)
 
 
 def test_sdf_lift_parameter_check():

@@ -547,7 +547,7 @@ def test_flat_family_matches_a_counter_reference(g, convention, data):
                      for i, a in enumerate(row)
                      for j, b in enumerate(row) if i != j)
         cover.update(row)
-    counts, covered, sizes = multisets._family_tally(fam)
+    counts, covered, sizes = multisets._kept_tally(fam)
     assert counts.tolist() == [delta[e] for e in range(g.order)]
     assert covered.tolist() == [cover[e] for e in range(g.order)]
     assert sizes == tuple(sorted(map(len, rows)))
@@ -572,7 +572,7 @@ def test_flat_family_matches_a_counter_reference(g, convention, data):
                                 rest.positions, rest.offsets)
         fresh = make_family(g, rows, convention=convention)
         assert ext == fresh
-        kept, counted = multisets._family_tally(ext), multisets._tally(
+        kept, counted = multisets._kept_tally(ext), multisets._tally(
             g, fresh.positions, fresh.offsets, convention)
         assert all(np.array_equal(a, b) for a, b in zip(kept[:2], counted))
         assert kept[2] == counted[2]
@@ -704,7 +704,7 @@ def test_a_family_cannot_change_under_its_kept_tally():
     blocks.append([2, 4, 5, 6])
     assert isinstance(fam.blocks, tuple) and len(fam.blocks) == 1
     assert verify(fam) == first == verify(DesignFamily(g, fam.blocks))
-    counts, cover, _ = multisets._family_tally(fam)
+    counts, cover, _ = multisets._kept_tally(fam)
     assert not counts.flags.writeable and not cover.flags.writeable
     assert fam == DesignFamily(g, fam.blocks)
     assert "kept" not in repr(fam)
@@ -798,7 +798,7 @@ def test_delta_family_is_a_read_only_view_of_the_kept_tally(g, convention,
                                  for b in fam.blocks))
     assert np.array_equal(d, sum(brute_delta(g, b.tolist(), convention)
                                  for b in fam.blocks))
-    kept = multisets._family_tally(fam)[0]
+    kept = multisets._kept_tally(fam)[0]
     assert d.base is kept and np.shares_memory(d, kept)  # no copy
     with pytest.raises(ValueError):
         d[0] += 1

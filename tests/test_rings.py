@@ -70,6 +70,11 @@ def test_is_prime_small():
     assert primes == sieve
 
 
+@pytest.mark.parametrize("n", [0, 1, -7])
+def test_is_prime_below_two_is_false(n):
+    assert is_prime(n) is False
+
+
 def test_zmod_units_and_arithmetic():
     r = Zmod(25)
     assert r.mul(7, 18) == 1

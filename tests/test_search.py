@@ -1,7 +1,9 @@
 import random
 import re
+import tracemalloc
 from itertools import combinations
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,6 +80,19 @@ def test_search_hds_u1_certifies_the_identity_without_a_walk(
 def test_search_hds_order_mismatch():
     with pytest.raises(OrderMismatchError):
         search_hds(CyclicGroup(8), 1)
+
+
+def test_search_hds_refuses_u_past_int8_counts_before_any_table():
+    """u = 12 (lambda + 2 = 134) counts past int8: refused before any
+    v x v array, the smallest 576 * 576 bytes, is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^u = 12 is above 11, "):
+            search_hds(CyclicGroup(576), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 576 * 576
 
 
 def test_search_hds_z16_empty():
@@ -599,6 +614,17 @@ def test_max_unit_y_f7():
 def test_max_unit_y_time_budget_zero():
     res = max_unit_y_search(Zmod(49), SearchBounds(time_budget_s=0.0))
     assert not res.exhaustive
+
+
+def test_max_unit_y_stops_at_its_deadline_below_the_top_level(monkeypatch):
+    """The clock passes the deadline at the first nested call: the walk
+    stops one level down, after one node, and is not exhaustive."""
+    ticks = iter([0.0, 0.0])  # the start, and the top level's check
+    monkeypatch.setattr(search, "time", SimpleNamespace(
+        monotonic=lambda: next(ticks, 2.0)))
+    res = max_unit_y_search(GaloisField(7, 1), SearchBounds(time_budget_s=1))
+    assert not res.exhaustive
+    assert (res.max_size, res.witness, res.nodes) == (1, (1,), 1)
 
 
 # -- the frontier walk ------------------------------------------------------

@@ -12,7 +12,8 @@ from pdfam.catalog import order32_family, trivial_hds_family
 from pdfam.constructions import (Prediction, complement_pdf, expand_from_hds,
                                  expand_hadamard_pdf, expand_nonabelian32,
                                  make_recipe)
-from pdfam.groups import CyclicGroup, ProductGroup, Semidirect32, make_group
+from pdfam.groups import (CyclicGroup, ElementOutOfRangeError, ProductGroup,
+                          Semidirect32, make_group)
 from pdfam.multisets import PDF, RELATIVE_PDF, make_family, verify
 from pdfam.rings import GaloisField, make_ring
 from pdfam.serialize import (canonical_dumps, family_from_json,
@@ -276,6 +277,25 @@ def test_canonical_dumps_matches_the_stdlib(value):
 
 _circular = []
 _circular.append(_circular)
+
+
+def test_canonical_dumps_raises_the_stdlib_error_on_a_circular_list():
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        canonical_dumps(_circular)
+
+
+def test_a_position_beyond_int64_is_named_out_of_range():
+    doc = {"group": {"type": "cyclic", "n": 7}, "blocks": [[0, 2 ** 64]]}
+    with pytest.raises(ElementOutOfRangeError,
+                       match=rf"^element {2 ** 64} outside 0\.\.6$"):
+        family_from_json(doc)
+
+
+def test_a_recipe_without_a_ring_names_the_missing_key():
+    doc = recipe_to_json(make_recipe(trivial_hds_family(), GaloisField(7, 1)))
+    del doc["ring"]
+    with pytest.raises(ValueError, match="^missing key 'ring'$"):
+        recipe_from_json(doc)
 
 
 @pytest.mark.parametrize("value", [

@@ -243,7 +243,7 @@ def test_non_abelian_arithmetic_is_a_table():
             for m in ("op", "neg") if m in vars(c)} == set()
 
 
-KEPT_TALLY = {"_keep", "_Kept", "_row_tallies", "CHUNK_CELLS"}
+KEPT_TALLY = {"_keep", "_kept_tally", "_row_tallies", "CHUNK_CELLS"}
 
 
 def _kept_tally_names(source: str) -> list[str]:
@@ -266,7 +266,8 @@ def test_kept_tally_check_flags_every_spelling():
         "from . import multisets as m\n"
         "cells = m.CHUNK_CELLS\n"
         "_row_tallies = None\n"
-        "kept = '_Kept'\n") == ["_keep", "CHUNK_CELLS", "_row_tallies"]
+        "kept = '_kept_tally'\n") == ["_keep", "CHUNK_CELLS",
+                                        "_row_tallies"]
 
 
 def test_only_multisets_knows_the_kept_tally_protocol():
